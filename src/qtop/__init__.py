@@ -38,7 +38,6 @@ from .extension import (
     build_extended_family,
     check_equivariance,
     check_hermitian,
-    eval_extended,
     seam_residual,
 )
 from .invariants import (
@@ -93,7 +92,6 @@ __all__ = [
     "build_extended_family",
     "check_equivariance",
     "check_hermitian",
-    "eval_extended",
     "seam_residual",
     "GappedInvariantReport",
     "W3Result",

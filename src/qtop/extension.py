@@ -48,7 +48,6 @@ __all__ = [
     "ClosedFormExtension",
     "build_extended",
     "build_extended_family",
-    "eval_extended",
     "check_hermitian",
     "check_equivariance",
     "bott_generator",
@@ -328,11 +327,6 @@ def build_extended_family(symbol, family_var=2, t_samples=8, samples_per_circle=
                 f"chart values at t = {t:.6f} deviate on the gluing torus by {seam:.3e}"
             )
     return ext
-
-
-def eval_extended(ext, point):
-    """f^E at a ChartPoint (function-style wrapper around ExtendedSymbol.value)."""
-    return ext.value(point)
 
 
 def seam_residual(ext, samples=64, t=None):

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import (
     CalibrationFailed,
@@ -123,6 +122,26 @@ def _radial_derivative(vals, rhos, axis=1):
     return np.moveaxis(out, 0, axis)
 
 
+def _simpson_weights(rhos):
+    """Composite Simpson weights on a uniform grid.
+
+    An odd point count gets the classic 1-4-2-...-4-1 rule.  An even count
+    gets it on all but the last interval, which takes the exact quadratic
+    through the last three points (Cartwright's correction).
+    """
+    n = len(rhos)
+    h = float(rhos[1] - rhos[0])
+    odd = n if n % 2 else n - 1
+    weights = np.zeros(n)
+    weights[1:odd:2] = 4.0
+    weights[2:odd - 1:2] = 2.0
+    weights[[0, odd - 1]] = 1.0
+    weights *= h / 3.0
+    if n % 2 == 0:
+        weights[-3:] += np.array([-1.0, 8.0, 5.0]) * (h / 12.0)
+    return weights
+
+
 def _chart_integral(grid_vals, rhos):
     """Integral of tr((g^{-1}dg)^3) over one chart in (theta, rho, phi) order."""
     g_inv = np.linalg.inv(grid_vals)
@@ -131,7 +150,7 @@ def _chart_integral(grid_vals, rhos):
     a_phi = g_inv @ _spectral_derivative(grid_vals, 2)
     comm = a_rho @ a_phi - a_phi @ a_rho
     density = 3.0 * np.einsum("...ij,...ji->...", a_theta, comm)
-    radial = simpson(density, x=rhos, axis=1)
+    radial = np.tensordot(density, _simpson_weights(rhos), axes=(1, 0))
     n_theta, n_phi = density.shape[0], density.shape[2]
     return complex(radial.sum() * (2.0 * np.pi / n_theta) * (2.0 * np.pi / n_phi))
 

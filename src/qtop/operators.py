@@ -233,7 +233,7 @@ def certify_fredholm(symbol, angles_per_direction=8):
             )
             sl = symbol.slice(direction, fixed)
             try:
-                if _certified_canonical(sl):
+                if _certified_canonical(sl, certify_invertible(sl)):
                     continue
                 # certificate failed: compute the full profile for the report
                 indices = partial_indices(sl)
@@ -606,7 +606,7 @@ def _certify_family(family, t_var, t_values, angles_per_direction=4):
                     )
                 sl = family.slice(direction, tuple(fixed))
                 try:
-                    if _certified_canonical(sl):
+                    if _certified_canonical(sl, certify_invertible(sl)):
                         continue
                     indices = partial_indices(sl)
                 except SingularOnTorus as exc:

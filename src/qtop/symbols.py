@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateExponent,
     InputError,
-    NotHermitian,
     SymmetryViolation,
     ZeroCoordinate,
 )
@@ -70,7 +69,8 @@ class LaurentSymbol:
         Matrix size N of the coefficients.
     terms : iterable of (exponents, matrix)
         Exponent vectors are length-d integer tuples; duplicate vectors are
-        a hard error (no silent summing).  Exact-zero matrices are dropped.
+        a hard error (no silent summing), and so is a non-finite entry.
+        Exact-zero matrices are dropped.
     """
 
     def __init__(self, num_vars, band_dim, terms):
@@ -90,6 +90,8 @@ class LaurentSymbol:
             if key in coeffs:
                 raise DuplicateExponent(key)
             a = _as_coeff(matrix, self.band_dim)
+            if not np.all(np.isfinite(a)):
+                raise InputError(f"coefficient at {key} has a non-finite entry")
             if np.any(a != 0):
                 coeffs[key] = a
         self._coeffs = coeffs
@@ -623,14 +625,6 @@ def check_symmetry(symbol, spec, grid=8, tol=1e-12):
         v = max(v, _grid_violation(target, rel, grid))
         violations[rel] = v
     return SymmetryReport(label=spec.label, violations=violations, tol=tol)
-
-
-def require_hermitian(symbol, tol=1e-12):
-    scale = max(symbol.coeff_norm(), 1e-300)
-    dev = symbol.distance(symbol.adjoint()) / scale
-    if dev > tol:
-        raise NotHermitian(f"symbol deviates from hermitian by {dev:.3e} (relative)")
-    return symbol
 
 
 # ------------------------------------------------------------ file I/O

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -50,13 +49,13 @@ __all__ = [
     "verify_factorization",
     "radial_scan",
     "toeplitz_kernel_dim",
-    "sigma_min_section",
     "winding_of_det",
     "certify_invertible",
 ]
 
 KERNEL_RELTOL = 1e-8        # singular values below this times sigma_max count as zero
 COND_CAP = 1e12
+EXACT_COND_ROWS = 2048      # largest section whose condition is a full SVD
 SECTION_CAP = 1536          # largest kernel-scan section before giving up
 
 
@@ -84,7 +83,7 @@ def certify_invertible(symbol, samples=1024, tol=1e-8):
     zs = np.exp(2j * np.pi * np.arange(samples) / samples)
     dets = np.linalg.det(symbol.eval_grid([zs]))
     dmin = float(np.abs(dets).min())
-    if dmin <= tol:
+    if not dmin > tol:  # NaN fails this comparison too
         raise SingularOnTorus(
             f"min |det f| = {dmin:.3e} on a {samples}-point grid (tol {tol:.1e})"
         )
@@ -93,7 +92,11 @@ def certify_invertible(symbol, samples=1024, tol=1e-8):
 
 def winding_of_det(symbol, samples=1024, tol=1e-8):
     """Winding number of det f around the origin (certifies invertibility first)."""
-    dets = certify_invertible(symbol, samples=samples, tol=tol)
+    return _det_winding(certify_invertible(symbol, samples=samples, tol=tol))
+
+
+def _det_winding(dets):
+    """Winding number of the closed loop of certified determinant samples."""
     steps = np.angle(np.roll(dets, -1) / dets)
     total = float(steps.sum()) / (2.0 * np.pi)
     w = int(round(total))
@@ -229,13 +232,14 @@ def partial_indices(symbol, window=None, det_samples=1024, det_tol=1e-8):
     return tuple(indices)
 
 
-def _certified_canonical(symbol, det_samples=1024, det_tol=1e-8):
+def _certified_canonical(symbol, dets):
     """Cheap exact certificate: winding(det) = 0 and trivial T_f kernel.
 
+    ``dets`` are the samples of det f returned by ``certify_invertible``.
     dim ker T_f = sum_i max(-kappa_i, 0), so a trivial kernel forces all
     indices >= 0; winding zero is their sum, hence all are zero.
     """
-    if winding_of_det(symbol, samples=det_samples, tol=det_tol) != 0:
+    if _det_winding(dets) != 0:
         return False
     return toeplitz_kernel_dim(symbol) == 0
 
@@ -291,24 +295,15 @@ class FactorizationResult:
         return np.fft.fft(vals, axis=0) / grid
 
 
-def _condition_estimate(mat, lu=None, exact_limit=2048):
-    if mat.shape[0] <= exact_limit:
-        return float(np.linalg.cond(mat))
-    # beyond the SVD budget: probe ||A^{-1}|| through the LU factors and pair
-    # it with the Frobenius norm; a lower bound is enough for the cap decision
-    if lu is None:
-        lu = scipy.linalg.lu_factor(mat)
-    rng = np.random.default_rng(7)
-    est = 0.0
-    for _ in range(3):
-        x = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
-        x /= np.linalg.norm(x)
-        est = max(est, float(np.linalg.norm(scipy.linalg.lu_solve(lu, x))))
-    return est * float(np.linalg.norm(mat))
-
-
 def _solve_plus_inverse(symbol, m):
-    """Solve the (m+1)-block Toeplitz system for the f_+^{-1} coefficients."""
+    """Solve the (m+1)-block Toeplitz system for the f_+^{-1} coefficients.
+
+    Returns the coefficient stack and the condition number of the section:
+    the exact 2-norm value up to EXACT_COND_ROWS rows.  Beyond that budget
+    three seeded unit probes x ride along as extra right-hand sides, and
+    max ||A^{-1} x|| * ||A||_F is used; a lower bound is enough for the
+    COND_CAP decision.
+    """
     n = symbol.band_dim
     coeffs = {k[0]: a for k, a in symbol.coeffs.items()}
     a4 = np.zeros((m + 1, n, m + 1, n), dtype=complex)
@@ -316,12 +311,23 @@ def _solve_plus_inverse(symbol, m):
         js = np.arange(max(0, -k), min(m + 1, m + 1 - k))
         if js.size:
             a4[js + k, :, js, :] = a
-    mat = a4.reshape((m + 1) * n, (m + 1) * n)
-    rhs = np.zeros(((m + 1) * n, n), dtype=complex)
+    rows = (m + 1) * n
+    mat = a4.reshape(rows, rows)
+    rhs = np.zeros((rows, n), dtype=complex)
     rhs[:n, :n] = np.eye(n)
-    lu = scipy.linalg.lu_factor(mat)
-    sol = scipy.linalg.lu_solve(lu, rhs)
-    cond = _condition_estimate(mat, lu=lu)
+    if rows <= EXACT_COND_ROWS:
+        sol = np.linalg.solve(mat, rhs)
+        cond = float(np.linalg.cond(mat))
+    else:
+        rng = np.random.default_rng(7)
+        probes = []
+        for _ in range(3):
+            x = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+            probes.append(x / np.linalg.norm(x))
+        sol = np.linalg.solve(mat, np.column_stack([rhs, *probes]))
+        est = float(np.linalg.norm(sol[:, n:], axis=0).max())
+        cond = est * float(np.linalg.norm(mat))
+        sol = sol[:, :n]
     return sol.reshape(m + 1, n, n), cond
 
 
@@ -366,7 +372,7 @@ def canonical_factorize(
     Toeplitz section crosses the condition bound.
     """
     symbol = _as_one_var(symbol)
-    certify_invertible(symbol, samples=det_samples, tol=det_tol)
+    dets = certify_invertible(symbol, samples=det_samples, tol=det_tol)
     n = symbol.band_dim
     lo, hi = symbol.exponent_range(0)
     if lo == hi == 0:
@@ -380,7 +386,7 @@ def canonical_factorize(
             residual=0.0,
             condition=float(np.linalg.cond(a)),
         )
-    if not _certified_canonical(symbol, det_samples=det_samples, det_tol=det_tol):
+    if not _certified_canonical(symbol, dets):
         raise NotCanonical(partial_indices(symbol, det_samples=det_samples, det_tol=det_tol))
 
     m = truncation if truncation is not None else 32
@@ -452,20 +458,6 @@ class RadialScanResult:
     @property
     def worst(self):
         return min(self.sigma_min)
-
-
-def sigma_min_section(symbol, section=64):
-    """Smallest singular value of the square block-Toeplitz section of T_f."""
-    symbol = _as_one_var(symbol)
-    coeffs = {k[0]: a for k, a in symbol.coeffs.items()}
-    n = symbol.band_dim
-    a4 = np.zeros((section, n, section, n), dtype=complex)
-    for k, a in coeffs.items():
-        js = np.arange(max(0, -k), min(section, section - k))
-        if js.size:
-            a4[js + k, :, js, :] = a
-    sv = np.linalg.svd(a4.reshape(section * n, section * n), compute_uv=False)
-    return float(sv[-1])
 
 
 def _section_from_fourier(fourier, section):

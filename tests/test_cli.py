@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,10 +13,11 @@ from conftest import (
     promote_to_family,
     sin_mass_family,
 )
+import qtop
 from qtop import __version__, cli
 from qtop.errors import NonConvergent
 from qtop.operators import IndexReport
-from qtop.symbols import LaurentSymbol, assemble_chiral, save_symbol
+from qtop.symbols import LaurentSymbol, assemble_chiral, save_symbol, symbol_to_dict
 
 
 @pytest.fixture
@@ -52,6 +56,28 @@ def run(capsys, argv):
 def test_version_flag(capsys):
     assert cli.main(["--version"]) == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(qtop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    probe = "import sys, qtop.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_nan_coefficient_is_input_error(capsys, tmp_path):
+    doc = symbol_to_dict(golden_symbol())
+    doc["terms"][0]["matrix"][0][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["index", str(path)],
+                 ["factorize", str(path), "--var", "0", "--param", "1=1"]):
+        code, rep = run(capsys, argv)
+        assert code == 4 and rep["error"] == "InputError"
 
 
 def test_no_command_is_input_error():

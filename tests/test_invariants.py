@@ -5,6 +5,7 @@ from conftest import golden_symbol, promote_to_family, random_canonical_2d
 from qtop.errors import InputError, SymmetryViolation, UndersampledLoop
 from qtop.extension import bott_generator, build_extended, build_extended_family
 from qtop.invariants import (
+    _simpson_weights,
     calibrate_orientation,
     gapped_invariant_report,
     w3,
@@ -13,6 +14,18 @@ from qtop.invariants import (
 from qtop.symbols import LaurentSymbol
 
 GRID = (32, 17, 32)
+
+
+def test_simpson_weights_match_scipy():
+    from scipy.integrate import simpson  # test-only reference
+
+    rng = np.random.default_rng(5)
+    for n in range(5, 41):
+        rhos = np.linspace(0.0, 1.0, n)
+        vals = rng.standard_normal((3, n, 4))
+        want = simpson(vals, x=rhos, axis=1)
+        got = np.tensordot(vals, _simpson_weights(rhos), axes=(1, 0))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_winding_number_basics():

@@ -43,6 +43,9 @@ def test_construction_validation():
         LaurentSymbol(1, 1, [((0,), np.eye(1)), ((0,), np.eye(1))])
     with pytest.raises(DimensionMismatch):
         LaurentSymbol(1, 2, [((0,), np.eye(3))])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError):
+            LaurentSymbol(1, 1, [((0,), np.array([[bad]]))])
 
 
 def test_eval_matches_eval_grid(rng):

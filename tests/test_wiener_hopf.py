@@ -5,6 +5,9 @@ from conftest import golden_symbol, random_canonical_1d, random_nonzero_winding_
 from qtop.errors import NotCanonical, SingularOnTorus, Unstable
 from qtop.symbols import LaurentSymbol
 from qtop.wiener_hopf import (
+    COND_CAP,
+    EXACT_COND_ROWS,
+    _solve_plus_inverse,
     canonical_factorize,
     certify_invertible,
     partial_indices,
@@ -25,9 +28,30 @@ def test_winding_of_scalars():
     assert winding_of_det(scalar([(-1, 1.0), (0, -0.5)])) == -1  # 1/z - 0.5
 
 
+class _NaNSymbol:
+    """One-variable stand-in whose values are all NaN."""
+
+    num_vars = 1
+
+    def eval_grid(self, axes):
+        return np.full((len(axes[0]), 1, 1), np.nan, dtype=complex)
+
+
 def test_certify_invertible_rejects_vanishing_det():
     with pytest.raises(SingularOnTorus):
         certify_invertible(scalar([(1, 1.0), (0, -1.0)]))  # z - 1
+    with pytest.raises(SingularOnTorus):
+        certify_invertible(_NaNSymbol())
+
+
+def test_large_section_condition_estimate():
+    sl = golden_symbol().slice(0, (np.exp(1.1j),)).symbol
+    m = 1100
+    assert (m + 1) * sl.band_dim > EXACT_COND_ROWS
+    h_big, cond_big = _solve_plus_inverse(sl, m)
+    h_small, _ = _solve_plus_inverse(sl, 32)
+    np.testing.assert_allclose(h_big[:33], h_small, rtol=0, atol=1e-12)
+    assert np.isfinite(cond_big) and cond_big < COND_CAP
 
 
 def test_monomial_partial_indices():
