@@ -39,7 +39,7 @@ from .errors import (
     SingularOnTorus,
     Unstable,
 )
-from .symbols import LaurentSymbol
+from .symbols import _coordinate_slice, _quaternion_unit
 from .wiener_hopf import canonical_factorize
 
 __all__ = [
@@ -125,18 +125,6 @@ class ExtendedSymbol:
 
     # ------------------------------------------------------------- slices
 
-    def _slice(self, chart, angle, t):
-        active = self._var_disk[chart]
-        fixed = []
-        for v in range(self.base.num_vars):
-            if v == active:
-                continue
-            if v == self.family_var:
-                fixed.append(np.exp(1j * t))
-            else:
-                fixed.append(np.exp(1j * angle))
-        return self.base.slice(active, tuple(fixed))
-
     def factor_at(self, chart, angle, t=None):
         """Canonical factorization of the disk-variable slice (cached)."""
         if self.has_family:
@@ -149,7 +137,9 @@ class ExtendedSymbol:
             key = (chart, _angle_key(angle))
         fact = self._cache.get(key)
         if fact is None:
-            sl = self._slice(chart, angle, t)
+            sl = _coordinate_slice(
+                self.base, self._var_disk[chart], angle, self.family_var, t
+            )
             try:
                 fact = canonical_factorize(
                     sl, truncation=self.truncation, tol=self.tol
@@ -478,12 +468,6 @@ def check_hermitian(ext, grid=(16, 9, 16), t=None):
     return worst
 
 
-def _quat_unit(n):
-    from .symbols import _quaternion_unit
-
-    return _quaternion_unit(n)
-
-
 def _involution_target(vals, degree, band_dim):
     """Image of g = f^E at a point under the target involution of KR-degree
     ``degree``: the relation g(nu x) = target(g(x)) restates the transposition
@@ -497,7 +481,7 @@ def _involution_target(vals, degree, band_dim):
         return transpose
     if degree == 2:
         return -transpose
-    u = _quat_unit(band_dim)
+    u = _quaternion_unit(band_dim)
     uinv = u.T
     if degree == 3:
         return u @ transpose @ uinv

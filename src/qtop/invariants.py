@@ -34,8 +34,8 @@ from .errors import (
     Unstable,
 )
 from .extension import build_extended, bott_generator, check_equivariance, check_hermitian
-from .symbols import az_class, check_symmetry, split_chiral
-from .wiener_hopf import partial_indices
+from .symbols import _coordinate_slice, az_class, check_symmetry, split_chiral
+from .wiener_hopf import _slice_indices
 
 __all__ = [
     "winding_number",
@@ -235,6 +235,8 @@ def w3(ext, grid=DEFAULT_GRID, refine=False, threshold=RESIDUAL_THRESHOLD,
     """
     if getattr(ext, "has_family", False):
         raise InputError("w3 needs a two-variable extension; slice the family first")
+    if min(grid[0], grid[2]) < 3 or grid[1] < 5:
+        raise InputError(f"W3 grid {tuple(grid)} needs >= 3 angles and >= 5 radii")
     sign = calibrate_orientation()
     history = []
     current = tuple(int(g) for g in grid)
@@ -324,15 +326,8 @@ def _direction_certificates(symbol, angles_per_direction=4):
         rows = []
         for j in range(angles_per_direction):
             angle = 2.0 * np.pi * j / angles_per_direction
-            fixed = tuple(
-                np.exp(1j * angle)
-                for v in range(symbol.num_vars)
-                if v != direction
-            )
-            sl = symbol.slice(direction, fixed)
-            rows.append(
-                {"angle": angle, "partial_indices": list(partial_indices(sl))}
-            )
+            sl = _coordinate_slice(symbol, direction, angle, None, None)
+            rows.append({"angle": angle, "partial_indices": list(_slice_indices(sl))})
         certs[f"direction_{direction}"] = rows
     return certs
 

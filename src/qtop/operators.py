@@ -1,18 +1,14 @@
 """Finite truncations of Toeplitz-type lattice operators and their spectra.
 
-Geometries are plain Dirichlet restrictions: the matrix entry between
-admitted sites x (row) and y (column) is the hopping coefficient a_{x-y},
-and sites outside the region are simply absent.
+Geometries are Dirichlet boxes; every dense truncation is a
+LaurentSymbol.section, which fixes the site-block layout.
 
 The numerical Fredholm index of the quarter-plane operator compares kernel
-counts of f and its adjoint on matched rectangular truncations whose row
-set is the full hopping reach of the column set.  With that row set, an
-exact kernel vector of the truncation extends by zero to a kernel vector
-of the full-plane operator (every row it could excite is present), so the
-artificial far edges and the far corner contribute nothing; small singular
-values can only come from modes attached to the true corner, which is what
-the index counts.  Stability of the counts across truncation sizes is
-still required and reported.
+counts of f and its adjoint on sections whose rows are the full hopping
+reach of the columns.  The artificial far edges and the far corner then
+contribute nothing; small singular values can only come from modes attached
+to the true corner, which is what the index counts.  Stability of the
+counts across truncation sizes is still required and reported.
 
 The half-plane gap avoids rectangle corners altogether: truncating the
 parallel direction periodically block-diagonalizes the half-plane operator
@@ -22,6 +18,7 @@ the smallest singular value of one-dimensional segment sections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +34,12 @@ from .errors import (
     TrackingAmbiguous,
     Unstable,
 )
-from .symbols import LaurentSymbol, chiral_projector
+from .symbols import _coordinate_slice, chiral_projector
 from .wiener_hopf import (
     KERNEL_RELTOL,
-    _certified_canonical,
+    _kernel_count,
+    _slice_indices,
     certify_invertible,
-    partial_indices,
     toeplitz_kernel_dim,
 )
 
@@ -107,43 +104,18 @@ class TruncatedOperator:
         return self.matrix.shape
 
 
-def _site_grid(ranges):
-    """All integer sites of a box, lexicographic, as an (n, d) array."""
-    axes = [np.arange(lo, hi) for lo, hi in ranges]
-    mesh = np.meshgrid(*axes, indexing="ij")
+def _site_grid(box):
+    """All integer sites of a box at the origin, lexicographic, as an (n, d) array."""
+    mesh = np.meshgrid(*[np.arange(b) for b in box], indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _compress(symbol, row_ranges, col_ranges):
-    """Dense matrix of P_rows M_symbol P_cols in the site-block layout."""
-    rows = _site_grid(row_ranges)
-    cols = _site_grid(col_ranges)
-    n = symbol.band_dim
-    if max(rows.shape[0], cols.shape[0]) * n > DENSE_CAP:
-        raise SizeOverflow(
-            f"dense compression would be {max(rows.shape[0], cols.shape[0]) * n} "
-            f"rows (cap {DENSE_CAP})"
-        )
-    row_dims = [hi - lo for lo, hi in row_ranges]
-    row_lo = np.array([lo for lo, _ in row_ranges])
-    strides = np.ones(len(row_dims), dtype=np.int64)
-    for i in range(len(row_dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * row_dims[i + 1]
-
-    def row_index(pts):
-        return (pts - row_lo) @ strides
-
-    block = np.zeros((rows.shape[0], cols.shape[0], n, n), dtype=complex)
-    for exp, coeff in symbol.coeffs.items():
-        targets = cols + np.asarray(exp)
-        ok = np.ones(cols.shape[0], dtype=bool)
-        for axis, (lo, hi) in enumerate(row_ranges):
-            ok &= (targets[:, axis] >= lo) & (targets[:, axis] < hi)
-        if not ok.any():
-            continue
-        block[row_index(targets[ok]), np.nonzero(ok)[0]] += coeff
-    mat = block.transpose(0, 2, 1, 3).reshape(rows.shape[0] * n, cols.shape[0] * n)
-    return mat, rows, cols
+def _dense_section(symbol, rows, cols):
+    """symbol.section, refused before any allocation beyond DENSE_CAP rows."""
+    size = max(math.prod(rows), math.prod(cols)) * symbol.band_dim
+    if size > DENSE_CAP:
+        raise SizeOverflow(f"dense compression would be {size} rows (cap {DENSE_CAP})")
+    return symbol.section(rows, cols)
 
 
 def assemble(symbol, geometry):
@@ -151,29 +123,29 @@ def assemble(symbol, geometry):
     if isinstance(geometry, Segment):
         if symbol.num_vars != 1:
             raise DimensionMismatch("segment geometry needs a one-variable symbol")
-        ranges = [(0, geometry.length)]
+        box = (geometry.length,)
     elif isinstance(geometry, Quarter):
         if symbol.num_vars != 2:
             raise DimensionMismatch("quarter geometry needs a two-variable symbol")
-        ranges = [(0, geometry.side), (0, geometry.side)]
+        box = (geometry.side, geometry.side)
     elif isinstance(geometry, HalfPlaneRect):
         if symbol.num_vars != 2:
             raise DimensionMismatch("half-plane geometry needs a two-variable symbol")
         if geometry.direction not in (0, 1):
             raise InputError("direction must be 0 or 1")
-        sizes = [0, 0]
-        sizes[geometry.direction] = geometry.perp
-        sizes[1 - geometry.direction] = geometry.parallel
-        ranges = [(0, sizes[0]), (0, sizes[1])]
+        box = [0, 0]
+        box[geometry.direction] = geometry.perp
+        box[1 - geometry.direction] = geometry.parallel
     else:
         raise InputError(f"unknown geometry {geometry!r}")
-    mat, rows, cols = _compress(symbol, ranges, ranges)
+    mat = _dense_section(symbol, box, box)
+    sites = _site_grid(box)
     return TruncatedOperator(
         matrix=mat,
         geometry=geometry,
         band_dim=symbol.band_dim,
-        row_sites=rows,
-        col_sites=cols,
+        row_sites=sites,
+        col_sites=sites,
     )
 
 
@@ -192,28 +164,37 @@ def dump_operator(op, path):
 def kernel_dim(op, tol=KERNEL_RELTOL):
     """Numerical kernel count: singular values below tol * sigma_max."""
     mat = op.matrix if isinstance(op, TruncatedOperator) else np.asarray(op)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return mat.shape[1]
-    return int(np.count_nonzero(sv < tol * sv[0]))
+    return _kernel_count(mat, tol)[0]
 
 
 # ---------------------------------------------------------------- index
 
 
-def _positive_reach(symbol):
-    """Per-axis maximum positive hopping offset (row overhang of a column box)."""
-    exps = np.array(sorted(symbol.coeffs.keys()))
-    return [max(0, int(exps[:, a].max())) for a in range(symbol.num_vars)]
-
-
 def _reach_compression(symbol, box):
-    """Columns on the box, rows on the box extended by the hopping reach."""
-    reach = _positive_reach(symbol)
-    col_ranges = [(0, b) for b in box]
-    row_ranges = [(0, b + r) for b, r in zip(box, reach)]
-    mat, _, _ = _compress(symbol, row_ranges, col_ranges)
-    return mat
+    """Columns on the box, rows on the box extended by the positive hopping reach."""
+    rows = [b + max(0, symbol.exponent_range(a)[1]) for a, b in enumerate(box)]
+    return _dense_section(symbol, rows, box)
+
+
+def _angles(count):
+    return [2.0 * np.pi * j / count for j in range(count)]
+
+
+def _certify_slices(symbol, points, t_var, detail):
+    """Raise NotFredholm at the first (direction, angle, t) of ``points``
+    whose coordinate slice has a nonzero partial index or a singular det."""
+    for direction, angle, t in points:
+        where = (angle,) if t is None else (angle, t)
+        try:
+            indices = _slice_indices(_coordinate_slice(symbol, direction, angle, t_var, t))
+        except SingularOnTorus as exc:
+            raise NotFredholm(
+                direction=direction, where=where, indices=None, detail=str(exc),
+            ) from exc
+        if any(indices):
+            raise NotFredholm(
+                direction=direction, where=where, indices=indices, detail=detail,
+            )
 
 
 def certify_fredholm(symbol, angles_per_direction=8):
@@ -223,30 +204,9 @@ def certify_fredholm(symbol, angles_per_direction=8):
     in each direction having only zero partial indices; the first offender
     aborts with its direction, angle, and index tuple.
     """
-    for direction in range(symbol.num_vars):
-        for j in range(angles_per_direction):
-            angle = 2.0 * np.pi * j / angles_per_direction
-            fixed = tuple(
-                np.exp(1j * angle)
-                for v in range(symbol.num_vars)
-                if v != direction
-            )
-            sl = symbol.slice(direction, fixed)
-            try:
-                if _certified_canonical(sl, certify_invertible(sl)):
-                    continue
-                # certificate failed: compute the full profile for the report
-                indices = partial_indices(sl)
-            except SingularOnTorus as exc:
-                raise NotFredholm(
-                    direction=direction, where=(angle,), indices=None,
-                    detail=str(exc),
-                ) from exc
-            if any(indices):
-                raise NotFredholm(
-                    direction=direction, where=(angle,), indices=indices,
-                    detail="half-plane compression is not invertible",
-                )
+    points = [(direction, angle, None) for direction in range(symbol.num_vars)
+              for angle in _angles(angles_per_direction)]
+    _certify_slices(symbol, points, None, "half-plane compression is not invertible")
 
 
 @dataclass(frozen=True)
@@ -278,6 +238,8 @@ def numerical_index(symbol, sizes=(10, 14, 18), tol=KERNEL_RELTOL, certify=True)
     """
     if symbol.num_vars not in (1, 2):
         raise DimensionMismatch("index needs a one- or two-variable symbol")
+    if min(sizes, default=1) < 1:
+        raise InputError(f"truncation sizes must be >= 1, got {tuple(sizes)}")
     if certify:
         if symbol.num_vars == 2:
             certify_fredholm(symbol)
@@ -351,8 +313,7 @@ def half_plane_gap(symbol, direction, parallel=32, perp=8, doublings=2):
     for m in sections:
         worst = np.inf
         for sl in slices:
-            mat, _, _ = _compress(sl, [(0, m)], [(0, m)])
-            sv = np.linalg.svd(mat, compute_uv=False)
+            sv = np.linalg.svd(_dense_section(sl, (m,), (m,)), compute_uv=False)
             worst = min(worst, float(sv[-1]))
         minima.append(worst)
     if not all(np.isfinite(minima)):
@@ -434,12 +395,6 @@ def _corner_mask(sites, band_dim, extent=4):
     return np.repeat(near, band_dim).astype(float)
 
 
-def _corner_weight(vec, sites, band_dim, extent=4):
-    probs = np.abs(vec.reshape(sites.shape[0], band_dim)) ** 2
-    near = np.all(sites < extent, axis=1)
-    return float(probs[near].sum())
-
-
 def _apply_grading(block, band_dim, pi):
     shaped = block.T.reshape(block.shape[1], -1, band_dim)
     return (shaped @ pi.T).reshape(block.shape[1], -1).T
@@ -493,6 +448,8 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, gap_factor=10.0,
     """
     if symbol.num_vars != 2:
         raise DimensionMismatch("corner spectrum needs a two-variable symbol")
+    if side < 1:
+        raise InputError(f"side must be >= 1, got {side}")
     scale = max(symbol.coeff_norm(), 1e-300)
     if symbol.distance(symbol.adjoint()) > hermitian_tol * scale:
         raise NotHermitian("symbol is not hermitian at coefficient level")
@@ -591,36 +548,6 @@ class SpectralFlowResult:
         }
 
 
-def _certify_family(family, t_var, t_values, angles_per_direction=4):
-    spatial = [v for v in range(3) if v != t_var]
-    for t in t_values:
-        for direction in spatial:
-            for j in range(angles_per_direction):
-                angle = 2.0 * np.pi * j / angles_per_direction
-                fixed = []
-                for v in range(3):
-                    if v == direction:
-                        continue
-                    fixed.append(
-                        np.exp(1j * t) if v == t_var else np.exp(1j * angle)
-                    )
-                sl = family.slice(direction, tuple(fixed))
-                try:
-                    if _certified_canonical(sl, certify_invertible(sl)):
-                        continue
-                    indices = partial_indices(sl)
-                except SingularOnTorus as exc:
-                    raise NotFredholm(
-                        direction=direction, where=(angle, t), indices=None,
-                        detail=str(exc),
-                    ) from exc
-                if any(indices):
-                    raise NotFredholm(
-                        direction=direction, where=(angle, t), indices=indices,
-                        detail="half-plane compression not invertible along the family",
-                    )
-
-
 def _crossings_of(values, t_values, zero_floor):
     """Signed zero crossings of one closed (cyclic) eigenvalue track.
 
@@ -715,17 +642,22 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5,
         raise DimensionMismatch("spectral flow needs a three-variable family")
     if not 0 <= t_var < 3:
         raise InputError("t_var out of range")
+    if t_samples < 1 or side < 1:
+        raise InputError(f"t_samples and side must be >= 1, got {t_samples} and {side}")
     scale = max(family.coeff_norm(), 1e-300)
     if family.distance(family.adjoint()) > hermitian_tol * scale:
         raise NotHermitian("family is not hermitian at coefficient level")
-    t_values = [2.0 * np.pi * j / t_samples for j in range(t_samples)]
+    t_values = _angles(t_samples)
     if certify:
-        _certify_family(family, t_var, t_values)
+        points = [(direction, angle, t) for t in t_values
+                  for direction in range(3) if direction != t_var
+                  for angle in _angles(4)]
+        _certify_slices(family, points, t_var,
+                        "half-plane compression not invertible along the family")
 
     windowed = []
     for t in t_values:
-        snapshot = _family_snapshot(family, t_var, np.exp(1j * t))
-        op = assemble(snapshot, Quarter(side))
+        op = assemble(family.freeze({t_var: np.exp(1j * t)}), Quarter(side))
         vals, vecs = np.linalg.eigh(op.matrix)
         keep = np.nonzero(np.abs(vals) < window)[0]
         mask = _corner_mask(op.col_sites, family.band_dim)
@@ -876,13 +808,3 @@ def _open_crossings(values, seg_t, zero_floor):
             t_loc = 0.5 * (seg_t[a_idx] + t_next)
         out.append((float(t_loc % (2.0 * np.pi)), 1 if b > a else -1))
     return out
-
-
-def _family_snapshot(family, t_var, value):
-    """Two-variable symbol obtained by freezing the family variable."""
-    terms = {}
-    for exp, coeff in family.coeffs.items():
-        spatial = tuple(e for v, e in enumerate(exp) if v != t_var)
-        add = coeff * (value ** exp[t_var])
-        terms[spatial] = terms[spatial] + add if spatial in terms else add
-    return LaurentSymbol(family.num_vars - 1, family.band_dim, list(terms.items()))

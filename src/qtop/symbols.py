@@ -17,6 +17,7 @@ exponent vectors); nothing is sampled until an operation asks for values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,6 +302,29 @@ class LaurentSymbol:
 
     # ------------------------------------------------------------ slices
 
+    def freeze(self, values):
+        """Collapse the variables of ``values`` ({var: complex value}).
+
+        Returns the symbol in the remaining variables, kept in their order;
+        evaluating it equals evaluating f with the frozen values inserted.
+        """
+        frozen = dict(sorted((int(v), complex(p)) for v, p in values.items()))
+        if any(not 0 <= v < self.num_vars for v in frozen):
+            raise InputError(f"frozen variables {list(frozen)} out of range")
+        keep = [v for v in range(self.num_vars) if v not in frozen]
+        acc = {}
+        for key, a in self._coeffs.items():
+            factor = 1.0 + 0.0j
+            for v, p in frozen.items():
+                e = key[v]
+                if e != 0 and p == 0:
+                    raise ZeroCoordinate(f"frozen variable {v} at zero with exponent {e}")
+                if e != 0:
+                    factor *= p**e
+            k = tuple(key[v] for v in keep)
+            acc[k] = acc[k] + factor * a if k in acc else factor * a
+        return LaurentSymbol(len(keep), self.band_dim, acc.items())
+
     def slice(self, active_var, fixed_point):
         """Freeze all variables except ``active_var`` at torus values.
 
@@ -316,22 +340,40 @@ class LaurentSymbol:
                 f"need {self.num_vars - 1} frozen values, got {len(fixed)}"
             )
         frozen_vars = [v for v in range(self.num_vars) if v != active_var]
-        acc = {}
-        for key, a in self._coeffs.items():
-            factor = 1.0 + 0.0j
-            for v, p in zip(frozen_vars, fixed):
-                e = key[v]
-                if e != 0 and p == 0:
-                    raise ZeroCoordinate(f"frozen variable {v} at zero with exponent {e}")
-                if e != 0:
-                    factor *= p**e
-            ka = (key[active_var],)
-            if ka in acc:
-                acc[ka] = acc[ka] + factor * a
-            else:
-                acc[ka] = factor * a
-        collapsed = LaurentSymbol(1, self.band_dim, acc.items())
+        collapsed = self.freeze(dict(zip(frozen_vars, fixed)))
         return SliceSymbol(self, active_var, fixed, collapsed)
+
+    # ---------------------------------------------------------- sections
+
+    def section(self, rows, cols):
+        """Dense compression of the Toeplitz operator of f to a finite box.
+
+        ``rows`` and ``cols`` give per-variable box sizes; both boxes start
+        at the origin.  Sites run in lexicographic order with the band index
+        fastest, and the block between row site x and column site y is
+        a_{x-y} (README "Conventions"); sites outside the boxes are absent.
+        With ``rows`` the column box extended by the positive hopping reach,
+        every row a column vector can excite is present, so a kernel vector
+        of the section extends by zero to one of the infinite operator.
+        """
+        rows = tuple(int(r) for r in rows)
+        cols = tuple(int(c) for c in cols)
+        if len(rows) != self.num_vars or len(cols) != self.num_vars:
+            raise DimensionMismatch(f"box sizes need {self.num_vars} entries each")
+        if min(rows + cols) < 0:
+            raise InputError(f"negative box size in rows {rows} / cols {cols}")
+        n = self.band_dim
+        out = np.zeros((*rows, n, *cols, n), dtype=complex)
+        for key, a in self._coeffs.items():
+            ys = [np.arange(max(0, -k), min(c, r - k)) for k, r, c in zip(key, rows, cols)]
+            if min(y.size for y in ys) == 0:
+                continue
+            ys = np.ix_(*ys)
+            xs = tuple(y + k for y, k in zip(ys, key))
+            # += onto zeros stores a -0.0 entry as +0.0; LAPACK reflectors
+            # branch on the sign of zero, so spectra then do not depend on it
+            out[(*xs, slice(None), *ys, slice(None))] += a
+        return out.reshape(math.prod(rows) * n, math.prod(cols) * n)
 
     # ------------------------------------------------------------- JSON
 
@@ -355,6 +397,17 @@ class SliceSymbol:
 
     def eval(self, z):
         return self.symbol.eval((z,))
+
+
+def _coordinate_slice(symbol, direction, angle, t_var, t):
+    """The slice keeping ``direction`` active, with the family variable
+    ``t_var`` (None for none) at e^{i t} and every other one at e^{i angle}."""
+    fixed = tuple(
+        np.exp(1j * (t if v == t_var else angle))
+        for v in range(symbol.num_vars)
+        if v != direction
+    )
+    return symbol.slice(direction, fixed)
 
 
 # ----------------------------------------------------------------- dets

@@ -14,12 +14,11 @@ factorizing, from kernel dimensions of the shifted operators T_{z^m f}:
 dim ker T_{z^m f} = sum_i max(-(kappa_i + m), 0), so the multiplicity of the
 index value -m is the second difference of that count in m.
 
-Kernel dimensions come from tall rectangular compressions: columns are the
-sites 0..L-1, rows all sites that receive band contributions from them.  A
-vector in the kernel of that matrix is annihilated by every row the infinite
-operator could populate, so small singular values correspond to genuine
-approximate kernel vectors and corner artifacts of square sections never
-appear.  Counts must agree across L and 2L before they are believed.
+Kernel dimensions come from tall sections (LaurentSymbol.section) whose
+rows are the full hopping reach of the columns 0..L-1, so small singular
+values correspond to genuine approximate kernel vectors and corner artifacts
+of square sections never appear.  Counts must agree across L and 2L before
+they are believed.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .errors import (
     Unstable,
     WindowTooSmall,
 )
-from .symbols import LaurentSymbol, SliceSymbol
+from .symbols import LaurentSymbol, SliceSymbol, det_on_circle
 
 __all__ = [
     "FactorizationResult",
@@ -79,9 +78,7 @@ def _poly_values(coeff_stack, u):
 
 def certify_invertible(symbol, samples=1024, tol=1e-8):
     """Check min |det f| on a dense circle grid; SingularOnTorus below tol."""
-    symbol = _as_one_var(symbol)
-    zs = np.exp(2j * np.pi * np.arange(samples) / samples)
-    dets = np.linalg.det(symbol.eval_grid([zs]))
+    dets = det_on_circle(_as_one_var(symbol), samples)
     dmin = float(np.abs(dets).min())
     if not dmin > tol:  # NaN fails this comparison too
         raise SingularOnTorus(
@@ -108,19 +105,6 @@ def _det_winding(dets):
 # --------------------------------------------------------- tall sections
 
 
-def _tall_matrix(coeffs, band_dim, cols):
-    """Rectangular compression of T_g: columns 0..cols-1, all reachable rows."""
-    keys = sorted(coeffs)
-    m_max = max(0, keys[-1])
-    rows = cols + m_max
-    a4 = np.zeros((rows, band_dim, cols, band_dim), dtype=complex)
-    for k in keys:
-        js = np.arange(max(0, -k), min(cols, rows - k))
-        if js.size:
-            a4[js + k, :, js, :] = coeffs[k]
-    return a4.reshape(rows * band_dim, cols * band_dim)
-
-
 def _kernel_count(mat, rel_tol=KERNEL_RELTOL):
     """Kernel count of a section, with the relative size of the smallest
     retained singular value (the margin separating kernel from bulk)."""
@@ -134,8 +118,7 @@ def _kernel_count(mat, rel_tol=KERNEL_RELTOL):
     return count, margin
 
 
-def _stable_kernel_dim(coeffs, band_dim, start, cap=SECTION_CAP,
-                       rel_tol=KERNEL_RELTOL):
+def _stable_kernel_dim(symbol, start, cap=SECTION_CAP, rel_tol=KERNEL_RELTOL):
     """Tall-section kernel dimension, escalated until trustworthy.
 
     Agreement of two consecutive doublings is not enough: a slowly decaying
@@ -146,11 +129,12 @@ def _stable_kernel_dim(coeffs, band_dim, start, cap=SECTION_CAP,
     heading under the cutoff, so the doubling continues until it crosses
     (the count increments) or levels off.
     """
+    reach = max(0, symbol.exponent_range(0)[1])
     length = start
     prev = None
     while length <= cap:
         count, margin = _kernel_count(
-            _tall_matrix(coeffs, band_dim, length), rel_tol
+            symbol.section((length + reach,), (length,)), rel_tol
         )
         if prev is not None and count == prev[0] and margin >= 0.3 * prev[1]:
             return count
@@ -164,13 +148,14 @@ def _stable_kernel_dim(coeffs, band_dim, start, cap=SECTION_CAP,
 def toeplitz_kernel_dim(symbol, start=None, cap=SECTION_CAP, rel_tol=KERNEL_RELTOL):
     """Stabilized dim ker of the half-line Toeplitz operator T_f."""
     symbol = _as_one_var(symbol)
-    coeffs = {k[0]: a for k, a in symbol.coeffs.items()}
-    if not coeffs:
+    if not symbol.coeffs:
         return symbol.band_dim  # zero symbol: everything is kernel
-    lo, hi = min(coeffs), max(coeffs)
+    lo, hi = symbol.exponent_range(0)
     spread = max(hi - lo, 1)
     length = start if start is not None else max(24, 4 * spread)
-    return _stable_kernel_dim(coeffs, symbol.band_dim, length, cap, rel_tol)
+    if length < 1:
+        raise InputError(f"section length must be >= 1, got {length}")
+    return _stable_kernel_dim(symbol, length, cap, rel_tol)
 
 
 # -------------------------------------------------------- partial indices
@@ -186,7 +171,7 @@ def partial_indices(symbol, window=None, det_samples=1024, det_tol=1e-8):
     required; their absence raises WindowTooSmall.
     """
     symbol = _as_one_var(symbol)
-    certify_invertible(symbol, samples=det_samples, tol=det_tol)
+    dets = certify_invertible(symbol, samples=det_samples, tol=det_tol)
     n = symbol.band_dim
     lo, hi = symbol.exponent_range(0)
     if lo == hi:
@@ -194,14 +179,11 @@ def partial_indices(symbol, window=None, det_samples=1024, det_tol=1e-8):
         return tuple([lo] * n)
     if window is None:
         window = n * (hi - lo)
-    m_values = np.arange(-window - 1, window + 2)
-    coeffs = {k[0]: a for k, a in symbol.coeffs.items()}
     d = {}
-    for m in m_values:
-        shifted = {k + int(m): a for k, a in coeffs.items()}
-        spread = max(hi - lo + abs(int(m)), 1)
+    for m in range(-window - 1, window + 2):
+        spread = max(hi - lo + abs(m), 1)
         try:
-            d[int(m)] = _stable_kernel_dim(shifted, n, max(24, 4 * spread))
+            d[m] = _stable_kernel_dim(symbol.shift((m,)), max(24, 4 * spread))
         except Unstable as exc:
             raise Unstable(f"kernel count for shift {m}: {exc}") from exc
 
@@ -224,12 +206,21 @@ def partial_indices(symbol, window=None, det_samples=1024, det_tol=1e-8):
         )
     indices.sort(reverse=True)
     total = sum(indices)
-    wind = winding_of_det(symbol, samples=det_samples, tol=det_tol)
+    wind = _det_winding(dets)
     if total != wind:
         raise Unstable(
             f"sum of partial indices {total} disagrees with det winding {wind}"
         )
     return tuple(indices)
+
+
+def _slice_indices(symbol):
+    """Partial indices: all zero straight from the cheap canonical
+    certificate when it holds, else from the full partial_indices scan."""
+    symbol = _as_one_var(symbol)
+    if _certified_canonical(symbol, certify_invertible(symbol)):
+        return (0,) * symbol.band_dim
+    return partial_indices(symbol)
 
 
 def _certified_canonical(symbol, dets):
@@ -305,14 +296,8 @@ def _solve_plus_inverse(symbol, m):
     COND_CAP decision.
     """
     n = symbol.band_dim
-    coeffs = {k[0]: a for k, a in symbol.coeffs.items()}
-    a4 = np.zeros((m + 1, n, m + 1, n), dtype=complex)
-    for k, a in coeffs.items():
-        js = np.arange(max(0, -k), min(m + 1, m + 1 - k))
-        if js.size:
-            a4[js + k, :, js, :] = a
     rows = (m + 1) * n
-    mat = a4.reshape(rows, rows)
+    mat = symbol.section((m + 1,), (m + 1,))
     rhs = np.zeros((rows, n), dtype=complex)
     rhs[:n, :n] = np.eye(n)
     if rows <= EXACT_COND_ROWS:
@@ -371,6 +356,8 @@ def canonical_factorize(
     stays above ``tol`` at the truncation cap; IllConditioned when the
     Toeplitz section crosses the condition bound.
     """
+    if truncation is not None and truncation < 0:
+        raise InputError(f"truncation must be >= 0, got {truncation}")
     symbol = _as_one_var(symbol)
     dets = certify_invertible(symbol, samples=det_samples, tol=det_tol)
     n = symbol.band_dim
@@ -460,16 +447,6 @@ class RadialScanResult:
         return min(self.sigma_min)
 
 
-def _section_from_fourier(fourier, section):
-    grid, n = fourier.shape[0], fourier.shape[1]
-    a4 = np.zeros((section, n, section, n), dtype=complex)
-    for k in range(-(section - 1), section):
-        a = fourier[k % grid]
-        js = np.arange(max(0, -k), min(section, section - k))
-        a4[js + k, :, js, :] = a
-    return a4.reshape(section * n, section * n)
-
-
 def radial_scan(fact, radii=None, section=64, grid=1024):
     """sigma_min of the Toeplitz sections with symbol f_-(z/t) f_+(tz).
 
@@ -484,8 +461,10 @@ def radial_scan(fact, radii=None, section=64, grid=1024):
         if not 0.0 <= t <= 1.0:
             raise InputError(f"radius {t} outside [0, 1]")
         fourier = fact.scaled_symbol_coeffs(t, grid=grid)
-        mat = _section_from_fourier(fourier, section)
-        sv = np.linalg.svd(mat, compute_uv=False)
+        scaled = LaurentSymbol(1, fact.band_dim, [
+            ((k,), fourier[k % grid]) for k in range(1 - section, section)
+        ])
+        sv = np.linalg.svd(scaled.section((section,), (section,)), compute_uv=False)
         sigmas.append(float(sv[-1]))
     return RadialScanResult(
         radii=tuple(float(t) for t in radii),

@@ -121,6 +121,28 @@ def test_factorize_input_errors(capsys, golden_file):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["flow", "{family}", "--tsamples", "0"],
+    ["flow", "{family}", "--tsamples", "-3"],
+    ["flow", "{family}", "--size", "-1"],
+    ["index", "{golden}", "--mode", "w3", "--grid", "4,5,0", "--samples", "4"],
+    ["index", "{golden}", "--mode", "w3", "--grid", "0,9,8", "--samples", "4"],
+    ["index", "{golden}", "--mode", "w3", "--grid", "2,5,2", "--samples", "4"],
+    ["index", "{golden}", "--mode", "truncation", "--sizes", "0"],
+    ["index", "{golden}", "--mode", "truncation", "--sizes", "-3"],
+    ["corner", "{H}", "--size", "0"],
+    ["corner", "{H}", "--size", "-2"],
+    ["factorize", "{golden}", "--param", "1=1", "--trunc", "-4"],
+], ids="_".join)
+def test_size_flags_out_of_range_are_input_errors(capsys, tmp_path, golden_file,
+                                                  golden_H_file, argv):
+    family = tmp_path / "family.json"
+    save_symbol(sin_mass_family(assemble_chiral(golden_symbol())), family)
+    files = {"family": str(family), "golden": golden_file, "H": golden_H_file}
+    code, rep = run(capsys, [a.format(**files) for a in argv])
+    assert code == 4 and rep["error"] == "InputError"
+
+
 def test_index_both_modes_agree(capsys, golden_file):
     code, rep = run(capsys, [
         "index", golden_file, "--grid", "16,9,16", "--samples", "8",

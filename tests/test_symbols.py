@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from qtop.errors import (
     SymmetryViolation,
     ZeroCoordinate,
 )
+from qtop.operators import Quarter, Segment, assemble, kernel_dim
 from qtop.symbols import (
     LaurentSymbol,
     assemble_chiral,
@@ -23,6 +25,7 @@ from qtop.symbols import (
     save_symbol,
     split_chiral,
 )
+from qtop.wiener_hopf import _kernel_count
 
 
 def random_symbol(rng, num_vars=2, n=2, reach=1):
@@ -85,10 +88,49 @@ def test_slice_freezes_other_variable():
     sl = f.slice(0, (w0,))
     z0 = np.exp(-0.2j)
     assert np.allclose(sl.symbol.eval((z0,)), f.eval((z0, w0)))
+    assert f.freeze({1: w0}) == sl.symbol
     with pytest.raises(ZeroCoordinate):
         f.slice(0, (0.0,))
     with pytest.raises(DimensionMismatch):
         f.slice(0, (w0, w0))
+
+
+def _entrywise_section(symbol, rows, cols):
+    """Reference: block (x, y) = a_{x-y}, sites lexicographic, band fastest."""
+    n = symbol.band_dim
+    row_sites = list(itertools.product(*map(range, rows)))
+    col_sites = list(itertools.product(*map(range, cols)))
+    out = np.zeros((len(row_sites) * n, len(col_sites) * n), dtype=complex)
+    for i, x in enumerate(row_sites):
+        for j, y in enumerate(col_sites):
+            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = symbol.coeff(
+                tuple(a - b for a, b in zip(x, y))
+            )
+    return out
+
+
+def test_section_matches_entrywise_reference():
+    rng = np.random.default_rng(11)
+    boxes = [
+        ((5,), (3,)), ((9,), (4,)), ((1,), (1,)),          # tall, one variable
+        ((3, 3), (3, 3)), ((5, 4), (3, 3)), ((4, 6), (2, 4)),  # square, reach-extended
+        ((0,), (3,)), ((2, 2), (0, 2)), ((0, 0), (0, 0)),  # empty boxes
+    ]
+    for rows, cols in boxes:
+        for n in (1, 2, 3, 4):
+            exps = {tuple(int(e) for e in rng.integers(-6, 7, len(rows))) for _ in range(5)}
+            f = LaurentSymbol(len(rows), n, [(e, small_term(rng, n, 1.0)) for e in exps])
+            mat = f.section(rows, cols)
+            assert np.array_equal(mat, _entrywise_section(f, rows, cols)), (rows, cols, n)
+            if rows == cols and min(rows) > 0:
+                geometry = Segment(rows[0]) if len(rows) == 1 else Quarter(rows[0])
+                op = assemble(f, geometry)
+                assert np.array_equal(op.matrix, mat)
+                assert kernel_dim(op) == _kernel_count(mat)[0]
+    with pytest.raises(InputError):
+        golden_symbol().section((2, -1), (2, 2))
+    with pytest.raises(DimensionMismatch):
+        golden_symbol().section((2,), (2, 2))
 
 
 def test_shift_multiplies_by_monomial(rng):

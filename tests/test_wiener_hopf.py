@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import golden_symbol, random_canonical_1d, random_nonzero_winding_1d
-from qtop.errors import NotCanonical, SingularOnTorus, Unstable
+from qtop.errors import InputError, NotCanonical, SingularOnTorus, Unstable
 from qtop.symbols import LaurentSymbol
 from qtop.wiener_hopf import (
     COND_CAP,
@@ -102,6 +102,8 @@ def test_kernel_dims_of_shifts():
     assert toeplitz_kernel_dim(scalar([(1, 1.0)])) == 0
     assert toeplitz_kernel_dim(scalar([(-1, 1.0)])) == 1
     assert toeplitz_kernel_dim(scalar([(-3, 1.0)])) == 3
+    with pytest.raises(InputError):
+        toeplitz_kernel_dim(scalar([(-1, 1.0)]), start=0)
 
 
 def test_random_products_factor_with_small_residual(rng):
