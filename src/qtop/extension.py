@@ -103,6 +103,8 @@ class ExtendedSymbol:
             raise DimensionMismatch(
                 f"base symbol has {base.num_vars} variables, expected {expected}"
             )
+        if samples_per_circle < 1:
+            raise InputError(f"samples_per_circle must be >= 1, got {samples_per_circle}")
         self.base = base
         self.family_var = family_var
         self.samples_per_circle = int(samples_per_circle)
@@ -299,6 +301,8 @@ def build_extended_family(symbol, family_var=2, t_samples=8, samples_per_circle=
         raise DimensionMismatch("family construction expects a three-variable symbol")
     if not 0 <= family_var < 3:
         raise InputError("family_var out of range")
+    if t_samples < 1:
+        raise InputError(f"t_samples must be >= 1, got {t_samples}")
     ext = ExtendedSymbol(
         symbol,
         family_var=family_var,

@@ -34,7 +34,7 @@ from .errors import (
     TrackingAmbiguous,
     Unstable,
 )
-from .symbols import _coordinate_slice, chiral_projector
+from .symbols import LaurentSymbol, _coordinate_slice, chiral_projector
 from .wiener_hopf import (
     KERNEL_RELTOL,
     _kernel_count,
@@ -110,11 +110,15 @@ def _site_grid(box):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _dense_section(symbol, rows, cols):
-    """symbol.section, refused before any allocation beyond DENSE_CAP rows."""
-    size = max(math.prod(rows), math.prod(cols)) * symbol.band_dim
+def _check_rows(size):
+    """Refuse a dense matrix of more than DENSE_CAP rows before allocating it."""
     if size > DENSE_CAP:
         raise SizeOverflow(f"dense compression would be {size} rows (cap {DENSE_CAP})")
+
+
+def _dense_section(symbol, rows, cols):
+    """symbol.section, refused before any allocation beyond DENSE_CAP rows."""
+    _check_rows(max(math.prod(rows), math.prod(cols)) * symbol.band_dim)
     return symbol.section(rows, cols)
 
 
@@ -341,7 +345,7 @@ class ZeroMode:
 
 @dataclass(frozen=True)
 class CornerSpectrumResult:
-    """Eigendecomposition summary of the quarter-plane truncation.
+    """Spectrum summary of the quarter-plane truncation.
 
     ``zero_modes`` lists every eigenvector below the zero tolerance;
     ``corner_modes`` is the subset localized at the true corner (site
@@ -351,6 +355,12 @@ class CornerSpectrumResult:
     corner of the truncation hosts compensating partners.  The infinite
     quarter plane has only the one corner, and its index is recovered from
     the modes that live there.
+
+    ``eigenvalues`` ascend.  ``eigen_participation`` is the corner weight of
+    each eigenvector.  ``eigen_chirality`` (chiral input only) is 0 for the
+    eigenvectors (v, +-u)/sqrt(2) of a pair +-sigma above the zero
+    tolerance, and +1 or -1 for the pure-chirality states (v, 0) and (0, u)
+    that stand at +sigma and -sigma of a pair below it.
     """
 
     eigenvalues: np.ndarray
@@ -395,130 +405,135 @@ def _corner_mask(sites, band_dim, extent=4):
     return np.repeat(near, band_dim).astype(float)
 
 
-def _apply_grading(block, band_dim, pi):
-    shaped = block.T.reshape(block.shape[1], -1, band_dim)
-    return (shaped @ pi.T).reshape(block.shape[1], -1).T
+def _participation(cols, mask):
+    """Corner weight <psi, M psi> of each column."""
+    return np.real(np.sum(np.conj(cols) * (mask[:, None] * cols), axis=0))
 
 
-def _refined_cluster_basis(block, corner_mask, pi=None, band_dim=None):
+def _refined_cluster_basis(block, corner_mask):
     """Canonical basis for a (near-)degenerate eigenvalue cluster.
 
     The eigensolver's basis inside a degenerate cluster is arbitrary, so
-    localization and chirality read off raw eigenvectors are not
-    reproducible.  Rotate the cluster to diagonalize the corner-patch
-    projector, then the chiral grading within blocks of equal
-    participation; the result separates corner-attached modes from modes
-    living at the artificial corners of the truncation.
+    localization read off raw eigenvectors is not reproducible.  Rotate the
+    cluster to diagonalize the corner-patch projector, largest weight
+    first; the result separates corner-attached modes from modes living at
+    the artificial corners of the truncation.
     """
-    if block.shape[1] == 1:
+    if block.shape[1] <= 1:
         return block
     weights, rot = np.linalg.eigh(
         block.conj().T @ (corner_mask[:, None] * block)
     )
-    order = np.argsort(weights)[::-1]
-    weights = weights[order]
-    basis = block @ rot[:, order]
-    if pi is None:
-        return basis
-    start = 0
-    for stop in range(1, len(weights) + 1):
-        if stop < len(weights) and weights[stop] > weights[start] - 0.05:
-            continue
-        if stop - start > 1:
-            sub = basis[:, start:stop]
-            gram = sub.conj().T @ _apply_grading(sub, band_dim, pi)
-            _, chir_rot = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-            basis[:, start:stop] = sub @ chir_rot
-        start = stop
-    return basis
+    return block @ rot[:, np.argsort(weights)[::-1]]
+
+
+def _hermitian_corner(symbol, side, zero_tol):
+    """Eigenvalues, participations and zero modes from one dense eigh."""
+    op = assemble(symbol, Quarter(side))
+    vals, vecs = np.linalg.eigh(op.matrix)
+    mask = _corner_mask(op.col_sites, symbol.band_dim)
+    basis = _refined_cluster_basis(vecs[:, np.abs(vals) <= zero_tol], mask)
+    modes = [
+        ZeroMode(
+            value=float(np.real(np.vdot(psi, op.matrix @ psi))),
+            chirality=float("nan"),
+            corner_participation=float(part),
+        )
+        for psi, part in zip(basis.T, _participation(basis, mask))
+    ]
+    return vals, None, _participation(vecs, mask), modes
+
+
+def _chiral_corner(symbol, side, zero_tol):
+    """Eigenvalues, chiralities, participations and zero modes of the
+    truncated H = [[0, T*], [T, 0]] from one SVD of T = P h P.
+
+    The grading acts site by site, so the spectrum is +-sigma(T); ker T
+    carries chirality +1 and ker T* chirality -1, exactly.
+    """
+    half = symbol.band_dim // 2
+    h = LaurentSymbol(2, half, [(k, a[half:, :half]) for k, a in symbol.coeffs.items()])
+    op = assemble(h, Quarter(side))
+    u, s, vh = np.linalg.svd(op.matrix)
+    v = vh.conj().T
+    mask = _corner_mask(op.col_sites, half)
+    zero = s <= zero_tol
+    modes = []
+    for chi, block in ((1.0, v[:, zero]), (-1.0, u[:, zero])):
+        basis = _refined_cluster_basis(block, mask)
+        modes += [
+            ZeroMode(value=0.0, chirality=chi, corner_participation=float(part))
+            for part in _participation(basis, mask)
+        ]
+    part_v, part_u = _participation(v, mask), _participation(u, mask)
+    pair = 0.5 * (part_v + part_u)
+    return (
+        np.concatenate([-s, s[::-1]]),
+        np.concatenate([np.where(zero, -1.0, 0.0), np.where(zero, 1.0, 0.0)[::-1]]),
+        np.concatenate([np.where(zero, part_u, pair), np.where(zero, part_v, pair)[::-1]]),
+        modes,
+    )
 
 
 def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, gap_factor=10.0,
                     hermitian_tol=1e-10, corner_floor=0.5):
     """Spectrum of the hermitian quarter-plane truncation at size ``side``.
 
-    Near-zero eigenvectors are listed with their chirality expectation and
-    corner participation.  Modes with participation at least
-    ``corner_floor`` are classified as corner modes; with a chiral
-    structure their signed count is the chiral corner index.  Modes below
-    the floor sit at the three artificial corners the finite square adds
-    and carry no quarter-plane content (the grading traces to zero on any
-    finite square, so they exactly cancel the true corner's contribution
-    in an unfiltered count).
+    Near-zero eigenvectors are listed with their chirality and corner
+    participation.  Modes with participation at least ``corner_floor`` are
+    classified as corner modes; with a chiral structure their signed count
+    is the chiral corner index.  Modes below the floor sit at the three
+    artificial corners the finite square adds and carry no quarter-plane
+    content (the grading traces to zero on any finite square, so they
+    exactly cancel the true corner's contribution in an unfiltered count).
+
+    Chiral input H = [[0, h*], [h, 0]] is solved by one SVD of the section
+    T of h, half the rows of the section of H: the eigenvalues are
+    +-sigma(T), and the zero modes are the null vectors of T (chirality
+    +1) and of T* (chirality -1).  Other input is solved by a dense eigh.
+    The row cap applies to the section of H either way.
     """
     if symbol.num_vars != 2:
         raise DimensionMismatch("corner spectrum needs a two-variable symbol")
     if side < 1:
         raise InputError(f"side must be >= 1, got {side}")
+    if not (math.isfinite(zero_tol) and zero_tol > 0):
+        raise InputError(f"zero_tol must be finite and > 0, got {zero_tol}")
+    if not 0 < corner_floor < 1:
+        raise InputError(f"corner_floor must lie in (0, 1), got {corner_floor}")
     scale = max(symbol.coeff_norm(), 1e-300)
     if symbol.distance(symbol.adjoint()) > hermitian_tol * scale:
         raise NotHermitian("symbol is not hermitian at coefficient level")
-    pi = None
     if chiral:
         pi = chiral_projector(symbol.band_dim)
         worst = max(
-            float(np.linalg.norm(pi @ a + a @ pi)) for a in symbol.coeffs.values()
+            (float(np.linalg.norm(pi @ a + a @ pi)) for a in symbol.coeffs.values()),
+            default=0.0,
         )
         if worst > hermitian_tol * scale:
             raise ChiralViolation(
                 f"symbol does not anticommute with the chiral grading "
                 f"(violation {worst:.3e})"
             )
-    op = assemble(symbol, Quarter(side))
-    vals, vecs = np.linalg.eigh(op.matrix)
-    order = np.argsort(np.abs(vals))
-    near = [int(i) for i in order if abs(vals[i]) <= zero_tol]
-    mask = _corner_mask(op.col_sites, symbol.band_dim)
-    zero_modes = []
-    corner_modes = []
-    signed = 0
-    if near:
-        basis = _refined_cluster_basis(
-            vecs[:, near], mask, pi, symbol.band_dim
-        )
-        for j in range(basis.shape[1]):
-            psi = basis[:, j]
-            value = float(np.real(np.vdot(psi, op.matrix @ psi)))
-            part = float(np.real(np.vdot(psi, mask * psi)))
-            if pi is not None:
-                shaped = psi.reshape(-1, symbol.band_dim)
-                chi = float(
-                    np.real(np.sum(np.conj(shaped) * (shaped @ pi.T)))
-                )
-            else:
-                chi = float("nan")
-            mode = ZeroMode(
-                value=value, chirality=chi, corner_participation=part
-            )
-            zero_modes.append(mode)
-            if part >= corner_floor:
-                corner_modes.append(mode)
-                if pi is not None:
-                    signed += 1 if chi >= 0 else -1
-    zero_modes.sort(key=lambda m: -m.corner_participation)
-    n_zero = len(zero_modes)
-    abs_sorted = np.abs(vals)[order]
-    gap = float(abs_sorted[n_zero]) if n_zero < vals.size else 0.0
-    order_asc = np.argsort(vals)
-    cols = vecs[:, order_asc]
-    participation = np.real(np.sum(np.conj(cols) * (mask[:, None] * cols), axis=0))
-    chi_col = None
-    if pi is not None:
-        shaped = cols.T.reshape(cols.shape[1], -1, symbol.band_dim)
-        chi_col = np.real(
-            np.sum(np.conj(shaped) * (shaped @ pi.T), axis=(1, 2))
-        )
+    _check_rows(side * side * symbol.band_dim)
+    solve = _chiral_corner if chiral else _hermitian_corner
+    vals, chirality, participation, modes = solve(symbol, side, zero_tol)
+    zero_modes = sorted(modes, key=lambda m: -m.corner_participation)
+    corner_modes = [m for m in zero_modes if m.corner_participation >= corner_floor]
+    rest = np.abs(vals)[np.abs(vals) > zero_tol]
+    gap = float(rest.min()) if rest.size else 0.0
     return CornerSpectrumResult(
-        eigenvalues=vals[order_asc],
+        eigenvalues=vals,
         zero_modes=tuple(zero_modes),
         corner_modes=tuple(corner_modes),
-        signed_count=signed if pi is not None else None,
+        signed_count=(sum(1 if m.chirality >= 0 else -1 for m in corner_modes)
+                      if chiral else None),
         spectral_gap=gap,
         side=int(side),
         zero_tol=zero_tol,
         corner_floor=corner_floor,
         separation_ok=gap > gap_factor * zero_tol,
-        eigen_chirality=chi_col,
+        eigen_chirality=chirality,
         eigen_participation=participation,
     )
 
@@ -644,6 +659,8 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5,
         raise InputError("t_var out of range")
     if t_samples < 1 or side < 1:
         raise InputError(f"t_samples and side must be >= 1, got {t_samples} and {side}")
+    if not (math.isfinite(window) and window > 0):
+        raise InputError(f"window must be finite and > 0, got {window}")
     scale = max(family.coeff_norm(), 1e-300)
     if family.distance(family.adjoint()) > hermitian_tol * scale:
         raise NotHermitian("family is not hermitian at coefficient level")

@@ -133,6 +133,12 @@ def test_factorize_input_errors(capsys, golden_file):
     ["corner", "{H}", "--size", "0"],
     ["corner", "{H}", "--size", "-2"],
     ["factorize", "{golden}", "--param", "1=1", "--trunc", "-4"],
+    ["corner", "{H}", "--size", "10", "--zero-tol", "-1"],
+    ["corner", "{H}", "--size", "10", "--zero-tol", "nan"],
+    ["corner", "{H}", "--size", "10", "--floor", "0"],
+    ["flow", "{family}", "--window", "-1", "--tsamples", "8", "--size", "4"],
+    ["index", "{golden}", "--mode", "w3", "--samples", "0", "--grid", "8,5,8"],
+    ["index", "{golden}", "--mode", "w3", "--samples", "-3", "--grid", "8,5,8"],
 ], ids="_".join)
 def test_size_flags_out_of_range_are_input_errors(capsys, tmp_path, golden_file,
                                                   golden_H_file, argv):

@@ -138,3 +138,12 @@ def test_constructor_rejects_wrong_arity():
         ExtendedSymbol(golden_symbol(), family_var=2)
     with pytest.raises(DimensionMismatch):
         build_extended_family(golden_symbol())
+
+
+def test_sample_counts_below_one_are_input_errors():
+    with pytest.raises(InputError):
+        ExtendedSymbol(golden_symbol(), samples_per_circle=0)
+    with pytest.raises(InputError):
+        build_extended(golden_symbol(), samples_per_circle=-3)
+    with pytest.raises(InputError):
+        build_extended_family(promote_to_family(golden_symbol()), t_samples=0)

@@ -147,6 +147,14 @@ def test_corner_spectrum_trivial_symbol():
     assert res.spectral_gap >= 0.9
 
 
+def test_corner_spectrum_of_zero_symbol():
+    res = corner_spectrum(LaurentSymbol(2, 2, []), side=3)
+    assert len(res.zero_modes) == len(res.corner_modes) == 18
+    assert res.signed_count == 0
+    assert res.spectral_gap == 0.0
+    assert not res.separation_ok
+
+
 def test_corner_spectrum_validation(golden, golden_H):
     with pytest.raises(NotHermitian):
         corner_spectrum(golden, side=8)
@@ -161,6 +169,62 @@ def test_chiral_spectra_pair_up(golden_H):
     res = corner_spectrum(golden_H, side=10)
     vals = res.eigenvalues
     assert np.max(np.abs(vals + vals[::-1])) <= 1e-9
+
+
+def _random_chiral(rng, band):
+    """Chiral H from a seeded random h with nearest-neighbour hops."""
+    terms = [((i, j), rng.normal(size=(band, band)) + 1j * rng.normal(size=(band, band)))
+             for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    return assemble_chiral(LaurentSymbol(2, band, terms))
+
+
+@pytest.mark.parametrize("case", ["golden", "adjoint", "band2", "band3"])
+def test_chiral_corner_spectrum_matches_dense_eigh(golden, case):
+    rng = np.random.default_rng(11)
+    H = {
+        "golden": lambda: assemble_chiral(golden),
+        "adjoint": lambda: assemble_chiral(golden.adjoint()),
+        "band2": lambda: _random_chiral(rng, 2),
+        "band3": lambda: _random_chiral(rng, 3),
+    }[case]()
+    for side in (1, 5, 10):
+        res = corner_spectrum(H, side=side)
+        ref = np.linalg.eigvalsh(assemble(H, Quarter(side)).matrix)
+        assert res.eigenvalues.shape == ref.shape
+        assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert len(res.zero_modes) == np.count_nonzero(np.abs(ref) <= res.zero_tol)
+        assert all(m.chirality in (1.0, -1.0) for m in res.zero_modes)
+        assert all(m.value == 0.0 for m in res.zero_modes)
+        chi = res.eigen_chirality
+        assert np.array_equal(np.abs(chi) == 1, np.abs(res.eigenvalues) <= res.zero_tol)
+        assert np.all((chi == 0) | (np.abs(chi) == 1))
+        corner_rows = min(side, 4) ** 2 * H.band_dim
+        assert abs(res.eigen_participation.sum() - corner_rows) <= 1e-9
+    if case in ("golden", "adjoint"):
+        assert len(res.zero_modes) == 4
+        assert res.signed_count == (1 if case == "golden" else -1)
+
+
+def test_chiral_corner_spectrum_keeps_the_full_row_cap(golden_H):
+    with pytest.raises(SizeOverflow):
+        corner_spectrum(golden_H, side=39)
+
+
+def test_chiral_corner_spectrum_runs_no_dense_eigh(golden_H, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def small_eigh_only(a, *args, **kwargs):
+        if a.shape[0] > 8:
+            raise AssertionError(f"eigh of a {a.shape[0]}-row matrix")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh_only)
+    res = corner_spectrum(golden_H, side=14)
+    assert res.signed_count == 1
+    assert len(res.zero_modes) == 4
+    assert len(res.corner_modes) == 1
+    assert res.corner_modes[0].chirality == 1.0
+    assert res.spectral_gap >= 0.1
 
 
 def test_spectral_flow_constant_family(golden_H):
