@@ -33,13 +33,17 @@ from .errors import (
     NumericalFailure,
     Obstruction,
 )
-from .extension import ChartPoint, ExtendedSymbol, build_extended
+from .extension import ChartPoint, ExtendedSymbol, build_extended, check_grid_size
 from .invariants import DEFAULT_GRID, gapped_invariant_report, w3
 from .operators import corner_spectrum, numerical_index, spectral_flow
 from .symbols import az_class, check_symmetry, load_symbol, split_chiral
 from .wiener_hopf import canonical_factorize, verify_factorization
 
 _CHIRAL_CLASSES = {"AIII", "BDI", "DIII", "CII", "CI"}
+_GRID_HELP = (
+    "finest W3 grid n_theta,n_rho,n_phi; W3 stops at the first two of its "
+    "halvings that agree"
+)
 
 
 # ------------------------------------------------------------ small parsers
@@ -214,6 +218,9 @@ def _cmd_index(args):
     symbol = load_symbol(args.file)
     report = {"command": "index", "input": args.file, "mode": args.mode}
     idx = None
+    if args.mode in ("w3", "both"):
+        grid = _parse_int_tuple(args.grid, expect=3, name="--grid")
+        check_grid_size(grid, symbol.band_dim)  # before the truncation index runs
     if args.mode in ("truncation", "both"):
         sizes = _parse_int_tuple(args.sizes, name="--sizes")
         idx = numerical_index(symbol, sizes=sizes)
@@ -222,7 +229,6 @@ def _cmd_index(args):
     if args.mode in ("w3", "both"):
         if symbol.num_vars != 2:
             raise InputError("W3 needs a two-variable symbol")
-        grid = _parse_int_tuple(args.grid, expect=3, name="--grid")
         ext = build_extended(
             symbol,
             samples_per_circle=args.samples,
@@ -357,6 +363,7 @@ def _cmd_extend(args):
     nt, nr, np_ = _parse_int_tuple(args.dump, expect=3, name="--dump")
     if min(nt, nr, np_) < 2:
         raise InputError("--dump grid needs at least 2 points per axis")
+    check_grid_size((nt, nr, np_), symbol.band_dim)
     ext = build_extended(
         symbol, samples_per_circle=args.samples, threads=_thread_count(args)
     )
@@ -448,7 +455,7 @@ def _build_parser():
     _add_common(p)
     p.add_argument("--mode", choices=("w3", "truncation", "both"), default="both")
     p.add_argument("--sizes", default="10,14,18", help="truncation sizes")
-    p.add_argument("--grid", default=_grid_text(), help="W3 grid n_theta,n_rho,n_phi")
+    p.add_argument("--grid", default=_grid_text(), help=_GRID_HELP)
     p.add_argument("--samples", type=int, default=16, help="slices per circle")
     p.set_defaults(func=_cmd_index)
 
@@ -459,7 +466,9 @@ def _build_parser():
     p.add_argument("--zero-tol", type=float, default=1e-6)
     p.add_argument("--floor", type=float, default=0.5, help="corner participation floor")
     p.add_argument("--csv", default=None, help="write the spectrum as CSV here")
-    p.add_argument("--grid", default=_grid_text(), help="W3 grid for the AIII cross-check")
+    p.add_argument(
+        "--grid", default=_grid_text(), help=_GRID_HELP + " (AIII cross-check)"
+    )
     p.add_argument("--samples", type=int, default=16, help="slices per circle")
     p.set_defaults(func=_cmd_corner)
 
@@ -500,7 +509,7 @@ def _build_parser():
         action="store_true",
         help="full invariant report (extension checks, W3 shadow)",
     )
-    p.add_argument("--grid", default=_grid_text(), help="W3 grid n_theta,n_rho,n_phi")
+    p.add_argument("--grid", default=_grid_text(), help=_GRID_HELP)
     p.add_argument("--samples", type=int, default=16, help="slices per circle")
     p.set_defaults(func=_cmd_symmetry)
 

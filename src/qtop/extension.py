@@ -25,6 +25,7 @@ raises NotFredholm with the offending location.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,11 +51,13 @@ __all__ = [
     "build_extended_family",
     "check_hermitian",
     "check_equivariance",
+    "check_grid_size",
     "bott_generator",
     "seam_residual",
 ]
 
 CHARTS = ("TD", "DT")
+GRID_CAP = 10_000_000  # matrix entries n_theta * n_rho * n_phi * N^2 of one chart grid
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,16 @@ class ChartPoint:
         if self.chart == "TD":
             return (np.exp(1j * self.theta), self.rho * np.exp(1j * self.phi))
         return (self.rho * np.exp(1j * self.theta), np.exp(1j * self.phi))
+
+
+def check_grid_size(grid, band_dim):
+    """Refuse a chart grid of more than GRID_CAP entries before allocating it."""
+    size = math.prod(grid) * band_dim * band_dim
+    if size > GRID_CAP:
+        raise InputError(
+            f"chart grid {tuple(grid)} of band {band_dim} would hold {size} "
+            f"entries (cap {GRID_CAP})"
+        )
 
 
 def _angle_key(angle):
@@ -234,12 +247,6 @@ class ExtendedSymbol:
             worst = max(worst, float(np.linalg.norm(diff, axis=(-2, -1)).max()) / scale)
         return worst
 
-    def interpolator(self, chart_samples=None):
-        """Trigonometric interpolation of the factor coefficients in the
-        torus angle: a fast approximate evaluator with a stored accuracy
-        estimate (compared against one exact refactorization)."""
-        return TrigInterpolatedExtension(self, chart_samples or self.samples_per_circle)
-
 
 def _prebuild(ext, samples, t_values):
     jobs = []
@@ -325,69 +332,6 @@ def build_extended_family(symbol, family_var=2, t_samples=8, samples_per_circle=
 
 def seam_residual(ext, samples=64, t=None):
     return ext.seam_check(samples=samples, t=t)
-
-
-# ------------------------------------------------- interpolated evaluator
-
-
-class TrigInterpolatedExtension:
-    """Fast evaluator: factor coefficients trigonometrically interpolated
-    in the torus angle from the uniform sample set.
-
-    ``accuracy``: max deviation from an exact refactorization at a probe
-    angle halfway between samples, per chart.  Use only when that estimate
-    is acceptable; the exact evaluator stays authoritative.
-    """
-
-    def __init__(self, ext, samples):
-        if ext.has_family:
-            raise InputError("interpolation over a family is not supported")
-        self.base = ext.base
-        self.band_dim = ext.band_dim
-        self.samples = int(samples)
-        self._tables = {}
-        self.accuracy = {}
-        for chart in CHARTS:
-            angles = 2.0 * np.pi * np.arange(self.samples) / self.samples
-            facts = [ext.factor_at(chart, a) for a in angles]
-            kc = max(f.minus_coeffs.shape[0] for f in facts)
-            kh = max(f.plus_inv_coeffs.shape[0] for f in facts)
-            n = self.band_dim
-            c_tab = np.zeros((self.samples, kc, n, n), dtype=complex)
-            h_tab = np.zeros((self.samples, kh, n, n), dtype=complex)
-            for j, f in enumerate(facts):
-                c_tab[j, : f.minus_coeffs.shape[0]] = f.minus_coeffs
-                h_tab[j, : f.plus_inv_coeffs.shape[0]] = f.plus_inv_coeffs
-            # Fourier coefficients along the sample axis
-            self._tables[chart] = (
-                np.fft.fft(c_tab, axis=0) / self.samples,
-                np.fft.fft(h_tab, axis=0) / self.samples,
-            )
-            probe = np.pi / self.samples  # halfway between samples
-            exact = ext.factor_at(chart, probe)
-            c_i, h_i = self._coeffs_at(chart, probe)
-            kmin = min(len(c_i), len(exact.minus_coeffs))
-            dev_c = float(np.abs(c_i[:kmin] - exact.minus_coeffs[:kmin]).max())
-            kmin = min(len(h_i), len(exact.plus_inv_coeffs))
-            dev_h = float(np.abs(h_i[:kmin] - exact.plus_inv_coeffs[:kmin]).max())
-            self.accuracy[chart] = max(dev_c, dev_h)
-
-    def _coeffs_at(self, chart, angle):
-        c_hat, h_hat = self._tables[chart]
-        m = self.samples
-        freqs = np.fft.fftfreq(m, d=1.0 / m)
-        ph = np.exp(1j * freqs * angle)
-        c = np.tensordot(ph, c_hat, axes=(0, 0))
-        h = np.tensordot(ph, h_hat, axes=(0, 0))
-        return c, h
-
-    def value(self, point):
-        from .wiener_hopf import _poly_values
-
-        c, h = self._coeffs_at(point.chart, point.theta if point.chart == "TD" else point.phi)
-        ang = point.phi if point.chart == "TD" else point.theta
-        u = point.rho * np.exp(1j * ang)
-        return _poly_values(c, np.conj(u)) @ np.linalg.inv(_poly_values(h, u))
 
 
 # -------------------------------------------------- closed-form evaluators

@@ -12,12 +12,20 @@ with A_a = g^{-1} d_a g, integrated over each solid-torus chart in the
 coordinate order (theta, rho, phi).  The charts are glued along rho = 1
 with opposite boundary orientations, hence the relative minus sign; the
 global sign s is fixed once by requiring the degree-one reference map
-[[z, -conj w], [w, conj z]] to evaluate to +1, and is cached.
+[[z, -conj w], [w, conj z]] to evaluate to +1 on a (16, 9, 16) grid, and
+is cached.
 
 Derivatives are spectral (FFT) in the two angles and fourth-order finite
 differences in the radius, with one-sided closures at rho = 0 and 1.
 The angular sums are rectangle rules (exact for trigonometric
 polynomials); the radial integral is composite Simpson.
+
+W3 is integrated coarse to fine on the exact halvings of the requested
+grid, (a, r, b) -> (a/2, (r+1)/2, b/2) down to 8 angles and 5 radii while
+each angle count exceeds twice the top exponent of its variable, and
+stops at the first two successive grids whose values agree within
+AGREEMENT_TOL and round to the same integer; their difference is the
+reported error estimate.  The requested grid is the finest one used.
 """
 
 from __future__ import annotations
@@ -26,14 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CalibrationFailed,
-    InputError,
-    NonConvergent,
-    UndersampledLoop,
-    Unstable,
+from .errors import CalibrationFailed, InputError, UndersampledLoop, Unstable
+from .extension import (
+    bott_generator,
+    build_extended,
+    check_equivariance,
+    check_grid_size,
+    check_hermitian,
 )
-from .extension import build_extended, bott_generator, check_equivariance, check_hermitian
 from .symbols import _coordinate_slice, az_class, check_symmetry, split_chiral
 from .wiener_hopf import _slice_indices
 
@@ -47,7 +55,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID = (64, 33, 64)
-RESIDUAL_THRESHOLD = 1e-2
+AGREEMENT_TOL = 1e-6  # two successive chain grids agreeing this closely end W3
 
 
 def winding_number(samples):
@@ -173,7 +181,7 @@ def _raw_w3(ext, grid, t=None):
 _ORIENTATION_SIGN = None
 
 
-def calibrate_orientation(grid=DEFAULT_GRID):
+def calibrate_orientation(grid=(16, 9, 16)):
     """Global sign s of the two-chart degree integral, fixed once.
 
     Runs the integrator on the degree-one reference map and snaps the sign
@@ -203,9 +211,7 @@ class W3Result:
     grid: tuple
     sign: int
     history: tuple = ()
-
-    def trusted(self, threshold=RESIDUAL_THRESHOLD):
-        return self.residual <= threshold
+    error_estimate: float | None = None
 
     def to_dict(self):
         return {
@@ -220,52 +226,76 @@ class W3Result:
             "history": [
                 {"grid": list(g), "raw": r, "residual": e} for g, r, e in self.history
             ],
+            "error_estimate": self.error_estimate,
         }
 
 
-def w3(ext, grid=DEFAULT_GRID, refine=False, threshold=RESIDUAL_THRESHOLD,
-       max_refinements=3):
+def _resolves(ext, grid):
+    """Whether ``grid`` has more than twice the top exponent of each variable.
+
+    theta is the angle of the first variable and phi of the second in both
+    charts.  At twice the top exponent or fewer, the symbol's own modes sit
+    on the dropped Nyquist mode or alias, and two such grids can agree on a
+    wrong value (golden under z -> z^8 is constant on 8 angles and pure
+    Nyquist on 16, so both integrate to 0).  Closed-form evaluators carry no
+    base symbol and keep every grid.
+    """
+    base = getattr(ext, "base", None)
+    if base is None:
+        return True
+    for var, n in ((0, grid[0]), (1, grid[2])):
+        lo, hi = base.exponent_range(var)
+        if n <= 2 * max(-lo, hi):
+            return False
+    return True
+
+
+def _grid_chain(ext, grid):
+    """Exact halvings of ``grid`` down to 8 angles and 5 radii that resolve
+    ``ext``, coarsest first; ``grid`` itself always ends the chain."""
+    chain = [grid]
+    a, r, b = grid
+    while a % 2 == 0 and b % 2 == 0 and r % 2 == 1 and min(a, b) >= 16 and r >= 9:
+        a, r, b = a // 2, (r + 1) // 2, b // 2
+        if not _resolves(ext, (a, r, b)):
+            break
+        chain.append((a, r, b))
+    return chain[::-1]
+
+
+def w3(ext, grid=DEFAULT_GRID):
     """Three-dimensional winding number of an extended symbol.
 
     ``ext`` is an ExtendedSymbol (two variables, no family parameter) or any
-    evaluator with a compatible chart_grid.  With ``refine`` the grid is
-    doubled until the distance from the nearest integer drops below
-    ``threshold``; a residual that grows under refinement or never reaches
-    the threshold raises NonConvergent.
+    evaluator with a compatible chart_grid.  ``grid`` is the finest grid
+    used: the integral runs on its exact halvings that resolve the symbol
+    (see _resolves) from the coarsest up and stops at the first two
+    successive grids whose values differ by at most AGREEMENT_TOL and round
+    to the same integer.  If no two agree, the value is the one on
+    ``grid``.  ``history`` lists every grid evaluated, ``grid`` the one
+    that gave the value, and ``error_estimate`` the difference of the last
+    two values (None when only one grid ran).
     """
     if getattr(ext, "has_family", False):
         raise InputError("w3 needs a two-variable extension; slice the family first")
+    grid = tuple(int(g) for g in grid)
     if min(grid[0], grid[2]) < 3 or grid[1] < 5:
-        raise InputError(f"W3 grid {tuple(grid)} needs >= 3 angles and >= 5 radii")
+        raise InputError(f"W3 grid {grid} needs >= 3 angles and >= 5 radii")
+    check_grid_size(grid, ext.band_dim)
     sign = calibrate_orientation()
     history = []
-    current = tuple(int(g) for g in grid)
-    raw, parts = _raw_w3(ext, current)
-    value = sign * raw
-    rounded = int(round(value.real))
-    residual = abs(value - rounded)
-    history.append((current, value.real, residual))
-    if refine:
-        for _ in range(max_refinements):
-            if residual <= threshold:
+    previous = error_estimate = None
+    for current in _grid_chain(ext, grid):
+        raw, parts = _raw_w3(ext, current)
+        value = sign * raw
+        rounded = int(round(value.real))
+        residual = abs(value - rounded)
+        history.append((current, value.real, residual))
+        if previous is not None:
+            error_estimate = float(abs(value - previous))
+            if error_estimate <= AGREEMENT_TOL and rounded == int(round(previous.real)):
                 break
-            current = (2 * current[0], 2 * current[1] - 1, 2 * current[2])
-            raw, parts = _raw_w3(ext, current)
-            value = sign * raw
-            rounded = int(round(value.real))
-            new_residual = abs(value - rounded)
-            history.append((current, value.real, new_residual))
-            if new_residual > residual:
-                raise NonConvergent(
-                    f"degree residual grew from {residual:.3e} to {new_residual:.3e} "
-                    f"under grid refinement"
-                )
-            residual = new_residual
-        if residual > threshold:
-            raise NonConvergent(
-                f"degree residual {residual:.3e} above {threshold:.1e} after "
-                f"{max_refinements} refinements"
-            )
+        previous = value
     return W3Result(
         raw_value=float(value.real),
         rounded=rounded,
@@ -274,6 +304,7 @@ def w3(ext, grid=DEFAULT_GRID, refine=False, threshold=RESIDUAL_THRESHOLD,
         grid=current,
         sign=sign,
         history=tuple(history),
+        error_estimate=error_estimate,
     )
 
 

@@ -139,12 +139,16 @@ def test_factorize_input_errors(capsys, golden_file):
     ["flow", "{family}", "--window", "-1", "--tsamples", "8", "--size", "4"],
     ["index", "{golden}", "--mode", "w3", "--samples", "0", "--grid", "8,5,8"],
     ["index", "{golden}", "--mode", "w3", "--samples", "-3", "--grid", "8,5,8"],
+    ["index", "{golden}", "--mode", "w3", "--samples", "4", "--grid", "2000000,33,2000000"],
+    ["index", "{golden}", "--grid", "2000000,33,2000000"],
+    ["extend", "{golden}", "--dump", "2000000,33,2000000", "--out", "{dump}"],
 ], ids="_".join)
 def test_size_flags_out_of_range_are_input_errors(capsys, tmp_path, golden_file,
                                                   golden_H_file, argv):
     family = tmp_path / "family.json"
     save_symbol(sin_mass_family(assemble_chiral(golden_symbol())), family)
-    files = {"family": str(family), "golden": golden_file, "H": golden_H_file}
+    files = {"family": str(family), "golden": golden_file, "H": golden_H_file,
+             "dump": str(tmp_path / "dump")}
     code, rep = run(capsys, [a.format(**files) for a in argv])
     assert code == 4 and rep["error"] == "InputError"
 

@@ -65,13 +65,6 @@ def test_seam_agreement_for_golden():
     assert ext.seam_residuals[None] <= 1e-8
 
 
-def test_interpolator_tracks_exact_values():
-    ext = build_extended(golden_symbol())
-    interp = ext.interpolator()
-    pt = ChartPoint("TD", 0.77, 0.41, 2.6)
-    assert np.max(np.abs(interp.value(pt) - ext.value(pt))) <= 1e-8
-
-
 def test_bott_generator_values():
     g = bott_generator()
     z, w = np.exp(0.4j), 0.3 * np.exp(1.1j)

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+import qtop.extension
+import qtop.invariants
+import qtop.wiener_hopf
 from conftest import golden_symbol, promote_to_family, random_canonical_2d
-from qtop.errors import InputError, SymmetryViolation, UndersampledLoop
+from qtop.errors import CalibrationFailed, InputError, SymmetryViolation, UndersampledLoop
 from qtop.extension import bott_generator, build_extended, build_extended_family
 from qtop.invariants import (
+    DEFAULT_GRID,
+    _raw_w3,
     _simpson_weights,
     calibrate_orientation,
     gapped_invariant_report,
@@ -68,17 +73,28 @@ def test_w3_of_bott_generator():
     assert w3(bott_generator(reversed_orientation=True), grid=GRID).rounded == -1
 
 
-def test_w3_of_adjoint_flips_sign():
+def _w3_with_product(rng, transform):
+    """W3 of transform(golden + a seeded canonical product), golden's W3 = 1."""
+    f = golden_symbol().block_diag(random_canonical_2d(rng))
+    ext = build_extended(transform(f), samples_per_circle=8, seam_samples=16)
+    return w3(ext, grid=(16, 9, 16))
+
+
+def test_w3_of_adjoint_flips_sign(rng):
     res = w3(build_extended(golden_symbol().adjoint()), grid=GRID)
     assert res.rounded == -1
+    res = _w3_with_product(rng, lambda f: f.adjoint())
+    assert res.rounded == -1 and abs(res.raw_value + 1) <= 1e-6
 
 
-def test_w3_adds_over_block_sums():
+def test_w3_adds_over_block_sums(rng):
     f = golden_symbol()
     res = w3(build_extended(f.block_diag(f)), grid=GRID)
     assert res.rounded == 2
     res = w3(build_extended(f.block_diag(f.adjoint())), grid=GRID)
     assert res.rounded == 0
+    res = _w3_with_product(rng, lambda f: f)
+    assert res.rounded == 1 and abs(res.raw_value - 1) <= 1e-6
 
 
 def test_w3_invariant_under_unitary_conjugation(rng):
@@ -86,12 +102,73 @@ def test_w3_invariant_under_unitary_conjugation(rng):
     res = w3(build_extended(golden_symbol().conjugate_by(q)), grid=GRID)
     assert res.rounded == 1
     assert res.residual <= 1e-2
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    res = _w3_with_product(rng, lambda f: f.conjugate_by(q))
+    assert res.rounded == 1 and abs(res.raw_value - 1) <= 1e-6
 
 
 def test_w3_refinement_keeps_value():
-    res = w3(build_extended(golden_symbol()), grid=(16, 9, 16), refine=True)
+    res = w3(build_extended(golden_symbol()), grid=(16, 9, 16))
     assert res.rounded == 1
-    assert len(res.history) >= 1
+    assert [h[0] for h in res.history] == [(8, 5, 8), (16, 9, 16)]
+    assert res.grid == (16, 9, 16)
+    assert res.error_estimate <= 1e-6
+
+
+def test_w3_chain_stops_at_first_agreeing_pair(monkeypatch):
+    calls = []
+    real = qtop.wiener_hopf.canonical_factorize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qtop.extension, "canonical_factorize", counted)
+    res = w3(build_extended(golden_symbol()), grid=DEFAULT_GRID)
+    assert [h[0] for h in res.history] == [(8, 5, 8), (16, 9, 16)]
+    assert res.grid == (16, 9, 16)
+    assert res.error_estimate <= 1e-6
+    assert res.rounded == 1
+    assert res.to_dict()["error_estimate"] == res.error_estimate
+    assert len(calls) <= 64
+
+
+def test_w3_chain_of_bott_runs_to_the_requested_grid():
+    res = w3(bott_generator(), grid=DEFAULT_GRID)
+    assert [h[0] for h in res.history] == [
+        (8, 5, 8), (16, 9, 16), (32, 17, 32), (64, 33, 64),
+    ]
+    assert res.grid == DEFAULT_GRID
+    raw, _ = _raw_w3(bott_generator(), DEFAULT_GRID)
+    assert res.raw_value == float((res.sign * raw).real)
+    assert res.error_estimate > 1e-6
+
+
+def test_w3_chain_of_one_grid():
+    res = w3(bott_generator(), grid=(8, 5, 8))
+    assert len(res.history) == 1
+    assert res.error_estimate is None
+    assert res.to_dict()["error_estimate"] is None
+
+
+def test_w3_chain_skips_grids_that_alias_the_symbol():
+    # golden under z -> z^8 is constant on 8 angles and pure Nyquist on 16,
+    # so those two grids would agree on 0; the chain starts at 32 angles.
+    g = LaurentSymbol(2, 2, [((8 * e[0], e[1]), a)
+                             for e, a in golden_symbol().coeffs.items()])
+    ext = build_extended(g)
+    res = w3(ext, grid=DEFAULT_GRID)
+    assert [h[0] for h in res.history] == [(32, 17, 32), DEFAULT_GRID]
+    assert res.rounded == 8
+    raw, _ = _raw_w3(ext, DEFAULT_GRID)
+    assert res.raw_value == float((res.sign * raw).real)
+
+
+def test_calibration_check_still_fires(monkeypatch):
+    monkeypatch.setattr(qtop.invariants, "_ORIENTATION_SIGN", None)
+    monkeypatch.setattr(qtop.invariants, "_raw_w3", lambda ext, grid: (0.5, {}))
+    with pytest.raises(CalibrationFailed):
+        calibrate_orientation()
 
 
 def test_w3_rejects_family_extension():
