@@ -533,27 +533,37 @@ def _error_report(command, exc):
     return report
 
 
+def _emit_failure(command, exc, out_path, code):
+    """Print the error report, duplicate it to ``out_path`` and return
+    ``code``.  When --out cannot be written (the failure may be that very
+    write) the report stays on stdout and the exit code stands."""
+    try:
+        _emit(_error_report(command, exc), out_path)
+    except OSError:
+        pass
+    return code
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 4
+    out = getattr(args, "out", None)
     try:
         report = args.func(args)
     except CrossCheckFailed as exc:
+        # --out already holds the full report with "agreement": false
         _emit(_error_report(args.command, exc))
         return 5
     except Obstruction as exc:
-        _emit(_error_report(args.command, exc), getattr(args, "out", None))
-        return 2
+        return _emit_failure(args.command, exc, out, 2)
     except NumericalFailure as exc:
-        _emit(_error_report(args.command, exc))
-        return 3
+        return _emit_failure(args.command, exc, out, 3)
     except (InputError, OSError) as exc:
-        _emit(_error_report(args.command, exc))
-        return 4
-    _emit(report, getattr(args, "out", None))
+        return _emit_failure(args.command, exc, out, 4)
+    _emit(report, out)
     return 0
 
 

@@ -9,8 +9,22 @@ Method: the coefficients h_k of f_+^{-1} = sum_k h_k z^k solve the
 block-Toeplitz system  sum_j fhat(i - j) h_j = delta_{i0} I, i = 0..m,
 which is the finite section of T_f applied to the coefficient sequence.
 f_- = f f_+^{-1} is then a polynomial in 1/z recovered by FFT; its constant
-term is exactly I by construction.  Partial indices are recovered without
-factorizing, from kernel dimensions of the shifted operators T_{z^m f}:
+term is exactly I by construction.
+
+Canonicity is proved from that one solve by a Wiener-norm bound
+(``_wiener_certificate``; Boettcher & Silbermann, Analysis of Toeplitz
+Operators; Clancey & Gohberg, Factorization of Matrix Functions and Singular
+Integral Operators).  From h, the coefficients of f_- and the polynomial f_+
+(degree max exponent of f) follow at coefficient level, and with them the
+defect E = f - f_- f_+, so f = f_- (I + X) f_+ with X = f_-^{-1} E f_+^{-1}.
+Truncated series for f_+^{-1} (h itself) and f_-^{-1} bound both inverses in
+the Wiener norm (sum of coefficient 2-norms); when ||X||_W <= 1/2 each of
+T_{f_-}, T_{I+X}, T_{f_+} is invertible, hence so is T_f and every partial
+index is zero.  When the bound fails the slice falls back to the kernel
+scan below, which also gives the indices of a non-canonical slice.
+
+Partial indices are recovered without factorizing, from kernel dimensions
+of the shifted operators T_{z^m f}:
 dim ker T_{z^m f} = sum_i max(-(kappa_i + m), 0), so the multiplicity of the
 index value -m is the second difference of that count in m.
 
@@ -56,6 +70,7 @@ KERNEL_RELTOL = 1e-8        # singular values below this times sigma_max count a
 COND_CAP = 1e12
 EXACT_COND_ROWS = 2048      # largest section whose condition is a full SVD
 SECTION_CAP = 1536          # largest kernel-scan section before giving up
+FIRST_TRUNCATION = 32       # block size of the first f_+^{-1} solve
 
 
 def _as_one_var(symbol):
@@ -215,16 +230,28 @@ def partial_indices(symbol, window=None, det_samples=1024, det_tol=1e-8):
 
 
 def _slice_indices(symbol):
-    """Partial indices: all zero straight from the cheap canonical
-    certificate when it holds, else from the full partial_indices scan."""
+    """Partial indices of a slice that is invertible on the circle.
+
+    All zero when the Wiener-norm bound on one FIRST_TRUNCATION solve (no
+    condition number) proves the slice canonical; otherwise the kernel-scan
+    certificate decides, and the full partial_indices scan names the
+    indices of a slice it rejects.
+    """
     symbol = _as_one_var(symbol)
-    if _certified_canonical(symbol, certify_invertible(symbol)):
+    dets = certify_invertible(symbol)
+    try:
+        h_stack, _ = _solve_plus_inverse(symbol, FIRST_TRUNCATION, condition=False)
+        certified = _wiener_certificate(symbol, h_stack)
+    except np.linalg.LinAlgError:
+        certified = False
+    if certified or _certified_canonical(symbol, dets):
         return (0,) * symbol.band_dim
     return partial_indices(symbol)
 
 
 def _certified_canonical(symbol, dets):
-    """Cheap exact certificate: winding(det) = 0 and trivial T_f kernel.
+    """Kernel-scan certificate, run when the Wiener-norm bound fails:
+    winding(det) = 0 and trivial T_f kernel.
 
     ``dets`` are the samples of det f returned by ``certify_invertible``.
     dim ker T_f = sum_i max(-kappa_i, 0), so a trivial kernel forces all
@@ -286,20 +313,22 @@ class FactorizationResult:
         return np.fft.fft(vals, axis=0) / grid
 
 
-def _solve_plus_inverse(symbol, m):
+def _solve_plus_inverse(symbol, m, condition=True):
     """Solve the (m+1)-block Toeplitz system for the f_+^{-1} coefficients.
 
-    Returns the coefficient stack and the condition number of the section:
-    the exact 2-norm value up to EXACT_COND_ROWS rows.  Beyond that budget
-    three seeded unit probes x ride along as extra right-hand sides, and
-    max ||A^{-1} x|| * ||A||_F is used; a lower bound is enough for the
-    COND_CAP decision.
+    Returns the coefficient stack and the condition number of the section
+    (None with ``condition=False``): the exact 2-norm value up to
+    EXACT_COND_ROWS rows.  Beyond that budget three seeded unit probes x
+    ride along as extra right-hand sides, and max ||A^{-1} x|| * ||A||_F is
+    used; a lower bound is enough for the COND_CAP decision.
     """
     n = symbol.band_dim
     rows = (m + 1) * n
     mat = symbol.section((m + 1,), (m + 1,))
     rhs = np.zeros((rows, n), dtype=complex)
     rhs[:n, :n] = np.eye(n)
+    if not condition:
+        return np.linalg.solve(mat, rhs).reshape(m + 1, n, n), None
     if rows <= EXACT_COND_ROWS:
         sol = np.linalg.solve(mat, rhs)
         cond = float(np.linalg.cond(mat))
@@ -341,6 +370,82 @@ def _factor_residual(symbol, h_stack, grid=512):
     return c_stack, residual
 
 
+def _poly_mul(p, q):
+    """Coefficient stack of the product of two matrix polynomials, each
+    given as its coefficient stack from degree 0 up."""
+    out = np.zeros((len(p) + len(q) - 1,) + p.shape[1:], dtype=complex)
+    if len(p) <= len(q):
+        for i, a in enumerate(p):
+            out[i:i + len(q)] += a @ q
+    else:
+        for j, b in enumerate(q):
+            out[j:j + len(p)] += p @ b
+    return out
+
+
+def _wiener_certificate(symbol, h_stack):
+    """Prove f canonical from the f_+^{-1} coefficients of one section solve.
+
+    f_- = C(1/z) with c_0 = I and c_k the z^{-k} coefficient of f h;
+    f_+ = B(z) of degree hi by back-substitution b_k = a_k - sum_{i>=1}
+    c_i b_{k+i}; E = f - f_- f_+ is then supported on negative powers up
+    to roundoff.  With g the degree-m series of f_-^{-1} and
+    r_+ = ||I - f_+ h||_W, r_- = ||I - f_- g||_W, the inverses satisfy
+    ||f_+^{-1}||_W <= M_+ = ||h||_W / (1 - r_+) and likewise M_- from g.
+    f = f_- (I + X) f_+ with ||X||_W <= M_- ||E||_W M_+, so
+    T_f = T_{f_-} T_{I+X} T_{f_+} is invertible once that is below 1; the
+    test asks for 1/2 so that roundoff in the norms cannot decide it.
+    Returns False (not certified, never an error) for a monomial, for
+    h shorter than the negative reach of f, and on any non-finite value:
+    the series g of a non-canonical slice may overflow.
+    """
+    lo, hi = symbol.exponent_range(0)
+    m = len(h_stack) - 1
+    k_minus, k_plus = max(0, -lo), max(0, hi)
+    if lo == hi or k_minus > m:
+        return False
+    n = symbol.band_dim
+    eye = np.eye(n)
+    f_stack = np.array([symbol.coeff((k,)) for k in range(lo, hi + 1)], dtype=complex)
+    with np.errstate(all="ignore"):
+        fh = _poly_mul(f_stack, h_stack)            # degrees lo .. hi + m
+        c = np.empty((k_minus + 1, n, n), dtype=complex)
+        c[0] = eye
+        for k in range(1, k_minus + 1):
+            c[k] = fh[-k - lo]
+        b = np.zeros((k_plus + 1, n, n), dtype=complex)
+        for k in range(k_plus, -1, -1):
+            b[k] = symbol.coeff((k,)) - sum(
+                c[i] @ b[k + i] for i in range(1, min(k_minus, k_plus - k) + 1)
+            )
+        defect = -_poly_mul(c[::-1], b)             # degrees -k_minus .. k_plus
+        defect[lo + k_minus:hi + k_minus + 1] += f_stack
+        g = np.zeros((m + 1, n, n), dtype=complex)
+        g[0] = eye
+        for j in range(1, m + 1):
+            g[j] = -sum(c[i] @ g[j - i] for i in range(1, min(j, k_minus) + 1))
+        rest_plus = -_poly_mul(b, h_stack)
+        rest_plus[0] += eye
+        rest_minus = -_poly_mul(c, g)
+        rest_minus[0] += eye
+        # Wiener norms sum_k ||P_k||_2: they bound sup |P| on the circle and
+        # are submultiplicative; one batched SVD serves all five
+        stacks = (defect, g, rest_plus, rest_minus, h_stack)
+        block = np.concatenate(stacks)
+        if not np.isfinite(block).all():
+            return False
+        try:
+            tops = np.linalg.svd(block, compute_uv=False)[:, 0]
+        except np.linalg.LinAlgError:
+            return False
+        ends = np.cumsum([len(x) for x in stacks])[:-1]
+        e, g_norm, r_plus, r_minus, h_norm = (float(t.sum()) for t in np.split(tops, ends))
+        if not (r_plus < 1.0 and r_minus < 1.0):
+            return False
+        bound = g_norm / (1.0 - r_minus) * e * h_norm / (1.0 - r_plus)
+    return bool(bound <= 0.5)
+
+
 def canonical_factorize(
     symbol,
     truncation=None,
@@ -354,10 +459,18 @@ def canonical_factorize(
     Raises SingularOnTorus / NotCanonical when f is not invertible on the
     circle or has nonzero partial indices; NonConvergent when the residual
     stays above ``tol`` at the truncation cap; IllConditioned when the
-    Toeplitz section crosses the condition bound.
+    Toeplitz section crosses the condition bound; InputError for a
+    ``truncation`` outside 0..max_truncation.
+
+    The first section solve doubles as the canonicity certificate
+    (``_wiener_certificate``).  Only when that bound fails does the
+    kernel-scan certificate run, and a slice it rejects raises NotCanonical
+    with its partial indices before any IllConditioned or NonConvergent.
     """
-    if truncation is not None and truncation < 0:
-        raise InputError(f"truncation must be >= 0, got {truncation}")
+    if truncation is not None and not 0 <= truncation <= max_truncation:
+        raise InputError(
+            f"truncation must be in 0..{max_truncation}, got {truncation}"
+        )
     symbol = _as_one_var(symbol)
     dets = certify_invertible(symbol, samples=det_samples, tol=det_tol)
     n = symbol.band_dim
@@ -373,13 +486,20 @@ def canonical_factorize(
             residual=0.0,
             condition=float(np.linalg.cond(a)),
         )
-    if not _certified_canonical(symbol, dets):
-        raise NotCanonical(partial_indices(symbol, det_samples=det_samples, det_tol=det_tol))
 
-    m = truncation if truncation is not None else 32
+    m = truncation if truncation is not None else FIRST_TRUNCATION
+    try:
+        solved = _solve_plus_inverse(symbol, m)
+    except np.linalg.LinAlgError:
+        solved = None
+    if solved is None or not _wiener_certificate(symbol, solved[0]):
+        if not _certified_canonical(symbol, dets):
+            raise NotCanonical(partial_indices(symbol, det_samples=det_samples, det_tol=det_tol))
+        if solved is None:
+            solved = _solve_plus_inverse(symbol, m)  # a singular section raises, as before
     best = None
     while True:
-        h_stack, cond = _solve_plus_inverse(symbol, m)
+        h_stack, cond = solved
         if cond > COND_CAP:
             raise IllConditioned(
                 f"Toeplitz section condition {cond:.3e} exceeds {COND_CAP:.1e}"
@@ -396,6 +516,7 @@ def canonical_factorize(
                 )
             break
         m *= 2
+        solved = _solve_plus_inverse(symbol, m)
     h_stack, cond, c_stack, residual, m = best
     return FactorizationResult(
         symbol=symbol,

@@ -97,6 +97,21 @@ def test_factorize_golden_slice(capsys, golden_file, tmp_path):
     assert json.loads("\n".join(out.read_text().splitlines()[1:])) == rep
 
 
+def test_out_duplicates_error_reports(capsys, golden_file, tmp_path):
+    out = tmp_path / "report.json"
+    code, rep = run(capsys, [
+        "index", golden_file, "--sizes", "0", "--out", str(out),
+    ])
+    assert code == 4 and rep["error"] == "InputError"
+    assert json.loads("\n".join(out.read_text().splitlines()[1:])) == rep
+    unwritable = tmp_path / "missing" / "report.json"
+    code, rep = run(capsys, [
+        "index", golden_file, "--sizes", "0", "--out", str(unwritable),
+    ])
+    assert code == 4 and rep["error"] == "InputError"
+    assert not unwritable.exists()
+
+
 def test_factorize_obstruction_exits_two(capsys, diag_file):
     code, rep = run(capsys, [
         "factorize", diag_file, "--var", "0", "--param", "1=1",
@@ -133,6 +148,7 @@ def test_factorize_input_errors(capsys, golden_file):
     ["corner", "{H}", "--size", "0"],
     ["corner", "{H}", "--size", "-2"],
     ["factorize", "{golden}", "--param", "1=1", "--trunc", "-4"],
+    ["factorize", "{golden}", "--var", "0", "--param", "1=1", "--trunc", "100000"],
     ["corner", "{H}", "--size", "10", "--zero-tol", "-1"],
     ["corner", "{H}", "--size", "10", "--zero-tol", "nan"],
     ["corner", "{H}", "--size", "10", "--floor", "0"],

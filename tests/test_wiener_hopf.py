@@ -1,13 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import golden_symbol, random_canonical_1d, random_nonzero_winding_1d
+from conftest import (
+    golden_symbol,
+    random_canonical_1d,
+    random_nonzero_winding_1d,
+    sin_mass_family,
+    small_term,
+)
+import qtop.wiener_hopf
 from qtop.errors import InputError, NotCanonical, SingularOnTorus, Unstable
-from qtop.symbols import LaurentSymbol
+from qtop.operators import spectral_flow
+from qtop.symbols import LaurentSymbol, assemble_chiral
 from qtop.wiener_hopf import (
     COND_CAP,
     EXACT_COND_ROWS,
+    FIRST_TRUNCATION,
+    _slice_indices,
     _solve_plus_inverse,
+    _wiener_certificate,
     canonical_factorize,
     certify_invertible,
     partial_indices,
@@ -144,3 +157,70 @@ def test_radial_scan_bounded_below_for_golden_slice():
     scan = radial_scan(canonical_factorize(sl), radii=np.linspace(0.0, 1.0, 9))
     assert len(scan.sigma_min) == 9
     assert scan.worst >= 0.1
+
+
+def _bound_holds(symbol):
+    try:
+        h_stack, _ = _solve_plus_inverse(symbol, FIRST_TRUNCATION, condition=False)
+    except np.linalg.LinAlgError:
+        return False
+    return _wiener_certificate(symbol, h_stack)
+
+
+def _diag_monomial(ks):
+    n = len(ks)
+    terms = {}
+    for i, k in enumerate(ks):
+        terms.setdefault((k,), np.zeros((n, n)))[i, i] = 1.0
+    return LaurentSymbol(1, n, list(terms.items()))
+
+
+def test_wiener_certificate_on_canonical_and_twisted_products():
+    rng = np.random.default_rng(909)
+    for n in (2, 3):
+        for _ in range(4):
+            g = random_canonical_1d(rng, n, 2, cap=0.6)
+            assert _bound_holds(g)
+            assert _slice_indices(g) == (0,) * n
+    # f_- diag(z^k) f_+ with f_-^{+-1} analytic outside the disk and f_+^{+-1}
+    # inside is a Wiener-Hopf factorization: its partial indices are the k
+    for ks in ((1, -1), (1, 0), (0, -1), (0, 0, 1)):
+        n = len(ks)
+        eye = ((0,), np.eye(n))
+        minus = LaurentSymbol(1, n, [eye, ((-1,), small_term(rng, n, 0.3))])
+        plus = LaurentSymbol(1, n, [eye, ((1,), small_term(rng, n, 0.3))])
+        twisted = minus * _diag_monomial(ks) * plus
+        assert not _bound_holds(twisted)
+        assert _slice_indices(twisted) == tuple(sorted(ks, reverse=True))
+
+
+def test_wiener_certificate_rejects_quietly():
+    obstruction = _diag_monomial((1, -1))
+    shift = LaurentSymbol(1, 2, [((1,), np.eye(2))])
+    rng = np.random.default_rng(5)
+    h_any = rng.standard_normal((FIRST_TRUNCATION + 1, 2, 2)).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sym in (obstruction, shift):
+            assert not _bound_holds(sym)
+            for h_stack in (h_any, 1e200 * h_any, np.full_like(h_any, np.nan)):
+                assert _wiener_certificate(sym, h_stack) is False
+        assert _wiener_certificate(golden_symbol().slice(0, (1.0,)).symbol,
+                                   h_any[:1]) is False  # h shorter than the 1/z reach
+
+
+def test_certified_paths_run_no_kernel_scan(monkeypatch):
+    calls = []
+    real = qtop.wiener_hopf.toeplitz_kernel_dim
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qtop.wiener_hopf, "toeplitz_kernel_dim", counted)
+    golden = golden_symbol()
+    for var in (0, 1):
+        for j in range(16):
+            canonical_factorize(golden.slice(var, (np.exp(2j * np.pi * j / 16),)))
+    spectral_flow(sin_mass_family(assemble_chiral(golden)), t_samples=4, side=4)
+    assert calls == []
