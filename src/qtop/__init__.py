@@ -38,7 +38,6 @@ from .extension import (
     build_extended_family,
     check_equivariance,
     check_hermitian,
-    seam_residual,
 )
 from .invariants import (
     GappedInvariantReport,
@@ -92,7 +91,6 @@ __all__ = [
     "build_extended_family",
     "check_equivariance",
     "check_hermitian",
-    "seam_residual",
     "GappedInvariantReport",
     "W3Result",
     "calibrate_orientation",

@@ -563,7 +563,12 @@ def main(argv=None):
         return _emit_failure(args.command, exc, out, 3)
     except (InputError, OSError) as exc:
         return _emit_failure(args.command, exc, out, 4)
-    _emit(report, out)
+    try:
+        _emit(report, out)
+    except OSError as exc:
+        # the report is already on stdout; only its copy is missing
+        sys.stderr.write(f"qtop: cannot write --out: {exc}\n")
+        return 4
     return 0
 
 

@@ -5,12 +5,14 @@ two-torus: chart TD = T x D^2 (first variable on the torus) and chart
 DT = D^2 x T.  A symbol f whose slices factorize canonically extends to a
 nonsingular matrix function f^E on that boundary: on chart TD,
 
-    f^E(z, w) = [ sum_k c_k(z) conj(w)^k ] . [ sum_k h_k(z) w^k ]^{-1},
+    f^E(z, w) = C_z(conj w) . B_z(w),   C_z(u) = sum_k c_k(z) u^k,
+                                         B_z(u) = sum_k b_k(z) u^k,
 
-where c_k, h_k are the minus / inverse-plus coefficients of the slice
+where c_k, b_k are the coefficients of the factors f_- and f_+ of the slice
 factorization in the second variable at fixed z, and symmetrically on DT.
-Both formulas are regular at the disk center (only nonnegative powers of w
-and conj(w) appear) and agree with f on the gluing torus.
+Both formulas are polynomials in w and conj(w), so regular at the disk
+center, and agree with f on the gluing torus up to the slice defect
+f - f_- f_+, whose Wiener norm bounds the seam over each slice circle.
 
 Chart coordinates are always ordered (theta, rho, phi): theta is the angle
 of the first variable, rho the radius of whichever variable lives in the
@@ -53,11 +55,11 @@ __all__ = [
     "check_equivariance",
     "check_grid_size",
     "bott_generator",
-    "seam_residual",
 ]
 
 CHARTS = ("TD", "DT")
 GRID_CAP = 10_000_000  # matrix entries n_theta * n_rho * n_phi * N^2 of one chart grid
+SEAM_TOL = 1e-8        # largest slice defect, relative to the symbol scale
 
 
 @dataclass(frozen=True)
@@ -109,20 +111,21 @@ class ExtendedSymbol:
     demand (results are cached); nothing is interpolated.
     """
 
-    def __init__(self, base, family_var=None, samples_per_circle=16,
-                 truncation=None, tol=1e-10, threads=1):
+    def __init__(self, base, family_var=None, samples_per_circle=16, threads=1):
         expected = 2 if family_var is None else 3
         if base.num_vars != expected:
             raise DimensionMismatch(
                 f"base symbol has {base.num_vars} variables, expected {expected}"
+            )
+        if family_var is not None and not 0 <= family_var < base.num_vars:
+            raise InputError(
+                f"family variable {family_var} outside 0..{base.num_vars - 1}"
             )
         if samples_per_circle < 1:
             raise InputError(f"samples_per_circle must be >= 1, got {samples_per_circle}")
         self.base = base
         self.family_var = family_var
         self.samples_per_circle = int(samples_per_circle)
-        self.truncation = truncation
-        self.tol = tol
         self.threads = max(1, int(threads))
         spatial = [v for v in range(base.num_vars) if v != family_var]
         self._var_torus = {"TD": spatial[0], "DT": spatial[1]}
@@ -156,9 +159,7 @@ class ExtendedSymbol:
                 self.base, self._var_disk[chart], angle, self.family_var, t
             )
             try:
-                fact = canonical_factorize(
-                    sl, truncation=self.truncation, tol=self.tol
-                )
+                fact = canonical_factorize(sl)
             except (NotCanonical, SingularOnTorus) as exc:
                 where = (angle,) if t is None else (angle, t)
                 raise NotFredholm(
@@ -176,9 +177,7 @@ class ExtendedSymbol:
         """f^E at a ChartPoint."""
         fact = self.factor_at(point.chart, self._torus_angle(point), point.t)
         u = point.rho * np.exp(1j * self._disk_angle(point))
-        minus = fact.minus_conj_values(np.conj(u))
-        plus_inv = fact.plus_inv_values(u)
-        return minus @ np.linalg.inv(plus_inv)
+        return fact.minus_conj_values(np.conj(u)) @ fact.plus_values(u)
 
     def _torus_angle(self, point):
         return point.theta if point.chart == "TD" else point.phi
@@ -190,7 +189,7 @@ class ExtendedSymbol:
         """f^E on a tensor grid of one chart; shape (n_theta, n_rho, n_phi, N, N).
 
         One factorization per torus angle; the disk subgrid is evaluated
-        vectorized from the coefficient series.
+        vectorized from the factor polynomials.
         """
         thetas = np.asarray(thetas, dtype=float)
         rhos = np.asarray(rhos, dtype=float)
@@ -205,9 +204,7 @@ class ExtendedSymbol:
         def fill(i, angle):
             fact = self.factor_at(chart, angle, t)
             u = rhos[:, None] * np.exp(1j * disk_angles[None, :])
-            vals = fact.minus_conj_values(np.conj(u)) @ np.linalg.inv(
-                fact.plus_inv_values(u)
-            )
+            vals = fact.minus_conj_values(np.conj(u)) @ fact.plus_values(u)
             if chart == "TD":
                 out[i] = vals  # axes (rho, phi)
             else:
@@ -221,84 +218,53 @@ class ExtendedSymbol:
                 fill(i, angle)
         return out
 
-    # -------------------------------------------------------- diagnostics
 
-    def seam_check(self, samples=32, t=None):
-        """Max deviation of both chart formulas from f on the gluing torus."""
-        angles = 2.0 * np.pi * np.arange(samples) / samples
-        zt = np.exp(1j * angles)
-        if self.has_family:
-            if t is None:
-                raise OutOfDomain("family symbol requires a t coordinate")
-            axes = [
-                np.array([np.exp(1j * t)]) if v == self.family_var else zt
-                for v in range(self.base.num_vars)
-            ]
-            fvals = np.take(self.base.eval_grid(axes), 0, axis=self.family_var)
-        else:
-            if t is not None:
-                raise OutOfDomain("symbol has no family variable, drop t")
-            fvals = self.base.eval_grid([zt, zt])
-        scale = max(float(np.abs(fvals).max()), 1e-300)
-        worst = 0.0
-        for chart in CHARTS:
-            vals = self.chart_grid(chart, angles, np.array([1.0]), angles, t=t)
-            diff = vals[:, 0, :, :, :] - fvals
-            worst = max(worst, float(np.linalg.norm(diff, axis=(-2, -1)).max()) / scale)
-        return worst
+def _prebuild(ext, t_values):
+    """Factorize ``samples_per_circle`` uniformly spaced slices of both
+    charts at each t (the Fredholmness certificate for both half-plane
+    operators), and bound the seam at each t.
 
-
-def _prebuild(ext, samples, t_values):
-    jobs = []
-    for chart in CHARTS:
-        for j in range(samples):
-            angle = 2.0 * np.pi * j / samples
-            if t_values is None:
-                jobs.append((chart, angle, None))
-            else:
-                jobs.extend((chart, angle, t) for t in t_values)
-
-    def run(job):
-        chart, angle, t = job
-        ext.factor_at(chart, angle, t)
-
+    On the gluing torus the chart formula at a prebuilt torus angle is
+    f_- f_+ of that slice, so the slice defect ||f - f_- f_+||_W bounds its
+    deviation from f over the whole slice circle; the seam is the largest
+    defect relative to the coefficient norm of the symbol.
+    """
+    samples = ext.samples_per_circle
+    jobs = [
+        (chart, 2.0 * np.pi * j / samples, t)
+        for chart in CHARTS for j in range(samples) for t in t_values
+    ]
     if ext.threads > 1:
         with ThreadPoolExecutor(max_workers=ext.threads) as pool:
-            list(pool.map(run, jobs))
+            facts = list(pool.map(lambda job: ext.factor_at(*job), jobs))
     else:
-        for job in jobs:
-            run(job)
+        facts = [ext.factor_at(*job) for job in jobs]
+    scale = max(ext.base.coeff_norm(), 1e-300)
+    for t in t_values:
+        seam = max(f.defect for job, f in zip(jobs, facts) if job[2] == t) / scale
+        ext.seam_residuals[None if t is None else _angle_key(t)] = seam
+        if seam > SEAM_TOL:
+            at = "" if t is None else f" at t = {t:.6f}"
+            raise Unstable(
+                f"chart values{at} deviate from f on the gluing torus by up to {seam:.3e}"
+            )
 
 
-def build_extended(symbol, samples_per_circle=16, truncation=None, tol=1e-10,
-                   threads=1, seam_samples=32, seam_tol=1e-8):
-    """Build f^E for a two-variable symbol.
-
-    Factorizes ``samples_per_circle`` uniformly spaced slices in each
-    variable (the Fredholmness certificate for both half-plane operators),
-    then verifies the two chart formulas against f on the gluing torus.
-    """
+def build_extended(symbol, samples_per_circle=16, threads=1):
+    """Build f^E for a two-variable symbol from ``samples_per_circle``
+    factorized slices per variable; Unstable when the seam bound exceeds
+    SEAM_TOL."""
     ext = ExtendedSymbol(
         symbol,
-        family_var=None,
         samples_per_circle=samples_per_circle,
-        truncation=truncation,
-        tol=tol,
         threads=threads,
     )
-    _prebuild(ext, samples_per_circle, None)
-    seam = ext.seam_check(samples=seam_samples)
-    ext.seam_residuals[None] = seam
-    if seam > seam_tol:
-        raise Unstable(
-            f"chart values deviate from f on the gluing torus by {seam:.3e}"
-        )
+    _prebuild(ext, [None])
     return ext
 
 
 def build_extended_family(symbol, family_var=2, t_samples=8, samples_per_circle=8,
-                          truncation=None, tol=1e-10, threads=1,
-                          seam_samples=16, seam_tol=1e-8):
+                          threads=1):
     """Build the family version over a designated circle variable.
 
     Certifies every sampled (t, slice) pair in both charts; the first
@@ -306,32 +272,16 @@ def build_extended_family(symbol, family_var=2, t_samples=8, samples_per_circle=
     """
     if symbol.num_vars != 3:
         raise DimensionMismatch("family construction expects a three-variable symbol")
-    if not 0 <= family_var < 3:
-        raise InputError("family_var out of range")
     if t_samples < 1:
         raise InputError(f"t_samples must be >= 1, got {t_samples}")
     ext = ExtendedSymbol(
         symbol,
         family_var=family_var,
         samples_per_circle=samples_per_circle,
-        truncation=truncation,
-        tol=tol,
         threads=threads,
     )
-    t_values = [2.0 * np.pi * l / t_samples for l in range(t_samples)]
-    _prebuild(ext, samples_per_circle, t_values)
-    for t in t_values:
-        seam = ext.seam_check(samples=seam_samples, t=t)
-        ext.seam_residuals[_angle_key(t)] = seam
-        if seam > seam_tol:
-            raise Unstable(
-                f"chart values at t = {t:.6f} deviate on the gluing torus by {seam:.3e}"
-            )
+    _prebuild(ext, [2.0 * np.pi * l / t_samples for l in range(t_samples)])
     return ext
-
-
-def seam_residual(ext, samples=64, t=None):
-    return ext.seam_check(samples=samples, t=t)
 
 
 # -------------------------------------------------- closed-form evaluators

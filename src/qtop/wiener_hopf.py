@@ -8,15 +8,16 @@ the normalization f_-(infinity) = I that makes them unique.
 Method: the coefficients h_k of f_+^{-1} = sum_k h_k z^k solve the
 block-Toeplitz system  sum_j fhat(i - j) h_j = delta_{i0} I, i = 0..m,
 which is the finite section of T_f applied to the coefficient sequence.
-f_- = f f_+^{-1} is then a polynomial in 1/z recovered by FFT; its constant
-term is exactly I by construction.
+Both factors are matrix polynomials and follow from h at coefficient level
+(``_factor_coeffs``): f_- = f f_+^{-1} is a polynomial in 1/z whose
+constant term is exactly I by construction, f_+ a polynomial in z of the
+degree of the max exponent of f, and with them comes the defect
+E = f - f_- f_+.
 
 Canonicity is proved from that one solve by a Wiener-norm bound
 (``_wiener_certificate``; Boettcher & Silbermann, Analysis of Toeplitz
 Operators; Clancey & Gohberg, Factorization of Matrix Functions and Singular
-Integral Operators).  From h, the coefficients of f_- and the polynomial f_+
-(degree max exponent of f) follow at coefficient level, and with them the
-defect E = f - f_- f_+, so f = f_- (I + X) f_+ with X = f_-^{-1} E f_+^{-1}.
+Integral Operators): f = f_- (I + X) f_+ with X = f_-^{-1} E f_+^{-1}.
 Truncated series for f_+^{-1} (h itself) and f_-^{-1} bound both inverses in
 the Wiener norm (sum of coefficient 2-norms); when ||X||_W <= 1/2 each of
 T_{f_-}, T_{I+X}, T_{f_+} is invertible, hence so is T_f and every partial
@@ -269,28 +270,30 @@ def _certified_canonical(symbol, dets):
 class FactorizationResult:
     """Canonical right factorization f = f_- f_+ with f_-(infinity) = I.
 
-    ``plus_inv_coeffs[k]`` is the coefficient of z^k in f_+^{-1};
-    ``minus_coeffs[k]`` the coefficient of z^{-k} in f_- (index 0 is I).
+    ``minus_coeffs[k]`` is the coefficient of z^{-k} in f_- (index 0 is I),
+    ``plus_coeffs[k]`` that of z^k in the polynomial f_+, and
+    ``plus_inv_coeffs[k]`` that of z^k in the solved series of f_+^{-1}.
+    ``defect`` is sum_k ||E_k||_F over the coefficients of
+    E = f - f_- f_+, a bound on sup |f - f_- f_+| over the whole circle.
     """
 
     symbol: LaurentSymbol
     partial_indices: tuple
     minus_coeffs: np.ndarray
+    plus_coeffs: np.ndarray
     plus_inv_coeffs: np.ndarray
     truncation: int
     residual: float
     condition: float
+    defect: float
 
     @property
     def band_dim(self):
         return self.symbol.band_dim
 
-    def plus_inv_values(self, z):
-        """f_+^{-1}(z) = sum_k h_k z^k on arrays of |z| <= 1."""
-        return _poly_values(self.plus_inv_coeffs, z)
-
     def plus_values(self, z):
-        return np.linalg.inv(self.plus_inv_values(z))
+        """f_+(z) = sum_k b_k z^k on arrays of z."""
+        return _poly_values(self.plus_coeffs, z)
 
     def minus_conj_values(self, zbar):
         """f_-(1/conj(z)) written as sum_k c_k zbar^k, regular on |zbar| <= 1."""
@@ -308,8 +311,8 @@ class FactorizationResult:
         """
         zs = np.exp(2j * np.pi * np.arange(grid) / grid)
         c_scaled = self.minus_coeffs * (t ** np.arange(len(self.minus_coeffs)))[:, None, None]
-        h_scaled = self.plus_inv_coeffs * (t ** np.arange(len(self.plus_inv_coeffs)))[:, None, None]
-        vals = _poly_values(c_scaled, np.conj(zs)) @ np.linalg.inv(_poly_values(h_scaled, zs))
+        b_scaled = self.plus_coeffs * (t ** np.arange(len(self.plus_coeffs)))[:, None, None]
+        vals = _poly_values(c_scaled, np.conj(zs)) @ _poly_values(b_scaled, zs)
         return np.fft.fft(vals, axis=0) / grid
 
 
@@ -345,29 +348,17 @@ def _solve_plus_inverse(symbol, m, condition=True):
     return sol.reshape(m + 1, n, n), cond
 
 
-def _factor_residual(symbol, h_stack, grid=512):
-    """Recover f_- by FFT and measure sup |f_- f_+ - f| on a circle grid."""
-    n = symbol.band_dim
+def _factor_residual(symbol, h_stack, c_stack, grid=512):
+    """sup |f_- (sum_k h_k z^k)^{-1} - f| on a circle grid of at least
+    ``grid`` points, and more when the product f h needs them."""
     lo, hi = symbol.exponent_range(0)
-    m = len(h_stack) - 1
-    span = (hi + m) - lo + 1
+    span = (hi + len(h_stack) - 1) - lo + 1
     size = max(grid, int(2 ** np.ceil(np.log2(max(span + 1, 2)))))
     zs = np.exp(2j * np.pi * np.arange(size) / size)
     fvals = symbol.eval_grid([zs])
-    pvals = _poly_values(h_stack, zs)
-    prod = fvals @ pvals
-    fourier = np.fft.fft(prod, axis=0) / size
-    k_minus = max(0, -lo)
-    c_stack = np.empty((k_minus + 1, n, n), dtype=complex)
-    c_stack[0] = fourier[0]
-    for k in range(1, k_minus + 1):
-        c_stack[k] = fourier[size - k]
-    # the solved rows force c_0 = I up to roundoff; pin it exactly
-    c_stack[0] = np.eye(n)
     minus_vals = _poly_values(c_stack, np.conj(zs))
-    resid_vals = minus_vals @ np.linalg.inv(pvals) - fvals
-    residual = float(np.linalg.norm(resid_vals, axis=(-2, -1)).max())
-    return c_stack, residual
+    resid_vals = minus_vals @ np.linalg.inv(_poly_values(h_stack, zs)) - fvals
+    return float(np.linalg.norm(resid_vals, axis=(-2, -1)).max())
 
 
 def _poly_mul(p, q):
@@ -383,14 +374,42 @@ def _poly_mul(p, q):
     return out
 
 
-def _wiener_certificate(symbol, h_stack):
-    """Prove f canonical from the f_+^{-1} coefficients of one section solve.
+def _factor_coeffs(symbol, h_stack):
+    """Coefficient stacks of f_-, f_+ and the defect E = f - f_- f_+ from
+    the f_+^{-1} coefficients h of one section solve.
 
     f_- = C(1/z) with c_0 = I and c_k the z^{-k} coefficient of f h;
     f_+ = B(z) of degree hi by back-substitution b_k = a_k - sum_{i>=1}
-    c_i b_{k+i}; E = f - f_- f_+ is then supported on negative powers up
-    to roundoff.  With g the degree-m series of f_-^{-1} and
-    r_+ = ||I - f_+ h||_W, r_- = ||I - f_- g||_W, the inverses satisfy
+    c_i b_{k+i}; E, returned for degrees -k_minus .. k_plus, is then
+    supported on negative powers up to roundoff.  Non-finite values pass
+    through silently: the certificate rejects them.
+    """
+    lo, hi = symbol.exponent_range(0)
+    k_minus, k_plus = max(0, -lo), max(0, hi)
+    n = symbol.band_dim
+    f_stack = np.array([symbol.coeff((k,)) for k in range(lo, hi + 1)], dtype=complex)
+    with np.errstate(all="ignore"):
+        fh = _poly_mul(f_stack, h_stack)            # degrees lo .. hi + m
+        c = np.empty((k_minus + 1, n, n), dtype=complex)
+        c[0] = np.eye(n)
+        for k in range(1, k_minus + 1):
+            c[k] = fh[-k - lo]
+        b = np.zeros((k_plus + 1, n, n), dtype=complex)
+        for k in range(k_plus, -1, -1):
+            b[k] = symbol.coeff((k,)) - sum(
+                c[i] @ b[k + i] for i in range(1, min(k_minus, k_plus - k) + 1)
+            )
+        defect = -_poly_mul(c[::-1], b)             # degrees -k_minus .. k_plus
+        defect[lo + k_minus:hi + k_minus + 1] += f_stack
+    return c, b, defect
+
+
+def _wiener_certificate(symbol, h_stack):
+    """Prove f canonical from the f_+^{-1} coefficients of one section solve.
+
+    With f_-, f_+ and E = f - f_- f_+ from ``_factor_coeffs``, g the
+    degree-m series of f_-^{-1}, r_+ = ||I - f_+ h||_W and
+    r_- = ||I - f_- g||_W, the inverses satisfy
     ||f_+^{-1}||_W <= M_+ = ||h||_W / (1 - r_+) and likewise M_- from g.
     f = f_- (I + X) f_+ with ||X||_W <= M_- ||E||_W M_+, so
     T_f = T_{f_-} T_{I+X} T_{f_+} is invertible once that is below 1; the
@@ -401,25 +420,13 @@ def _wiener_certificate(symbol, h_stack):
     """
     lo, hi = symbol.exponent_range(0)
     m = len(h_stack) - 1
-    k_minus, k_plus = max(0, -lo), max(0, hi)
+    k_minus = max(0, -lo)
     if lo == hi or k_minus > m:
         return False
     n = symbol.band_dim
     eye = np.eye(n)
-    f_stack = np.array([symbol.coeff((k,)) for k in range(lo, hi + 1)], dtype=complex)
+    c, b, defect = _factor_coeffs(symbol, h_stack)
     with np.errstate(all="ignore"):
-        fh = _poly_mul(f_stack, h_stack)            # degrees lo .. hi + m
-        c = np.empty((k_minus + 1, n, n), dtype=complex)
-        c[0] = eye
-        for k in range(1, k_minus + 1):
-            c[k] = fh[-k - lo]
-        b = np.zeros((k_plus + 1, n, n), dtype=complex)
-        for k in range(k_plus, -1, -1):
-            b[k] = symbol.coeff((k,)) - sum(
-                c[i] @ b[k + i] for i in range(1, min(k_minus, k_plus - k) + 1)
-            )
-        defect = -_poly_mul(c[::-1], b)             # degrees -k_minus .. k_plus
-        defect[lo + k_minus:hi + k_minus + 1] += f_stack
         g = np.zeros((m + 1, n, n), dtype=complex)
         g[0] = eye
         for j in range(1, m + 1):
@@ -481,10 +488,12 @@ def canonical_factorize(
             symbol=symbol,
             partial_indices=tuple([0] * n),
             minus_coeffs=np.eye(n, dtype=complex)[None, :, :],
+            plus_coeffs=np.asarray(a, dtype=complex)[None, :, :],
             plus_inv_coeffs=np.linalg.inv(a)[None, :, :],
             truncation=0,
             residual=0.0,
             condition=float(np.linalg.cond(a)),
+            defect=0.0,
         )
 
     m = truncation if truncation is not None else FIRST_TRUNCATION
@@ -504,29 +513,31 @@ def canonical_factorize(
             raise IllConditioned(
                 f"Toeplitz section condition {cond:.3e} exceeds {COND_CAP:.1e}"
             )
-        c_stack, residual = _factor_residual(symbol, h_stack)
-        if best is None or residual < best[3]:
-            best = (h_stack, cond, c_stack, residual, m)
+        c_stack, b_stack, defect = _factor_coeffs(symbol, h_stack)
+        residual = _factor_residual(symbol, h_stack, c_stack)
+        if best is None or residual < best.residual:
+            best = FactorizationResult(
+                symbol=symbol,
+                partial_indices=tuple([0] * n),
+                minus_coeffs=c_stack,
+                plus_coeffs=b_stack,
+                plus_inv_coeffs=h_stack,
+                truncation=m,
+                residual=residual,
+                condition=cond,
+                defect=float(np.linalg.norm(defect, axis=(-2, -1)).sum()),
+            )
         if residual <= tol:
             break
         if truncation is not None or 2 * m > max_truncation:
-            if residual > tol and truncation is None:
+            if truncation is None:
                 raise NonConvergent(
                     f"residual {residual:.3e} above {tol:.1e} at truncation cap {m}"
                 )
             break
         m *= 2
         solved = _solve_plus_inverse(symbol, m)
-    h_stack, cond, c_stack, residual, m = best
-    return FactorizationResult(
-        symbol=symbol,
-        partial_indices=tuple([0] * n),
-        minus_coeffs=c_stack,
-        plus_inv_coeffs=h_stack,
-        truncation=m,
-        residual=residual,
-        condition=cond,
-    )
+    return best
 
 
 # ------------------------------------------------------------ verification

@@ -110,6 +110,13 @@ def test_out_duplicates_error_reports(capsys, golden_file, tmp_path):
     ])
     assert code == 4 and rep["error"] == "InputError"
     assert not unwritable.exists()
+    # a successful run keeps its report on stdout and exits 4 for the copy
+    code, rep = run(capsys, [
+        "factorize", golden_file, "--var", "0", "--param", "1=1",
+        "--out", str(unwritable),
+    ])
+    assert code == 4 and rep["partial_indices"] == [0, 0]
+    assert not unwritable.exists()
 
 
 def test_factorize_obstruction_exits_two(capsys, diag_file):
@@ -158,6 +165,8 @@ def test_factorize_input_errors(capsys, golden_file):
     ["index", "{golden}", "--mode", "w3", "--samples", "4", "--grid", "2000000,33,2000000"],
     ["index", "{golden}", "--grid", "2000000,33,2000000"],
     ["extend", "{golden}", "--dump", "2000000,33,2000000", "--out", "{dump}"],
+    ["extend", "{family}", "--eval", "chart=TD;theta=0.3;rho=0.5;phi=0.2;t=1.5", "--tvar", "5"],
+    ["extend", "{family}", "--eval", "chart=TD;theta=0.3;rho=0.5;phi=0.2;t=1.5", "--tvar", "-1"],
 ], ids="_".join)
 def test_size_flags_out_of_range_are_input_errors(capsys, tmp_path, golden_file,
                                                   golden_H_file, argv):

@@ -6,8 +6,10 @@ from conftest import (
     golden_closed_form,
     golden_symbol,
     promote_to_family,
+    random_canonical_2d,
 )
-from qtop.errors import InputError, NotFredholm, OutOfDomain
+import qtop.extension
+from qtop.errors import InputError, NotFredholm, OutOfDomain, Unstable
 from qtop.extension import (
     ChartPoint,
     ClosedFormExtension,
@@ -17,7 +19,6 @@ from qtop.extension import (
     build_extended_family,
     check_equivariance,
     check_hermitian,
-    seam_residual,
 )
 from qtop.symbols import LaurentSymbol, assemble_chiral
 
@@ -60,9 +61,26 @@ def test_golden_extension_point_values():
 
 
 def test_seam_agreement_for_golden():
-    ext = build_extended(golden_symbol())
-    assert seam_residual(ext, samples=48) <= 1e-8
+    golden = golden_symbol()
+    ext = build_extended(golden)
     assert ext.seam_residuals[None] <= 1e-8
+    # reference: both chart formulas against f on a 48 x 48 grid of the
+    # gluing torus, off the prebuilt angles too (max |f| = 1 for golden)
+    angles = 2 * np.pi * np.arange(48) / 48
+    fvals = golden.eval_grid([np.exp(1j * angles)] * 2)
+    for chart in ("TD", "DT"):
+        vals = ext.chart_grid(chart, angles, np.array([1.0]), angles)[:, 0]
+        assert np.max(np.linalg.norm(vals - fvals, axis=(-2, -1))) <= 1e-8
+
+
+def test_slice_defect_above_seam_tolerance_is_unstable(monkeypatch, rng):
+    # a one-term f_+^{-1} series leaves a defect of order cap^2 on every
+    # slice of a canonical product
+    real = qtop.extension.canonical_factorize
+    monkeypatch.setattr(qtop.extension, "canonical_factorize",
+                        lambda sl: real(sl, truncation=1))
+    with pytest.raises(Unstable):
+        build_extended(random_canonical_2d(rng), samples_per_circle=4)
 
 
 def test_bott_generator_values():

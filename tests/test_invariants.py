@@ -76,7 +76,7 @@ def test_w3_of_bott_generator():
 def _w3_with_product(rng, transform):
     """W3 of transform(golden + a seeded canonical product), golden's W3 = 1."""
     f = golden_symbol().block_diag(random_canonical_2d(rng))
-    ext = build_extended(transform(f), samples_per_circle=8, seam_samples=16)
+    ext = build_extended(transform(f), samples_per_circle=8)
     return w3(ext, grid=(16, 9, 16))
 
 
@@ -124,13 +124,15 @@ def test_w3_chain_stops_at_first_agreeing_pair(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(qtop.extension, "canonical_factorize", counted)
-    res = w3(build_extended(golden_symbol()), grid=DEFAULT_GRID)
+    ext = build_extended(golden_symbol())
+    assert len(calls) == 32  # the prebuilt slices only: 16 per variable
+    res = w3(ext, grid=DEFAULT_GRID)
     assert [h[0] for h in res.history] == [(8, 5, 8), (16, 9, 16)]
     assert res.grid == (16, 9, 16)
     assert res.error_estimate <= 1e-6
     assert res.rounded == 1
     assert res.to_dict()["error_estimate"] == res.error_estimate
-    assert len(calls) <= 64
+    assert len(calls) <= 32
 
 
 def test_w3_chain_of_bott_runs_to_the_requested_grid():

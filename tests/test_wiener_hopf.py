@@ -152,6 +152,22 @@ def test_minus_factor_normalized_at_infinity(rng):
     assert np.allclose(fact.minus_coeffs[0], np.eye(3))
 
 
+def test_plus_polynomial_inverts_the_solved_series(rng):
+    zs = np.exp(2j * np.pi * np.arange(64) / 64)
+    golden = golden_symbol()
+    slices = [golden.slice(var, (np.exp(2j * np.pi * j / 16),))
+              for var in (0, 1) for j in range(16)]
+    slices += [random_canonical_1d(rng, n, deg) for n in (2, 3) for deg in (1, 2)]
+    for sl in slices:
+        fact = canonical_factorize(sl)
+        h_vals = sum(h * zs[:, None, None] ** k for k, h in enumerate(fact.plus_inv_coeffs))
+        h_inv = np.linalg.inv(h_vals)
+        assert np.max(np.abs(fact.plus_values(zs) - h_inv)) <= 1e-10
+        fvals = fact.symbol.eval_grid([zs])
+        recon = fact.minus_values(zs) @ fact.plus_values(zs)
+        assert np.max(np.abs(recon - fvals)) <= 1e-10
+
+
 def test_radial_scan_bounded_below_for_golden_slice():
     sl = golden_symbol().slice(1, (np.exp(0.6j),))
     scan = radial_scan(canonical_factorize(sl), radii=np.linspace(0.0, 1.0, 9))
