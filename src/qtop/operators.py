@@ -34,7 +34,7 @@ from .errors import (
     TrackingAmbiguous,
     Unstable,
 )
-from .symbols import LaurentSymbol, _coordinate_slice, chiral_projector
+from .symbols import LaurentSymbol, _coordinate_slice, _reducing_subspaces, chiral_projector
 from .wiener_hopf import (
     KERNEL_RELTOL,
     _kernel_count,
@@ -165,19 +165,24 @@ def dump_operator(op, path):
         inter.tofile(fh)
 
 
-def kernel_dim(op, tol=KERNEL_RELTOL):
-    """Numerical kernel count: singular values below tol * sigma_max."""
-    mat = op.matrix if isinstance(op, TruncatedOperator) else np.asarray(op)
-    return _kernel_count(mat, tol)[0]
+def kernel_dim(*blocks, tol=KERNEL_RELTOL):
+    """Numerical kernel count of diag(blocks): singular values of the blocks
+    below tol * sigma_max, sigma_max the largest over all of them.  Each
+    block is a TruncatedOperator or a matrix; one block is the plain count."""
+    mats = [b.matrix if isinstance(b, TruncatedOperator) else np.asarray(b) for b in blocks]
+    return _kernel_count(*mats, rel_tol=tol)[0]
 
 
 # ---------------------------------------------------------------- index
 
 
-def _reach_compression(symbol, box):
-    """Columns on the box, rows on the box extended by the positive hopping reach."""
+def _reach_compression(symbol, parts, box):
+    """Columns on the box, rows on the box extended by the positive hopping
+    reach of ``symbol``: one section per reducing block of it in ``parts``,
+    refused at the full band_dim before any is allocated."""
     rows = [b + max(0, symbol.exponent_range(a)[1]) for a, b in enumerate(box)]
-    return _dense_section(symbol, rows, box)
+    _check_rows(math.prod(rows) * symbol.band_dim)
+    return [part.section(rows, box) for part in parts]
 
 
 def _angles(count):
@@ -235,10 +240,14 @@ def numerical_index(symbol, sizes=(10, 14, 18), tol=KERNEL_RELTOL, certify=True)
     """Fredholm index of the quarter-plane (or segment) compression.
 
     dim ker - dim ker of the adjoint, each computed on reach-extended
-    truncations, required to agree across all ``sizes``.  Segments are
-    counted with the escalating section criterion: a kernel vector decaying
-    like r^x keeps its section residual above any fixed cutoff until the
-    section outruns the decay, so a fixed size list can undercount.
+    truncations, required to agree across all ``sizes``.  A two-variable
+    symbol whose coefficients share reducing subspaces W_i (band_dim <= 16)
+    is counted block by block, with the counts of the undivided section:
+    one section of W_i* f W_i per block on the rows of the whole symbol's
+    reach, and one kernel_dim over all of them.  Segments are counted with the
+    escalating section criterion: a kernel vector decaying like r^x keeps
+    its section residual above any fixed cutoff until the section outruns
+    the decay, so a fixed size list can undercount.
     """
     if symbol.num_vars not in (1, 2):
         raise DimensionMismatch("index needs a one- or two-variable symbol")
@@ -250,6 +259,13 @@ def numerical_index(symbol, sizes=(10, 14, 18), tol=KERNEL_RELTOL, certify=True)
         else:
             certify_invertible(symbol)
     adj = symbol.adjoint()
+    parts = [symbol]
+    if symbol.num_vars == 2:
+        bases = _reducing_subspaces(symbol)  # the adjoint has the same ones
+        if len(bases) > 1:
+            parts = [LaurentSymbol(2, w.shape[1], [(k, w.conj().T @ a @ w)
+                                                   for k, a in symbol.coeffs.items()])
+                     for w in bases]
     kers, coks, values = [], [], []
     for size in sizes:
         if symbol.num_vars == 1:
@@ -257,8 +273,9 @@ def numerical_index(symbol, sizes=(10, 14, 18), tol=KERNEL_RELTOL, certify=True)
             c = toeplitz_kernel_dim(adj, start=int(size), rel_tol=tol)
         else:
             box = [int(size)] * symbol.num_vars
-            k = kernel_dim(_reach_compression(symbol, box), tol=tol)
-            c = kernel_dim(_reach_compression(adj, box), tol=tol)
+            k = kernel_dim(*_reach_compression(symbol, parts, box), tol=tol)
+            c = kernel_dim(*_reach_compression(adj, [p.adjoint() for p in parts], box),
+                           tol=tol)
         kers.append(k)
         coks.append(c)
         values.append(k - c)

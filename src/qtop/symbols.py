@@ -18,6 +18,7 @@ exponent vectors); nothing is sampled until an operation asks for values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +72,8 @@ class LaurentSymbol:
     terms : iterable of (exponents, matrix)
         Exponent vectors are length-d integer tuples; duplicate vectors are
         a hard error (no silent summing), and so is a non-finite entry.
-        Exact-zero matrices are dropped.
+        Exact-zero matrices are dropped.  A ``coeff_norm()`` whose
+        ``band_dim``-th power overflows (det f would) is an InputError.
     """
 
     def __init__(self, num_vars, band_dim, terms):
@@ -96,6 +98,13 @@ class LaurentSymbol:
             if np.any(a != 0):
                 coeffs[key] = a
         self._coeffs = coeffs
+        with np.errstate(over="ignore"):
+            norm = self.coeff_norm()
+        if not norm <= sys.float_info.max ** (1.0 / self.band_dim):
+            raise InputError(
+                f"coefficient norm {norm:.3e} is too large: its "
+                f"{self.band_dim}-th power overflows"
+            )
 
     # ------------------------------------------------------------ basics
 
@@ -408,6 +417,50 @@ def _coordinate_slice(symbol, direction, angle, t_var, t):
         if v != direction
     )
     return symbol.slice(direction, fixed)
+
+
+COMMUTANT_MAX_BAND = 16  # largest band whose default index sections fit DENSE_CAP
+
+
+def _reducing_subspaces(symbol):
+    """Orthonormal bases W_i of subspaces that reduce every coefficient a_k.
+
+    W_i* a_k W_j = 0 for i != j, so f is unitarily the direct sum of the
+    W_i* f W_i, and so is each of its sections.  The X with X b = b X for
+    every b in {a_k, a_k*} are the null space of the Gram matrix of the
+    maps X -> X b - b X; the eigenspaces of one seeded generic hermitian
+    X there are the blocks (Murota, Kanno, Kojima & Kojima, Japan J.
+    Indust. Appl. Math. 27, 2010).  One block, and no Gram, above
+    COMMUTANT_MAX_BAND; one block too unless every ||W_i* a_k W_j|| is at
+    most 1e-12 * coeff_norm().  Largest block first.
+    """
+    n = symbol.band_dim
+    whole = [np.eye(n)]
+    if n == 1 or n > COMMUTANT_MAX_BAND or not symbol.coeffs:
+        return whole
+    scale = symbol.coeff_norm()
+    coeffs = [a / scale for a in symbol.coeffs.values()]
+    # row-major vec(X a - a X) = (I (x) a^T - a (x) I) vec X; summing ad^H ad
+    # over a_k and a_k* gives I (x) conj(S) + S (x) I - 2 (C + C^H)
+    s = sum(a.conj().T @ a + a @ a.conj().T for a in coeffs)
+    c = sum(np.kron(a, a.conj()) for a in coeffs)
+    eye = np.eye(n)
+    gram = np.kron(eye, s.conj()) + np.kron(s, eye) - 2.0 * (c + c.conj().T)
+    lam, vecs = np.linalg.eigh(gram)
+    null = vecs[:, lam <= 1e-10 * lam[-1]]
+    if null.shape[1] <= 1:
+        return whole
+    rng = np.random.default_rng(0)
+    d = null.shape[1]
+    x = (null @ (rng.standard_normal(d) + 1j * rng.standard_normal(d))).reshape(n, n)
+    vals, basis = np.linalg.eigh(x + x.conj().T)
+    cuts = np.flatnonzero(np.diff(vals) > 1e-8 * (vals[-1] - vals[0])) + 1
+    blocks = np.split(basis, cuts, axis=1)
+    label = np.repeat(np.arange(len(blocks)), [w.shape[1] for w in blocks])
+    off = label[:, None] != label[None, :]
+    if any(np.linalg.norm((basis.conj().T @ a @ basis)[off]) > 1e-12 for a in coeffs):
+        return whole
+    return sorted(blocks, key=lambda w: w.shape[1], reverse=True)
 
 
 # ----------------------------------------------------------------- dets

@@ -121,12 +121,12 @@ def _det_winding(dets):
 # --------------------------------------------------------- tall sections
 
 
-def _kernel_count(mat, rel_tol=KERNEL_RELTOL):
-    """Kernel count of a section, with the relative size of the smallest
-    retained singular value (the margin separating kernel from bulk)."""
-    sv = np.linalg.svd(mat, compute_uv=False)
+def _kernel_count(*mats, rel_tol=KERNEL_RELTOL):
+    """Kernel count of the section diag(mats), with the relative size of the
+    smallest retained singular value (the margin separating kernel from bulk)."""
+    sv = np.sort(np.concatenate([np.linalg.svd(m, compute_uv=False) for m in mats]))[::-1]
     if sv.size == 0 or sv[0] == 0.0:
-        return mat.shape[1], float("inf")
+        return sum(m.shape[1] for m in mats), float("inf")
     cut = rel_tol * sv[0]
     count = int(np.count_nonzero(sv < cut))
     above = sv[sv >= cut]
@@ -150,7 +150,7 @@ def _stable_kernel_dim(symbol, start, cap=SECTION_CAP, rel_tol=KERNEL_RELTOL):
     prev = None
     while length <= cap:
         count, margin = _kernel_count(
-            symbol.section((length + reach,), (length,)), rel_tol
+            symbol.section((length + reach,), (length,)), rel_tol=rel_tol
         )
         if prev is not None and count == prev[0] and margin >= 0.3 * prev[1]:
             return count

@@ -80,6 +80,24 @@ def test_nan_coefficient_is_input_error(capsys, tmp_path):
         assert code == 4 and rep["error"] == "InputError"
 
 
+def test_oversized_coefficient_exits_cleanly(capsys, tmp_path):
+    """A finite entry whose norm overflows det f: every subcommand ends in an
+    error report, never a traceback or a verdict on the overflowed values."""
+    doc = symbol_to_dict(golden_symbol())
+    doc["terms"][0]["matrix"][0][0] = [1e308, 1e308]
+    path = str(tmp_path / "huge.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    for argv in (["index", path, "--mode", "both"],
+                 ["factorize", path, "--var", "0", "--param", "1=1"],
+                 ["corner", path, "--size", "3"],
+                 ["flow", path, "--size", "3"],
+                 ["extend", path, "--eval", "chart=DT;theta=0;rho=0;phi=0.5"],
+                 ["symmetry", path, "--class", "A"]):
+        code, rep = run(capsys, argv)
+        assert code in (2, 3, 4) and "error" in rep, argv
+
+
 def test_no_command_is_input_error():
     assert cli.main([]) == 4
 

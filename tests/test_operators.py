@@ -28,7 +28,7 @@ from qtop.operators import (
     numerical_index,
     spectral_flow,
 )
-from qtop.symbols import LaurentSymbol, assemble_chiral
+from qtop.symbols import LaurentSymbol, _reducing_subspaces, assemble_chiral
 
 
 def scalar_1d(terms):
@@ -79,6 +79,67 @@ def test_numerical_index_golden(golden):
     assert rep.kernel_counts == (1, 1, 1)
     assert rep.cokernel_counts == (0, 0, 0)
     assert rep.to_dict()["index"] == 1
+
+
+def test_kernel_dim_of_blocks_cuts_at_the_largest_singular_value(rng):
+    a = rng.standard_normal((6, 4))
+    b = 1e-9 * rng.standard_normal((5, 3))
+    whole = np.zeros((11, 7))
+    whole[:6, :4], whole[6:, 4:] = a, b
+    assert kernel_dim(a, b) == kernel_dim(whole) == 3
+    assert kernel_dim(b) == 0
+
+
+def _direct_sum(parts):
+    out = parts[0]
+    for part in parts[1:]:
+        out = out.block_diag(part)
+    return out
+
+
+@pytest.mark.parametrize("k, l", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2)])
+def test_numerical_index_of_hidden_direct_sums(golden, k, l):
+    """golden^k + adjoint^l, conjugated by a seeded unitary, is counted block
+    by block; index and per-size counts are the sums over the summands."""
+    rng = np.random.default_rng(7 + 3 * k + l)
+    n = 2 * (k + l)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    summands = [golden] * k + [golden.adjoint()] * l
+    sym = _direct_sum(summands).conjugate_by(q)
+    assert [w.shape[1] for w in _reducing_subspaces(sym)] == [2] * (k + l)
+    sizes = (4, 6)
+    rep = numerical_index(sym, sizes=sizes, certify=False)
+    assert rep.value == k - l
+    reps = [numerical_index(f, sizes=sizes, certify=False) for f in summands]
+    assert rep.kernel_counts == tuple(map(sum, zip(*(r.kernel_counts for r in reps))))
+    assert rep.cokernel_counts == tuple(map(sum, zip(*(r.cokernel_counts for r in reps))))
+
+
+def _recorded_sections(monkeypatch):
+    rows = []
+    real = LaurentSymbol.section
+
+    def section(self, *args):
+        out = real(self, *args)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(LaurentSymbol, "section", section)
+    return rows
+
+
+def test_split_index_keeps_the_full_row_cap(golden, monkeypatch):
+    rows = _recorded_sections(monkeypatch)
+    with pytest.raises(SizeOverflow):  # 41^2 * 4 rows; each block would be 41^2 * 2
+        numerical_index(golden.block_diag(golden), sizes=(40,), certify=False)
+    assert rows == []
+
+
+def test_split_index_sections_are_blocks(golden, monkeypatch):
+    rows = _recorded_sections(monkeypatch)
+    rep = numerical_index(golden.block_diag(golden), sizes=(18,), certify=False)
+    assert rep.value == 2
+    assert max(rows) == 722  # 19^2 * 2, half the undivided section
 
 
 def test_numerical_index_related_symbols(golden):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import golden_symbol, small_term
+from conftest import golden_symbol, random_canonical_2d, small_term
 from qtop.errors import (
     ChiralViolation,
     DimensionMismatch,
@@ -21,6 +21,7 @@ from qtop.symbols import (
     check_symmetry,
     chiral_projector,
     det_on_circle,
+    _reducing_subspaces,
     load_symbol,
     save_symbol,
     split_chiral,
@@ -49,6 +50,15 @@ def test_construction_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(InputError):
             LaurentSymbol(1, 1, [((0,), np.array([[bad]]))])
+
+
+def test_oversized_coefficient_norm_is_input_error():
+    """A norm whose band_dim-th power overflows is refused: det f would."""
+    with pytest.raises(InputError):
+        LaurentSymbol(1, 2, [((0,), np.diag([1e308 + 1e308j, 1.0]))])
+    with pytest.raises(InputError):
+        LaurentSymbol(1, 4, [((0,), 1e80 * np.eye(4))])  # norm 2e80; its 4th power overflows
+    assert np.isclose(LaurentSymbol(1, 4, [((0,), 1e60 * np.eye(4))]).coeff_norm(), 2e60)
 
 
 def test_eval_matches_eval_grid(rng):
@@ -219,3 +229,33 @@ def test_block_diag_eval(golden):
     assert np.allclose(val[:2, :2], golden.eval((z, w)))
     assert np.allclose(val[2:, 2:], golden.eval((z, w)).conj().T)
     assert np.allclose(val[:2, 2:], 0.0)
+
+
+def test_irreducible_symbols_are_one_block(rng, golden):
+    for sym in (golden, random_canonical_2d(rng), assemble_chiral(golden),
+                random_canonical_2d(rng, n=4)):
+        assert [w.shape[1] for w in _reducing_subspaces(sym)] == [sym.band_dim]
+
+
+def test_reducing_subspaces_split_a_hidden_sum(rng, golden):
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    sym = golden.block_diag(golden.adjoint()).block_diag(golden).conjugate_by(q)
+    bases = _reducing_subspaces(sym)
+    assert [w.shape[1] for w in bases] == [2, 2, 2]
+    basis = np.hstack(bases)
+    assert np.allclose(basis.conj().T @ basis, np.eye(6), atol=1e-12)
+    for a in sym.coeffs.values():
+        rotated = basis.conj().T @ a @ basis
+        for i, j in itertools.product(range(3), repeat=2):
+            if i != j:
+                assert np.linalg.norm(rotated[2 * i:2 * i + 2, 2 * j:2 * j + 2]) <= 1e-12
+
+
+def test_reducing_subspaces_form_no_gram_above_the_band_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Gram formed above the band cap")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    sym = LaurentSymbol(2, 17, [((1, 0), np.eye(17)), ((0, 1), np.diag(np.arange(17.0)))])
+    assert [w.shape[1] for w in _reducing_subspaces(sym)] == [17]
