@@ -21,8 +21,10 @@ Integral Operators): f = f_- (I + X) f_+ with X = f_-^{-1} E f_+^{-1}.
 Truncated series for f_+^{-1} (h itself) and f_-^{-1} bound both inverses in
 the Wiener norm (sum of coefficient 2-norms); when ||X||_W <= 1/2 each of
 T_{f_-}, T_{I+X}, T_{f_+} is invertible, hence so is T_f and every partial
-index is zero.  When the bound fails the slice falls back to the kernel
-scan below, which also gives the indices of a non-canonical slice.
+index is zero; the same norms bound cond(T_f).  When the bound fails the
+slice falls back to the kernel scan below, which also gives the indices of
+a non-canonical slice.  A factorization is judged by its relative defect
+sum_k ||E_k||_F / coeff_norm().
 
 Partial indices are recovered without factorizing, from kernel dimensions
 of the shifted operators T_{z^m f}:
@@ -72,6 +74,13 @@ COND_CAP = 1e12
 EXACT_COND_ROWS = 2048      # largest section whose condition is a full SVD
 SECTION_CAP = 1536          # largest kernel-scan section before giving up
 FIRST_TRUNCATION = 32       # block size of the first f_+^{-1} solve
+MAX_TRUNCATION = 4096       # cap of the doubling loop and of a given truncation
+DEFECT_TOL = 1e-10          # relative defect at which the doubling loop stops
+DET_SAMPLES = 1024          # circle grid of the determinant check
+DET_TOL = 1e-8              # min |det f| below which f is SingularOnTorus
+VERIFY_GRID = 512           # circle grid of verify_factorization
+SCAN_SECTION = 64           # Toeplitz section size of radial_scan
+SCAN_GRID = 1024            # Fourier grid of the radially scaled symbols
 
 
 def _as_one_var(symbol):
@@ -92,20 +101,22 @@ def _poly_values(coeff_stack, u):
     return out
 
 
-def certify_invertible(symbol, samples=1024, tol=1e-8):
-    """Check min |det f| on a dense circle grid; SingularOnTorus below tol."""
-    dets = det_on_circle(_as_one_var(symbol), samples)
+def certify_invertible(symbol):
+    """Check min |det f| on a DET_SAMPLES-point circle grid; SingularOnTorus
+    below DET_TOL."""
+    with np.errstate(invalid="ignore"):
+        dets = det_on_circle(_as_one_var(symbol), DET_SAMPLES)
     dmin = float(np.abs(dets).min())
-    if not dmin > tol:  # NaN fails this comparison too
+    if not dmin > DET_TOL:  # NaN fails this comparison too
         raise SingularOnTorus(
-            f"min |det f| = {dmin:.3e} on a {samples}-point grid (tol {tol:.1e})"
+            f"min |det f| = {dmin:.3e} on a {DET_SAMPLES}-point grid (tol {DET_TOL:.1e})"
         )
     return dets
 
 
-def winding_of_det(symbol, samples=1024, tol=1e-8):
+def winding_of_det(symbol):
     """Winding number of det f around the origin (certifies invertibility first)."""
-    return _det_winding(certify_invertible(symbol, samples=samples, tol=tol))
+    return _det_winding(certify_invertible(symbol))
 
 
 def _det_winding(dets):
@@ -123,18 +134,18 @@ def _det_winding(dets):
 
 def _kernel_count(*mats, rel_tol=KERNEL_RELTOL):
     """Kernel count of the section diag(mats), with the relative size of the
-    smallest retained singular value (the margin separating kernel from bulk)."""
+    smallest retained singular value (the margin separating kernel from bulk).
+    Columns minus retained values, so a wide block counts its unreachable columns."""
     sv = np.sort(np.concatenate([np.linalg.svd(m, compute_uv=False) for m in mats]))[::-1]
+    cols = sum(m.shape[1] for m in mats)
     if sv.size == 0 or sv[0] == 0.0:
-        return sum(m.shape[1] for m in mats), float("inf")
-    cut = rel_tol * sv[0]
-    count = int(np.count_nonzero(sv < cut))
-    above = sv[sv >= cut]
+        return cols, float("inf")
+    above = sv[sv >= rel_tol * sv[0]]
     margin = float(above[-1] / sv[0]) if above.size else float("inf")
-    return count, margin
+    return cols - above.size, margin
 
 
-def _stable_kernel_dim(symbol, start, cap=SECTION_CAP, rel_tol=KERNEL_RELTOL):
+def _stable_kernel_dim(symbol, start, rel_tol=KERNEL_RELTOL):
     """Tall-section kernel dimension, escalated until trustworthy.
 
     Agreement of two consecutive doublings is not enough: a slowly decaying
@@ -148,7 +159,7 @@ def _stable_kernel_dim(symbol, start, cap=SECTION_CAP, rel_tol=KERNEL_RELTOL):
     reach = max(0, symbol.exponent_range(0)[1])
     length = start
     prev = None
-    while length <= cap:
+    while length <= SECTION_CAP:
         count, margin = _kernel_count(
             symbol.section((length + reach,), (length,)), rel_tol=rel_tol
         )
@@ -157,11 +168,11 @@ def _stable_kernel_dim(symbol, start, cap=SECTION_CAP, rel_tol=KERNEL_RELTOL):
         prev = (count, margin)
         length *= 2
     raise Unstable(
-        f"kernel dimension did not stabilize below section length {cap}"
+        f"kernel dimension did not stabilize below section length {SECTION_CAP}"
     )
 
 
-def toeplitz_kernel_dim(symbol, start=None, cap=SECTION_CAP, rel_tol=KERNEL_RELTOL):
+def toeplitz_kernel_dim(symbol, start=None, rel_tol=KERNEL_RELTOL):
     """Stabilized dim ker of the half-line Toeplitz operator T_f."""
     symbol = _as_one_var(symbol)
     if not symbol.coeffs:
@@ -171,13 +182,13 @@ def toeplitz_kernel_dim(symbol, start=None, cap=SECTION_CAP, rel_tol=KERNEL_RELT
     length = start if start is not None else max(24, 4 * spread)
     if length < 1:
         raise InputError(f"section length must be >= 1, got {length}")
-    return _stable_kernel_dim(symbol, length, cap, rel_tol)
+    return _stable_kernel_dim(symbol, length, rel_tol)
 
 
 # -------------------------------------------------------- partial indices
 
 
-def partial_indices(symbol, window=None, det_samples=1024, det_tol=1e-8):
+def partial_indices(symbol):
     """Partial indices of the right factorization, descending with multiplicity.
 
     Scans m over [-M-1, M+1] with M = band_dim * exponent spread (indices of
@@ -187,14 +198,13 @@ def partial_indices(symbol, window=None, det_samples=1024, det_tol=1e-8):
     required; their absence raises WindowTooSmall.
     """
     symbol = _as_one_var(symbol)
-    dets = certify_invertible(symbol, samples=det_samples, tol=det_tol)
+    dets = certify_invertible(symbol)
     n = symbol.band_dim
     lo, hi = symbol.exponent_range(0)
     if lo == hi:
         # single monomial a z^lo with a invertible: indices are all lo
         return tuple([lo] * n)
-    if window is None:
-        window = n * (hi - lo)
+    window = n * (hi - lo)
     d = {}
     for m in range(-window - 1, window + 2):
         spread = max(hi - lo + abs(m), 1)
@@ -241,8 +251,7 @@ def _slice_indices(symbol):
     symbol = _as_one_var(symbol)
     dets = certify_invertible(symbol)
     try:
-        h_stack, _ = _solve_plus_inverse(symbol, FIRST_TRUNCATION, condition=False)
-        certified = _wiener_certificate(symbol, h_stack)
+        certified = _solve_section(symbol, FIRST_TRUNCATION)[2] is not None
     except np.linalg.LinAlgError:
         certified = False
     if certified or _certified_canonical(symbol, dets):
@@ -274,7 +283,10 @@ class FactorizationResult:
     ``plus_coeffs[k]`` that of z^k in the polynomial f_+, and
     ``plus_inv_coeffs[k]`` that of z^k in the solved series of f_+^{-1}.
     ``defect`` is sum_k ||E_k||_F over the coefficients of
-    E = f - f_- f_+, a bound on sup |f - f_- f_+| over the whole circle.
+    E = f - f_- f_+, a bound on sup |f - f_- f_+| over the whole circle;
+    ``residual`` is the relative defect, ``defect / symbol.coeff_norm()``.
+    ``condition`` is the certificate's bound on cond(T_f), or the 2-norm
+    condition of the solved section when the bound fails.
     """
 
     symbol: LaurentSymbol
@@ -303,62 +315,46 @@ class FactorizationResult:
         z = np.asarray(z, dtype=complex)
         return _poly_values(self.minus_coeffs, 1.0 / z)
 
-    def scaled_symbol_coeffs(self, t, grid=1024):
-        """Fourier coefficients of z -> f_-(z/t) f_+(t z) for 0 <= t <= 1.
+    def scaled_symbol_coeffs(self, t):
+        """Fourier coefficients of z -> f_-(z/t) f_+(t z) for 0 <= t <= 1,
+        on a SCAN_GRID-point circle.
 
         The series form kills the apparent 1/t: f_-(z/t) = sum_k c_k t^k z^{-k},
         so t = 0 degenerates smoothly to the constant f_+(0).
         """
-        zs = np.exp(2j * np.pi * np.arange(grid) / grid)
+        zs = np.exp(2j * np.pi * np.arange(SCAN_GRID) / SCAN_GRID)
         c_scaled = self.minus_coeffs * (t ** np.arange(len(self.minus_coeffs)))[:, None, None]
         b_scaled = self.plus_coeffs * (t ** np.arange(len(self.plus_coeffs)))[:, None, None]
         vals = _poly_values(c_scaled, np.conj(zs)) @ _poly_values(b_scaled, zs)
-        return np.fft.fft(vals, axis=0) / grid
+        return np.fft.fft(vals, axis=0) / SCAN_GRID
 
 
-def _solve_plus_inverse(symbol, m, condition=True):
-    """Solve the (m+1)-block Toeplitz system for the f_+^{-1} coefficients.
-
-    Returns the coefficient stack and the condition number of the section
-    (None with ``condition=False``): the exact 2-norm value up to
-    EXACT_COND_ROWS rows.  Beyond that budget three seeded unit probes x
-    ride along as extra right-hand sides, and max ||A^{-1} x|| * ||A||_F is
-    used; a lower bound is enough for the COND_CAP decision.
-    """
+def _solve_section(symbol, m):
+    """Solve the (m+1)-block section for the f_+^{-1} coefficients h; returns
+    h, its ``_factor_coeffs`` factors (c, b, defect) and the certificate's
+    bound on cond(T_f), None when it fails.  A singular section raises."""
     n = symbol.band_dim
-    rows = (m + 1) * n
+    rhs = np.zeros(((m + 1) * n, n), dtype=complex)
+    rhs[:n] = np.eye(n)
+    h_stack = np.linalg.solve(symbol.section((m + 1,), (m + 1,)), rhs).reshape(m + 1, n, n)
+    factors = _factor_coeffs(symbol, h_stack)
+    return h_stack, factors, _wiener_certificate(symbol, h_stack, factors)
+
+
+def _section_condition(symbol, m):
+    """2-norm condition of the (m+1)-block section, for a solve whose bound
+    failed: exact up to EXACT_COND_ROWS rows, beyond that max ||A^{-1} x|| *
+    ||A||_F over three seeded unit probes x (a lower bound is enough for the
+    COND_CAP decision)."""
     mat = symbol.section((m + 1,), (m + 1,))
-    rhs = np.zeros((rows, n), dtype=complex)
-    rhs[:n, :n] = np.eye(n)
-    if not condition:
-        return np.linalg.solve(mat, rhs).reshape(m + 1, n, n), None
+    rows = mat.shape[0]
     if rows <= EXACT_COND_ROWS:
-        sol = np.linalg.solve(mat, rhs)
-        cond = float(np.linalg.cond(mat))
-    else:
-        rng = np.random.default_rng(7)
-        probes = []
-        for _ in range(3):
-            x = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
-            probes.append(x / np.linalg.norm(x))
-        sol = np.linalg.solve(mat, np.column_stack([rhs, *probes]))
-        est = float(np.linalg.norm(sol[:, n:], axis=0).max())
-        cond = est * float(np.linalg.norm(mat))
-        sol = sol[:, :n]
-    return sol.reshape(m + 1, n, n), cond
-
-
-def _factor_residual(symbol, h_stack, c_stack, grid=512):
-    """sup |f_- (sum_k h_k z^k)^{-1} - f| on a circle grid of at least
-    ``grid`` points, and more when the product f h needs them."""
-    lo, hi = symbol.exponent_range(0)
-    span = (hi + len(h_stack) - 1) - lo + 1
-    size = max(grid, int(2 ** np.ceil(np.log2(max(span + 1, 2)))))
-    zs = np.exp(2j * np.pi * np.arange(size) / size)
-    fvals = symbol.eval_grid([zs])
-    minus_vals = _poly_values(c_stack, np.conj(zs))
-    resid_vals = minus_vals @ np.linalg.inv(_poly_values(h_stack, zs)) - fvals
-    return float(np.linalg.norm(resid_vals, axis=(-2, -1)).max())
+        return float(np.linalg.cond(mat))
+    rng = np.random.default_rng(7)
+    probes = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+    probes /= np.linalg.norm(probes, axis=0)
+    est = float(np.linalg.norm(np.linalg.solve(mat, probes), axis=0).max())
+    return est * float(np.linalg.norm(mat))
 
 
 def _poly_mul(p, q):
@@ -404,28 +400,31 @@ def _factor_coeffs(symbol, h_stack):
     return c, b, defect
 
 
-def _wiener_certificate(symbol, h_stack):
-    """Prove f canonical from the f_+^{-1} coefficients of one section solve.
+def _wiener_certificate(symbol, h_stack, factors):
+    """Prove f canonical from the f_+^{-1} coefficients of one section solve
+    and bound cond(T_f).
 
-    With f_-, f_+ and E = f - f_- f_+ from ``_factor_coeffs``, g the
-    degree-m series of f_-^{-1}, r_+ = ||I - f_+ h||_W and
+    With f_-, f_+ and E = f - f_- f_+ the ``factors`` of ``_factor_coeffs``,
+    g the degree-m series of f_-^{-1}, r_+ = ||I - f_+ h||_W and
     r_- = ||I - f_- g||_W, the inverses satisfy
     ||f_+^{-1}||_W <= M_+ = ||h||_W / (1 - r_+) and likewise M_- from g.
-    f = f_- (I + X) f_+ with ||X||_W <= M_- ||E||_W M_+, so
-    T_f = T_{f_-} T_{I+X} T_{f_+} is invertible once that is below 1; the
-    test asks for 1/2 so that roundoff in the norms cannot decide it.
-    Returns False (not certified, never an error) for a monomial, for
-    h shorter than the negative reach of f, and on any non-finite value:
+    f = f_- (I + X) f_+ with ||X||_W <= q = M_- ||E||_W M_+, so
+    T_f = T_{f_-} T_{I+X} T_{f_+} is invertible once q < 1; the test asks
+    for 1/2 so that roundoff in the norms cannot decide it.  The same
+    factorization gives cond(T_f) <= ||f||_W M_- M_+ / (1 - q), which is
+    returned.  Returns None (not certified, never an error) for a monomial,
+    for h shorter than the negative reach of f, and on any non-finite value:
     the series g of a non-canonical slice may overflow.
     """
     lo, hi = symbol.exponent_range(0)
     m = len(h_stack) - 1
     k_minus = max(0, -lo)
     if lo == hi or k_minus > m:
-        return False
+        return None
     n = symbol.band_dim
     eye = np.eye(n)
-    c, b, defect = _factor_coeffs(symbol, h_stack)
+    c, b, defect = factors
+    f_stack = np.array([symbol.coeff((k,)) for k in range(lo, hi + 1)], dtype=complex)
     with np.errstate(all="ignore"):
         g = np.zeros((m + 1, n, n), dtype=complex)
         g[0] = eye
@@ -436,50 +435,45 @@ def _wiener_certificate(symbol, h_stack):
         rest_minus = -_poly_mul(c, g)
         rest_minus[0] += eye
         # Wiener norms sum_k ||P_k||_2: they bound sup |P| on the circle and
-        # are submultiplicative; one batched SVD serves all five
-        stacks = (defect, g, rest_plus, rest_minus, h_stack)
+        # are submultiplicative; one batched SVD serves all six
+        stacks = (defect, g, rest_plus, rest_minus, h_stack, f_stack)
         block = np.concatenate(stacks)
         if not np.isfinite(block).all():
-            return False
+            return None
         try:
             tops = np.linalg.svd(block, compute_uv=False)[:, 0]
         except np.linalg.LinAlgError:
-            return False
+            return None
         ends = np.cumsum([len(x) for x in stacks])[:-1]
-        e, g_norm, r_plus, r_minus, h_norm = (float(t.sum()) for t in np.split(tops, ends))
+        e, g_norm, r_plus, r_minus, h_norm, f_norm = (float(t.sum()) for t in np.split(tops, ends))
         if not (r_plus < 1.0 and r_minus < 1.0):
-            return False
-        bound = g_norm / (1.0 - r_minus) * e * h_norm / (1.0 - r_plus)
-    return bool(bound <= 0.5)
+            return None
+        m_minus = g_norm / (1.0 - r_minus)
+        q = m_minus * e * h_norm / (1.0 - r_plus)
+    return f_norm * m_minus * h_norm / (1.0 - r_plus) / (1.0 - q) if q <= 0.5 else None
 
 
-def canonical_factorize(
-    symbol,
-    truncation=None,
-    tol=1e-10,
-    max_truncation=4096,
-    det_samples=1024,
-    det_tol=1e-8,
-):
+def canonical_factorize(symbol, truncation=None):
     """Compute the canonical factorization of a one-variable symbol.
 
     Raises SingularOnTorus / NotCanonical when f is not invertible on the
-    circle or has nonzero partial indices; NonConvergent when the residual
-    stays above ``tol`` at the truncation cap; IllConditioned when the
-    Toeplitz section crosses the condition bound; InputError for a
-    ``truncation`` outside 0..max_truncation.
+    circle or has nonzero partial indices; NonConvergent when the relative
+    defect stays above DEFECT_TOL at MAX_TRUNCATION; IllConditioned when
+    the condition (see FactorizationResult) crosses COND_CAP; InputError
+    for a ``truncation`` outside 0..MAX_TRUNCATION.
 
-    The first section solve doubles as the canonicity certificate
-    (``_wiener_certificate``).  Only when that bound fails does the
-    kernel-scan certificate run, and a slice it rejects raises NotCanonical
-    with its partial indices before any IllConditioned or NonConvergent.
+    Without ``truncation`` the solve starts at FIRST_TRUNCATION blocks and
+    doubles until the relative defect is at most DEFECT_TOL.  Only when the
+    first certificate bound fails does the kernel-scan certificate run, and
+    a slice it rejects raises NotCanonical with its partial indices before
+    any IllConditioned or NonConvergent.
     """
-    if truncation is not None and not 0 <= truncation <= max_truncation:
+    if truncation is not None and not 0 <= truncation <= MAX_TRUNCATION:
         raise InputError(
-            f"truncation must be in 0..{max_truncation}, got {truncation}"
+            f"truncation must be in 0..{MAX_TRUNCATION}, got {truncation}"
         )
     symbol = _as_one_var(symbol)
-    dets = certify_invertible(symbol, samples=det_samples, tol=det_tol)
+    dets = certify_invertible(symbol)
     n = symbol.band_dim
     lo, hi = symbol.exponent_range(0)
     if lo == hi == 0:
@@ -498,46 +492,44 @@ def canonical_factorize(
 
     m = truncation if truncation is not None else FIRST_TRUNCATION
     try:
-        solved = _solve_plus_inverse(symbol, m)
+        solved = _solve_section(symbol, m)
     except np.linalg.LinAlgError:
         solved = None
-    if solved is None or not _wiener_certificate(symbol, solved[0]):
+    if solved is None or solved[2] is None:
         if not _certified_canonical(symbol, dets):
-            raise NotCanonical(partial_indices(symbol, det_samples=det_samples, det_tol=det_tol))
+            raise NotCanonical(partial_indices(symbol))
         if solved is None:
-            solved = _solve_plus_inverse(symbol, m)  # a singular section raises, as before
-    best = None
+            solved = _solve_section(symbol, m)  # a singular section raises, as before
+    scale = symbol.coeff_norm()
     while True:
-        h_stack, cond = solved
+        h_stack, (c_stack, b_stack, defect), cond = solved
+        if cond is None:
+            cond = _section_condition(symbol, m)
         if cond > COND_CAP:
             raise IllConditioned(
-                f"Toeplitz section condition {cond:.3e} exceeds {COND_CAP:.1e}"
+                f"Toeplitz condition {cond:.3e} exceeds {COND_CAP:.1e}"
             )
-        c_stack, b_stack, defect = _factor_coeffs(symbol, h_stack)
-        residual = _factor_residual(symbol, h_stack, c_stack)
-        if best is None or residual < best.residual:
-            best = FactorizationResult(
-                symbol=symbol,
-                partial_indices=tuple([0] * n),
-                minus_coeffs=c_stack,
-                plus_coeffs=b_stack,
-                plus_inv_coeffs=h_stack,
-                truncation=m,
-                residual=residual,
-                condition=cond,
-                defect=float(np.linalg.norm(defect, axis=(-2, -1)).sum()),
+        defect = float(np.linalg.norm(defect, axis=(-2, -1)).sum())
+        if defect <= DEFECT_TOL * scale or truncation is not None:
+            break
+        if 2 * m > MAX_TRUNCATION:
+            raise NonConvergent(
+                f"relative defect {defect / scale:.3e} above {DEFECT_TOL:.1e} "
+                f"at truncation cap {m}"
             )
-        if residual <= tol:
-            break
-        if truncation is not None or 2 * m > max_truncation:
-            if truncation is None:
-                raise NonConvergent(
-                    f"residual {residual:.3e} above {tol:.1e} at truncation cap {m}"
-                )
-            break
         m *= 2
-        solved = _solve_plus_inverse(symbol, m)
-    return best
+        solved = _solve_section(symbol, m)
+    return FactorizationResult(
+        symbol=symbol,
+        partial_indices=tuple([0] * n),
+        minus_coeffs=c_stack,
+        plus_coeffs=b_stack,
+        plus_inv_coeffs=h_stack,
+        truncation=m,
+        residual=defect / scale,
+        condition=cond,
+        defect=defect,
+    )
 
 
 # ------------------------------------------------------------ verification
@@ -549,20 +541,19 @@ class VerificationReport:
     tail_ratio: float
     grid: int
 
-    def ok(self, tol=1e-8, tail_tol=1e-6):
-        return self.residual <= tol and self.tail_ratio <= tail_tol
 
-
-def verify_factorization(fact, grid=512):
-    """Independent residual + tail-decay check of a FactorizationResult."""
-    zs = np.exp(2j * np.pi * np.arange(grid) / grid)
+def verify_factorization(fact):
+    """Independent residual + tail-decay check of a FactorizationResult:
+    sup |f_- f_+ - f| on a VERIFY_GRID-point circle grid, and the size of
+    the last solved f_+^{-1} coefficient relative to the first."""
+    zs = np.exp(2j * np.pi * np.arange(VERIFY_GRID) / VERIFY_GRID)
     fvals = fact.symbol.eval_grid([zs])
     recon = fact.minus_values(zs) @ fact.plus_values(zs)
     residual = float(np.linalg.norm(recon - fvals, axis=(-2, -1)).max())
     h = fact.plus_inv_coeffs
     head = float(np.linalg.norm(h[0]))
     tail = float(np.linalg.norm(h[-1])) / max(head, 1e-300) if len(h) > 1 else 0.0
-    return VerificationReport(residual=residual, tail_ratio=tail, grid=grid)
+    return VerificationReport(residual=residual, tail_ratio=tail, grid=VERIFY_GRID)
 
 
 # ------------------------------------------------------------- radial scan
@@ -579,8 +570,9 @@ class RadialScanResult:
         return min(self.sigma_min)
 
 
-def radial_scan(fact, radii=None, section=64, grid=1024):
-    """sigma_min of the Toeplitz sections with symbol f_-(z/t) f_+(tz).
+def radial_scan(fact, radii=None):
+    """sigma_min of the SCAN_SECTION-size Toeplitz sections with symbol
+    f_-(z/t) f_+(tz).
 
     These interpolate between T_f at t = 1 and the invertible constant
     f_+(0) at t = 0; uniformly positive values certify the whole family.
@@ -592,14 +584,14 @@ def radial_scan(fact, radii=None, section=64, grid=1024):
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise InputError(f"radius {t} outside [0, 1]")
-        fourier = fact.scaled_symbol_coeffs(t, grid=grid)
+        fourier = fact.scaled_symbol_coeffs(t)
         scaled = LaurentSymbol(1, fact.band_dim, [
-            ((k,), fourier[k % grid]) for k in range(1 - section, section)
+            ((k,), fourier[k % SCAN_GRID]) for k in range(1 - SCAN_SECTION, SCAN_SECTION)
         ])
-        sv = np.linalg.svd(scaled.section((section,), (section,)), compute_uv=False)
+        sv = np.linalg.svd(scaled.section((SCAN_SECTION,), (SCAN_SECTION,)), compute_uv=False)
         sigmas.append(float(sv[-1]))
     return RadialScanResult(
         radii=tuple(float(t) for t in radii),
         sigma_min=tuple(sigmas),
-        section=section,
+        section=SCAN_SECTION,
     )

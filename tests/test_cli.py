@@ -113,6 +113,12 @@ def test_factorize_golden_slice(capsys, golden_file, tmp_path):
     assert rep["residual"] <= 1e-8
     assert rep["verification_residual"] <= 1e-8
     assert json.loads("\n".join(out.read_text().splitlines()[1:])) == rep
+    # the smallest truncation is judged by the factors it returns
+    code, rep = run(capsys, [
+        "factorize", golden_file, "--var", "0", "--param", "1=1j", "--trunc", "0",
+    ])
+    assert code == 0 and rep["truncation"] == 0
+    assert rep["residual"] <= 1e-12 and rep["verification_residual"] <= 1e-12
 
 
 def test_out_duplicates_error_reports(capsys, golden_file, tmp_path):

@@ -71,6 +71,8 @@ def test_assembly_validation(golden):
 def test_kernel_dim_of_finite_shift():
     assert kernel_dim(assemble(scalar_1d([(1, 1.0)]), Segment(8))) == 1
     assert kernel_dim(assemble(scalar_1d([(0, 1.0)]), Segment(8))) == 0
+    assert kernel_dim(np.ones((1, 3))) == 2
+    assert kernel_dim(np.zeros((2, 3))) == 3
 
 
 def test_numerical_index_golden(golden):

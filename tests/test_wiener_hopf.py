@@ -18,8 +18,10 @@ from qtop.wiener_hopf import (
     COND_CAP,
     EXACT_COND_ROWS,
     FIRST_TRUNCATION,
+    _factor_coeffs,
+    _section_condition,
     _slice_indices,
-    _solve_plus_inverse,
+    _solve_section,
     _wiener_certificate,
     canonical_factorize,
     certify_invertible,
@@ -61,9 +63,10 @@ def test_large_section_condition_estimate():
     sl = golden_symbol().slice(0, (np.exp(1.1j),)).symbol
     m = 1100
     assert (m + 1) * sl.band_dim > EXACT_COND_ROWS
-    h_big, cond_big = _solve_plus_inverse(sl, m)
-    h_small, _ = _solve_plus_inverse(sl, 32)
+    h_big = _solve_section(sl, m)[0]
+    h_small = _solve_section(sl, 32)[0]
     np.testing.assert_allclose(h_big[:33], h_small, rtol=0, atol=1e-12)
+    cond_big = _section_condition(sl, m)
     assert np.isfinite(cond_big) and cond_big < COND_CAP
 
 
@@ -177,10 +180,9 @@ def test_radial_scan_bounded_below_for_golden_slice():
 
 def _bound_holds(symbol):
     try:
-        h_stack, _ = _solve_plus_inverse(symbol, FIRST_TRUNCATION, condition=False)
+        return _solve_section(symbol, FIRST_TRUNCATION)[2] is not None
     except np.linalg.LinAlgError:
         return False
-    return _wiener_certificate(symbol, h_stack)
 
 
 def _diag_monomial(ks):
@@ -210,6 +212,10 @@ def test_wiener_certificate_on_canonical_and_twisted_products():
         assert _slice_indices(twisted) == tuple(sorted(ks, reverse=True))
 
 
+def _certificate(symbol, h_stack):
+    return _wiener_certificate(symbol, h_stack, _factor_coeffs(symbol, h_stack))
+
+
 def test_wiener_certificate_rejects_quietly():
     obstruction = _diag_monomial((1, -1))
     shift = LaurentSymbol(1, 2, [((1,), np.eye(2))])
@@ -220,23 +226,50 @@ def test_wiener_certificate_rejects_quietly():
         for sym in (obstruction, shift):
             assert not _bound_holds(sym)
             for h_stack in (h_any, 1e200 * h_any, np.full_like(h_any, np.nan)):
-                assert _wiener_certificate(sym, h_stack) is False
-        assert _wiener_certificate(golden_symbol().slice(0, (1.0,)).symbol,
-                                   h_any[:1]) is False  # h shorter than the 1/z reach
+                assert _certificate(sym, h_stack) is None
+        assert _certificate(golden_symbol().slice(0, (1.0,)).symbol,
+                            h_any[:1]) is None  # h shorter than the 1/z reach
 
 
-def test_certified_paths_run_no_kernel_scan(monkeypatch):
+def _count_calls(monkeypatch, module, name):
     calls = []
-    real = qtop.wiener_hopf.toeplitz_kernel_dim
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(qtop.wiener_hopf, "toeplitz_kernel_dim", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_certified_paths_run_no_kernel_scan(monkeypatch):
+    calls = _count_calls(monkeypatch, qtop.wiener_hopf, "toeplitz_kernel_dim")
+    factor_calls = _count_calls(monkeypatch, qtop.wiener_hopf, "_factor_coeffs")
     golden = golden_symbol()
-    for var in (0, 1):
-        for j in range(16):
-            canonical_factorize(golden.slice(var, (np.exp(2j * np.pi * j / 16),)))
+    slices = [golden.slice(var, (np.exp(2j * np.pi * j / 16),))
+              for var in (0, 1) for j in range(16)]
+    dense = [_count_calls(monkeypatch, np.linalg, name) for name in ("cond", "inv")]
+    for sl in slices:
+        canonical_factorize(sl)
+    # the certified path judges each slice by one solve: no condition SVD,
+    # no per-point inverse, one coefficient-level factor recovery
+    assert dense == [[], []]
+    assert len(factor_calls) == len(slices)
     spectral_flow(sin_mass_family(assemble_chiral(golden)), t_samples=4, side=4)
     assert calls == []
+
+
+def test_kernel_scan_fallback_factorizes_slow_decay(monkeypatch):
+    # (1 - 0.99/z)(1 - 0.99 z): the bound fails on the first solve, the
+    # kernel scan proves the slice canonical, and the loop doubles the
+    # truncation until the relative defect passes
+    calls = _count_calls(monkeypatch, qtop.wiener_hopf, "toeplitz_kernel_dim")
+    fact = canonical_factorize(scalar([(0, 1 + 0.99**2), (1, -0.99), (-1, -0.99)]))
+    assert calls
+    assert fact.partial_indices == (0,)
+    assert fact.residual <= 1e-10
+    assert verify_factorization(fact).residual <= 1e-8
+    assert np.isfinite(fact.condition) and fact.condition < COND_CAP
+    for value in (fact.truncation, fact.residual, fact.condition):
+        assert isinstance(value, (int, float)) and np.isfinite(value)
