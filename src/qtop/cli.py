@@ -120,11 +120,12 @@ def _parse_chart_point(text):
     )
 
 
-def _thread_count(args):
+def _check_threads(args):
+    """Validate --threads and QTOP_THREADS; neither has an effect."""
     if args.threads is not None:
         if args.threads < 1:
             raise InputError("--threads must be >= 1")
-        return args.threads
+        return
     env = os.environ.get("QTOP_THREADS", "").strip()
     if env:
         try:
@@ -133,8 +134,6 @@ def _thread_count(args):
             raise InputError(f"QTOP_THREADS={env!r} is not an integer") from None
         if n < 1:
             raise InputError("QTOP_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
 
 
 def _json_default(obj):
@@ -167,12 +166,12 @@ def _matrix_json(mat):
     return [[_matrix_entry(v) for v in row] for row in np.asarray(mat)]
 
 
-def _matrix_display(mat, digits=6):
+def _matrix_display(mat):
     rows = []
     for row in np.asarray(mat):
         cells = []
         for v in row:
-            re, im = round(float(v.real), digits), round(float(v.imag), digits)
+            re, im = round(float(v.real), 6), round(float(v.imag), 6)
             re = 0.0 if re == 0 else re  # normalize -0.0
             im = 0.0 if im == 0 else im
             if im == 0:
@@ -229,11 +228,8 @@ def _cmd_index(args):
     if args.mode in ("w3", "both"):
         if symbol.num_vars != 2:
             raise InputError("W3 needs a two-variable symbol")
-        ext = build_extended(
-            symbol,
-            samples_per_circle=args.samples,
-            threads=_thread_count(args),
-        )
+        _check_threads(args)
+        ext = build_extended(symbol, samples_per_circle=args.samples)
         w3_res = w3(ext, grid=grid)
         report["w3"] = w3_res.to_dict()
     if args.mode == "both":
@@ -282,9 +278,8 @@ def _cmd_corner(args):
         report["csv"] = args.csv
     if label == "AIII":
         h = split_chiral(symbol)
-        ext = build_extended(
-            h, samples_per_circle=args.samples, threads=_thread_count(args)
-        )
+        _check_threads(args)
+        ext = build_extended(h, samples_per_circle=args.samples)
         w3_res = w3(ext, grid=_parse_int_tuple(args.grid, expect=3, name="--grid"))
         report["w3_of_h"] = w3_res.to_dict()
         report["agreement"] = bool(w3_res.rounded == result.signed_count)
@@ -336,12 +331,8 @@ def _cmd_extend(args):
     if args.eval is not None:
         point = _parse_chart_point(args.eval)
         family_var = args.tvar if symbol.num_vars == 3 else None
-        ext = ExtendedSymbol(
-            symbol,
-            family_var=family_var,
-            samples_per_circle=args.samples,
-            threads=_thread_count(args),
-        )
+        _check_threads(args)
+        ext = ExtendedSymbol(symbol, family_var=family_var, samples_per_circle=args.samples)
         value = ext.value(point)
         return {
             "command": "extend",
@@ -364,9 +355,8 @@ def _cmd_extend(args):
     if min(nt, nr, np_) < 2:
         raise InputError("--dump grid needs at least 2 points per axis")
     check_grid_size((nt, nr, np_), symbol.band_dim)
-    ext = build_extended(
-        symbol, samples_per_circle=args.samples, threads=_thread_count(args)
-    )
+    _check_threads(args)
+    ext = build_extended(symbol, samples_per_circle=args.samples)
     thetas = 2.0 * np.pi * np.arange(nt) / nt
     rhos = np.linspace(0.0, 1.0, nr)
     phis = 2.0 * np.pi * np.arange(np_) / np_
@@ -424,7 +414,7 @@ def _add_common(sub):
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: QTOP_THREADS or all cores)",
+        help="accepted and validated with QTOP_THREADS, no effect",
     )
 
 

@@ -55,12 +55,9 @@ class NotCanonical(Obstruction):
     Carries the offending indices so callers can report them.
     """
 
-    def __init__(self, indices, detail=""):
+    def __init__(self, indices):
         self.indices = tuple(int(k) for k in indices)
-        msg = f"partial indices {list(self.indices)} are not all zero"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"partial indices {list(self.indices)} are not all zero")
 
 
 class NotFredholm(Obstruction):

@@ -28,7 +28,6 @@ raises NotFredholm with the offending location.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +110,7 @@ class ExtendedSymbol:
     demand (results are cached); nothing is interpolated.
     """
 
-    def __init__(self, base, family_var=None, samples_per_circle=16, threads=1):
+    def __init__(self, base, family_var=None, samples_per_circle=16):
         expected = 2 if family_var is None else 3
         if base.num_vars != expected:
             raise DimensionMismatch(
@@ -126,7 +125,6 @@ class ExtendedSymbol:
         self.base = base
         self.family_var = family_var
         self.samples_per_circle = int(samples_per_circle)
-        self.threads = max(1, int(threads))
         spatial = [v for v in range(base.num_vars) if v != family_var]
         self._var_torus = {"TD": spatial[0], "DT": spatial[1]}
         self._var_disk = {"TD": spatial[1], "DT": spatial[0]}
@@ -185,7 +183,7 @@ class ExtendedSymbol:
     def _disk_angle(self, point):
         return point.phi if point.chart == "TD" else point.theta
 
-    def chart_grid(self, chart, thetas, rhos, phis, t=None):
+    def chart_grid(self, chart, thetas, rhos, phis):
         """f^E on a tensor grid of one chart; shape (n_theta, n_rho, n_phi, N, N).
 
         One factorization per torus angle; the disk subgrid is evaluated
@@ -199,23 +197,14 @@ class ExtendedSymbol:
         n = self.band_dim
         out = np.empty((thetas.size, rhos.size, phis.size, n, n), dtype=complex)
         torus_angles = thetas if chart == "TD" else phis
-        disk_angles = phis if chart == "TD" else thetas
-
-        def fill(i, angle):
-            fact = self.factor_at(chart, angle, t)
-            u = rhos[:, None] * np.exp(1j * disk_angles[None, :])
+        u = rhos[:, None] * np.exp(1j * (phis if chart == "TD" else thetas))
+        for i, angle in enumerate(torus_angles):
+            fact = self.factor_at(chart, angle)
             vals = fact.minus_conj_values(np.conj(u)) @ fact.plus_values(u)
             if chart == "TD":
                 out[i] = vals  # axes (rho, phi)
             else:
                 out[:, :, i] = np.swapaxes(vals, 0, 1)  # axes (rho, theta) -> (theta, rho)
-
-        if self.threads > 1 and torus_angles.size > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                list(pool.map(lambda ia: fill(*ia), enumerate(torus_angles)))
-        else:
-            for i, angle in enumerate(torus_angles):
-                fill(i, angle)
         return out
 
 
@@ -234,11 +223,7 @@ def _prebuild(ext, t_values):
         (chart, 2.0 * np.pi * j / samples, t)
         for chart in CHARTS for j in range(samples) for t in t_values
     ]
-    if ext.threads > 1:
-        with ThreadPoolExecutor(max_workers=ext.threads) as pool:
-            facts = list(pool.map(lambda job: ext.factor_at(*job), jobs))
-    else:
-        facts = [ext.factor_at(*job) for job in jobs]
+    facts = [ext.factor_at(*job) for job in jobs]
     scale = max(ext.base.coeff_norm(), 1e-300)
     for t in t_values:
         seam = max(f.defect for job, f in zip(jobs, facts) if job[2] == t) / scale
@@ -250,22 +235,17 @@ def _prebuild(ext, t_values):
             )
 
 
-def build_extended(symbol, samples_per_circle=16, threads=1):
+def build_extended(symbol, samples_per_circle=16):
     """Build f^E for a two-variable symbol from ``samples_per_circle``
     factorized slices per variable; Unstable when the seam bound exceeds
     SEAM_TOL."""
-    ext = ExtendedSymbol(
-        symbol,
-        samples_per_circle=samples_per_circle,
-        threads=threads,
-    )
+    ext = ExtendedSymbol(symbol, samples_per_circle=samples_per_circle)
     _prebuild(ext, [None])
     return ext
 
 
-def build_extended_family(symbol, family_var=2, t_samples=8, samples_per_circle=8,
-                          threads=1):
-    """Build the family version over a designated circle variable.
+def build_extended_family(symbol, t_samples=8, samples_per_circle=8):
+    """Build the family version with variable 2 as the family circle.
 
     Certifies every sampled (t, slice) pair in both charts; the first
     non-canonical slice aborts with NotFredholm carrying (angle, t).
@@ -274,12 +254,7 @@ def build_extended_family(symbol, family_var=2, t_samples=8, samples_per_circle=
         raise DimensionMismatch("family construction expects a three-variable symbol")
     if t_samples < 1:
         raise InputError(f"t_samples must be >= 1, got {t_samples}")
-    ext = ExtendedSymbol(
-        symbol,
-        family_var=family_var,
-        samples_per_circle=samples_per_circle,
-        threads=threads,
-    )
+    ext = ExtendedSymbol(symbol, family_var=2, samples_per_circle=samples_per_circle)
     _prebuild(ext, [2.0 * np.pi * l / t_samples for l in range(t_samples)])
     return ext
 
@@ -305,7 +280,7 @@ class ClosedFormExtension:
         z, w = point.coordinates()
         return self.fn(np.asarray(z), np.asarray(w))
 
-    def chart_grid(self, chart, thetas, rhos, phis, t=None):
+    def chart_grid(self, chart, thetas, rhos, phis):
         thetas = np.asarray(thetas, dtype=float)
         rhos = np.asarray(rhos, dtype=float)
         phis = np.asarray(phis, dtype=float)
@@ -352,14 +327,14 @@ def bott_generator(reversed_orientation=False):
 # ------------------------------------------------------- symmetry probes
 
 
-def check_hermitian(ext, grid=(16, 9, 16), t=None):
+def check_hermitian(ext, grid=(16, 9, 16)):
     """Max relative deviation of f^E from pointwise hermiticity, both charts."""
     thetas = 2.0 * np.pi * np.arange(grid[0]) / grid[0]
     rhos = np.linspace(0.0, 1.0, grid[1])
     phis = 2.0 * np.pi * np.arange(grid[2]) / grid[2]
     worst = 0.0
     for chart in CHARTS:
-        vals = ext.chart_grid(chart, thetas, rhos, phis, t=t)
+        vals = ext.chart_grid(chart, thetas, rhos, phis)
         scale = max(float(np.abs(vals).max()), 1e-300)
         diff = vals - np.conj(np.swapaxes(vals, -1, -2))
         worst = max(worst, float(np.linalg.norm(diff, axis=(-2, -1)).max()) / scale)
@@ -390,7 +365,7 @@ def _involution_target(vals, degree, band_dim):
     raise InputError(f"no involution for degree {degree}")
 
 
-def check_equivariance(ext, spec, grid=(16, 9, 16), t=None):
+def check_equivariance(ext, spec, grid=(16, 9, 16)):
     """Max relative violation of f^E(conj z, conj w) = Theta_i(f^E(z, w)).
 
     ``spec`` is an AZClassSpec or label of a real class; Theta_i is the
@@ -409,7 +384,7 @@ def check_equivariance(ext, spec, grid=(16, 9, 16), t=None):
     phis = 2.0 * np.pi * np.arange(grid[2]) / grid[2]
     worst = 0.0
     for chart in CHARTS:
-        vals = ext.chart_grid(chart, thetas, rhos, phis, t=t)
+        vals = ext.chart_grid(chart, thetas, rhos, phis)
         scale = max(float(np.abs(vals).max()), 1e-300)
         flipped = vals[::-1, :, ::-1]
         flipped = np.roll(np.roll(flipped, 1, axis=0), 1, axis=2)

@@ -15,17 +15,22 @@ global sign s is fixed once by requiring the degree-one reference map
 [[z, -conj w], [w, conj z]] to evaluate to +1 on a (16, 9, 16) grid, and
 is cached.
 
-Derivatives are spectral (FFT) in the two angles and fourth-order finite
-differences in the radius, with one-sided closures at rho = 0 and 1.
-The angular sums are rectangle rules (exact for trigonometric
-polynomials); the radial integral is composite Simpson.
+Derivatives are spectral (FFT) in the two angles, and the angular sums
+are rectangle rules (exact for trigonometric polynomials).  In the radius
+the chart values are taken at Gauss-Legendre nodes, differentiated by the
+matrix of the interpolant through them and integrated with the Gauss
+weights.  On each chart f^E = C(conj u) B(u) is a polynomial in rho of
+degree max(0, -lo) + max(0, hi) of the disk variable, so more nodes than
+that differentiate it exactly and the radial integral converges
+spectrally.
 
 W3 is integrated coarse to fine on the exact halvings of the requested
 grid, (a, r, b) -> (a/2, (r+1)/2, b/2) down to 8 angles and 5 radii while
-each angle count exceeds twice the top exponent of its variable, and
-stops at the first two successive grids whose values agree within
-AGREEMENT_TOL and round to the same integer; their difference is the
-reported error estimate.  The requested grid is the finest one used.
+each angle count exceeds twice the top exponent of its variable and the
+radius count exceeds each rho-degree, and stops at the first two
+successive grids whose values agree within AGREEMENT_TOL and round to the
+same integer; their difference is the reported error estimate.  The
+requested grid is the finest one used.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .errors import CalibrationFailed, InputError, UndersampledLoop, Unstable
 from .extension import (
@@ -56,6 +62,8 @@ __all__ = [
 
 DEFAULT_GRID = (64, 33, 64)
 AGREEMENT_TOL = 1e-6  # two successive chain grids agreeing this closely end W3
+MAX_RADII = 129  # largest radial rule; its differentiation error grows like n^3 eps
+REPORT_SYMMETRY_TOL = 1e-8  # class relation tolerance of gapped_invariant_report
 
 
 def winding_number(samples):
@@ -98,82 +106,43 @@ def _spectral_derivative(vals, axis):
     return np.fft.ifft(np.fft.fft(vals, axis=axis) * mult, axis=axis)
 
 
-_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-_INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+def _radial_rule(n):
+    """Gauss-Legendre nodes and weights on [0, 1], and the matrix that
+    differentiates the interpolant through the nodes (exact for
+    polynomials of degree below n).
 
-
-def _radial_derivative(vals, rhos, axis=1):
-    """Fourth-order d/drho on a uniform grid, one-sided at both ends."""
-    n = vals.shape[axis]
-    if n < 5:
-        raise InputError("radial grid needs at least 5 points")
-    h = float(rhos[1] - rhos[0])
-    if not np.allclose(np.diff(rhos), h):
-        raise InputError("radial grid must be uniform")
-    moved = np.moveaxis(vals, axis, 0)
-    out = np.empty_like(moved)
-    for j in range(2, n - 2):
-        out[j] = (
-            moved[j - 2] * _INTERIOR[0]
-            + moved[j - 1] * _INTERIOR[1]
-            + moved[j + 1] * _INTERIOR[3]
-            + moved[j + 2] * _INTERIOR[4]
-        )
-    head = moved[:5]
-    out[0] = np.tensordot(_EDGE0, head, axes=(0, 0))
-    out[1] = np.tensordot(_EDGE1, head, axes=(0, 0))
-    tail = moved[n - 5:]
-    out[n - 2] = -np.tensordot(_EDGE1[::-1], tail, axes=(0, 0))
-    out[n - 1] = -np.tensordot(_EDGE0[::-1], tail, axes=(0, 0))
-    out /= h
-    return np.moveaxis(out, 0, axis)
-
-
-def _simpson_weights(rhos):
-    """Composite Simpson weights on a uniform grid.
-
-    An odd point count gets the classic 1-4-2-...-4-1 rule.  An even count
-    gets it on all but the last interval, which takes the exact quadratic
-    through the last three points (Cartwright's correction).
+    With V the Legendre-Vandermonde matrix at the nodes and W the weights,
+    V^T W V = diag(2 / (2j + 1)), so V^{-1} = diag(j + 1/2) V^T W.
     """
-    n = len(rhos)
-    h = float(rhos[1] - rhos[0])
-    odd = n if n % 2 else n - 1
-    weights = np.zeros(n)
-    weights[1:odd:2] = 4.0
-    weights[2:odd - 1:2] = 2.0
-    weights[[0, odd - 1]] = 1.0
-    weights *= h / 3.0
-    if n % 2 == 0:
-        weights[-3:] += np.array([-1.0, 8.0, 5.0]) * (h / 12.0)
-    return weights
+    x, w = legendre.leggauss(n)
+    vander = legendre.legvander(x, n - 1)
+    slopes = legendre.legval(x, legendre.legder(np.eye(n))).T  # P_j'(x_i)
+    inverse = (np.arange(n) + 0.5)[:, None] * vander.T * w
+    return (x + 1.0) / 2.0, w / 2.0, 2.0 * slopes @ inverse
 
 
-def _chart_integral(grid_vals, rhos):
+def _chart_integral(grid_vals, weights, diff):
     """Integral of tr((g^{-1}dg)^3) over one chart in (theta, rho, phi) order."""
     g_inv = np.linalg.inv(grid_vals)
     a_theta = g_inv @ _spectral_derivative(grid_vals, 0)
-    a_rho = g_inv @ _radial_derivative(grid_vals, rhos, axis=1)
+    a_rho = g_inv @ np.moveaxis(np.tensordot(diff, grid_vals, axes=(1, 1)), 0, 1)
     a_phi = g_inv @ _spectral_derivative(grid_vals, 2)
     comm = a_rho @ a_phi - a_phi @ a_rho
     density = 3.0 * np.einsum("...ij,...ji->...", a_theta, comm)
-    radial = np.tensordot(density, _simpson_weights(rhos), axes=(1, 0))
-    n_theta, n_phi = density.shape[0], density.shape[2]
-    return complex(radial.sum() * (2.0 * np.pi / n_theta) * (2.0 * np.pi / n_phi))
+    n_theta, _, n_phi = density.shape
+    return complex(density.sum(axis=(0, 2)) @ weights) * (4.0 * np.pi**2 / (n_theta * n_phi))
 
 
-def _raw_w3(ext, grid, t=None):
+def _raw_w3(ext, grid):
     n_theta, n_rho, n_phi = grid
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    rhos = np.linspace(0.0, 1.0, n_rho)
+    rhos, weights, diff = _radial_rule(n_rho)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     parts = {}
     for chart, sign in (("TD", 1.0), ("DT", -1.0)):
-        vals = ext.chart_grid(chart, thetas, rhos, phis, t=t)
-        parts[chart] = sign * _chart_integral(vals, rhos)
-    raw = (parts["TD"] + parts["DT"]) / (24.0 * np.pi**2)
-    return raw, {k: v / (24.0 * np.pi**2) for k, v in parts.items()}
+        vals = ext.chart_grid(chart, thetas, rhos, phis)
+        parts[chart] = sign * _chart_integral(vals, weights, diff) / (24.0 * np.pi**2)
+    return parts["TD"] + parts["DT"], parts
 
 
 # ------------------------------------------------------------ calibration
@@ -231,21 +200,25 @@ class W3Result:
 
 
 def _resolves(ext, grid):
-    """Whether ``grid`` has more than twice the top exponent of each variable.
+    """Whether ``grid`` samples the symbol of ``ext`` without aliasing and
+    differentiates f^E exactly in rho.
 
     theta is the angle of the first variable and phi of the second in both
-    charts.  At twice the top exponent or fewer, the symbol's own modes sit
-    on the dropped Nyquist mode or alias, and two such grids can agree on a
-    wrong value (golden under z -> z^8 is constant on 8 angles and pure
-    Nyquist on 16, so both integrate to 0).  Closed-form evaluators carry no
-    base symbol and keep every grid.
+    charts.  Each angle count must exceed twice the top exponent of its
+    variable: at or below it, the symbol's own modes sit on the dropped
+    Nyquist mode or alias, and two such grids can agree on a wrong value
+    (golden under z -> z^8 is constant on 8 angles and pure Nyquist on 16,
+    so both integrate to 0).  The radius count must exceed the rho-degree
+    max(0, -lo) + max(0, hi) of each variable, the degree of f^E in rho on
+    the chart where that variable lies in the disk.  Closed-form evaluators
+    carry no base symbol and keep every grid.
     """
     base = getattr(ext, "base", None)
     if base is None:
         return True
     for var, n in ((0, grid[0]), (1, grid[2])):
         lo, hi = base.exponent_range(var)
-        if n <= 2 * max(-lo, hi):
+        if n <= 2 * max(-lo, hi) or grid[1] <= max(0, -lo) + max(0, hi):
             return False
     return True
 
@@ -279,8 +252,8 @@ def w3(ext, grid=DEFAULT_GRID):
     if getattr(ext, "has_family", False):
         raise InputError("w3 needs a two-variable extension; slice the family first")
     grid = tuple(int(g) for g in grid)
-    if min(grid[0], grid[2]) < 3 or grid[1] < 5:
-        raise InputError(f"W3 grid {grid} needs >= 3 angles and >= 5 radii")
+    if min(grid[0], grid[2]) < 3 or not 5 <= grid[1] <= MAX_RADII:
+        raise InputError(f"W3 grid {grid} needs >= 3 angles and 5..{MAX_RADII} radii")
     check_grid_size(grid, ext.band_dim)
     sign = calibrate_orientation()
     history = []
@@ -346,8 +319,8 @@ class GappedInvariantReport:
         }
 
 
-def _direction_certificates(symbol, angles_per_direction=4):
-    """Partial indices of coordinate slices at sampled angles, per direction.
+def _direction_certificates(symbol):
+    """Partial indices of coordinate slices at four angles, per direction.
 
     All-zero tuples certify that each sampled half-plane compression is
     invertible; any other value would have aborted the extension build.
@@ -355,16 +328,15 @@ def _direction_certificates(symbol, angles_per_direction=4):
     certs = {}
     for direction in range(symbol.num_vars):
         rows = []
-        for j in range(angles_per_direction):
-            angle = 2.0 * np.pi * j / angles_per_direction
+        for j in range(4):
+            angle = 2.0 * np.pi * j / 4
             sl = _coordinate_slice(symbol, direction, angle, None, None)
             rows.append({"angle": angle, "partial_indices": list(_slice_indices(sl))})
         certs[f"direction_{direction}"] = rows
     return certs
 
 
-def gapped_invariant_report(symbol, spec, grid=DEFAULT_GRID, tol=1e-8,
-                            samples_per_circle=16, check_grid=(16, 9, 16)):
+def gapped_invariant_report(symbol, spec, grid=DEFAULT_GRID, samples_per_circle=16):
     """Invariant report for a two-variable gapped symbol in one AZ class.
 
     Validates the class relations on the symbol, builds the boundary
@@ -378,7 +350,7 @@ def gapped_invariant_report(symbol, spec, grid=DEFAULT_GRID, tol=1e-8,
         spec = az_class(spec)
     if symbol.num_vars != 2:
         raise InputError("gapped invariant report expects a two-variable symbol")
-    sym_report = check_symmetry(symbol, spec, tol=tol)
+    sym_report = check_symmetry(symbol, spec, tol=REPORT_SYMMETRY_TOL)
     sym_report.require()
 
     extension_checks = {}
@@ -389,12 +361,10 @@ def gapped_invariant_report(symbol, spec, grid=DEFAULT_GRID, tol=1e-8,
     else:
         ext = build_extended(symbol, samples_per_circle=samples_per_circle)
         certificates = _direction_certificates(symbol)
-        extension_checks["hermiticity"] = check_hermitian(ext, grid=check_grid)
+        extension_checks["hermiticity"] = check_hermitian(ext)
     extension_checks["seam"] = ext.seam_residuals.get(None)
     if spec.antiunitary != "none":
-        extension_checks["equivariance"] = check_equivariance(
-            ext, spec, grid=check_grid
-        )
+        extension_checks["equivariance"] = check_equivariance(ext, spec)
 
     if spec.chiral:
         result = w3(ext, grid=grid)

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .symbols import LaurentSymbol, _coordinate_slice, _reducing_subspaces, chiral_projector
 from .wiener_hopf import (
-    KERNEL_RELTOL,
     _kernel_count,
     _slice_indices,
     certify_invertible,
@@ -63,6 +62,12 @@ __all__ = [
 ]
 
 DENSE_CAP = 6000
+HERMITIAN_TOL = 1e-10     # coefficient-level hermiticity and chirality, relative to the scale
+GAP_FACTOR = 10.0         # separation_ok: spectral gap above this times zero_tol
+CORNER_EXTENT = 4         # corner patch: sites with every coordinate below this
+OVERLAP_FLOOR = 0.7       # smallest eigenvector overlap that continues a flow track
+FLOW_ZERO_FLOOR = 1e-9    # flow track values at or below this count as zero
+FLOW_CORNER_FLOOR = 0.25  # corner participation of a tracked flow state
 
 
 @dataclass(frozen=True)
@@ -165,12 +170,13 @@ def dump_operator(op, path):
         inter.tofile(fh)
 
 
-def kernel_dim(*blocks, tol=KERNEL_RELTOL):
+def kernel_dim(*blocks):
     """Numerical kernel count of diag(blocks): singular values of the blocks
-    below tol * sigma_max, sigma_max the largest over all of them.  Each
-    block is a TruncatedOperator or a matrix; one block is the plain count."""
+    below KERNEL_RELTOL * sigma_max (see wiener_hopf), sigma_max the largest
+    over all of them.  Each block is a TruncatedOperator or a matrix; one
+    block is the plain count."""
     mats = [b.matrix if isinstance(b, TruncatedOperator) else np.asarray(b) for b in blocks]
-    return _kernel_count(*mats, rel_tol=tol)[0]
+    return _kernel_count(*mats)[0]
 
 
 # ---------------------------------------------------------------- index
@@ -206,15 +212,16 @@ def _certify_slices(symbol, points, t_var, detail):
             )
 
 
-def certify_fredholm(symbol, angles_per_direction=8):
-    """Check all sampled coordinate slices factor canonically.
+def certify_fredholm(symbol):
+    """Check that the coordinate slices at eight angles per direction factor
+    canonically.
 
     Invertibility of both half-plane operators is equivalent to every slice
     in each direction having only zero partial indices; the first offender
     aborts with its direction, angle, and index tuple.
     """
     points = [(direction, angle, None) for direction in range(symbol.num_vars)
-              for angle in _angles(angles_per_direction)]
+              for angle in _angles(8)]
     _certify_slices(symbol, points, None, "half-plane compression is not invertible")
 
 
@@ -236,7 +243,7 @@ class IndexReport:
         }
 
 
-def numerical_index(symbol, sizes=(10, 14, 18), tol=KERNEL_RELTOL, certify=True):
+def numerical_index(symbol, sizes=(10, 14, 18), certify=True):
     """Fredholm index of the quarter-plane (or segment) compression.
 
     dim ker - dim ker of the adjoint, each computed on reach-extended
@@ -269,13 +276,12 @@ def numerical_index(symbol, sizes=(10, 14, 18), tol=KERNEL_RELTOL, certify=True)
     kers, coks, values = [], [], []
     for size in sizes:
         if symbol.num_vars == 1:
-            k = toeplitz_kernel_dim(symbol, start=int(size), rel_tol=tol)
-            c = toeplitz_kernel_dim(adj, start=int(size), rel_tol=tol)
+            k = toeplitz_kernel_dim(symbol, start=int(size))
+            c = toeplitz_kernel_dim(adj, start=int(size))
         else:
             box = [int(size)] * symbol.num_vars
-            k = kernel_dim(*_reach_compression(symbol, parts, box), tol=tol)
-            c = kernel_dim(*_reach_compression(adj, [p.adjoint() for p in parts], box),
-                           tol=tol)
+            k = kernel_dim(*_reach_compression(symbol, parts, box))
+            c = kernel_dim(*_reach_compression(adj, [p.adjoint() for p in parts], box))
         kers.append(k)
         coks.append(c)
         values.append(k - c)
@@ -314,14 +320,14 @@ class HalfPlaneGapReport:
         }
 
 
-def half_plane_gap(symbol, direction, parallel=32, perp=8, doublings=2):
+def half_plane_gap(symbol, direction, parallel=32, perp=8):
     """Gap of the half-plane operator with half-line variable ``direction``.
 
     The parallel direction is made periodic with ``parallel`` sites, which
     splits the operator into momentum slices; each slice is a 1D Toeplitz
     operator whose segment sections of growing size bound its gap.  The
     reported gap is the minimum over momenta at the largest section; a
-    monotone shrink across doublings flags a gapless edge.
+    monotone shrink across two doublings flags a gapless edge.
     """
     if symbol.num_vars != 2:
         raise DimensionMismatch("half-plane gap needs a two-variable symbol")
@@ -329,7 +335,7 @@ def half_plane_gap(symbol, direction, parallel=32, perp=8, doublings=2):
         raise InputError("direction must be 0 or 1")
     phases = np.exp(2j * np.pi * np.arange(parallel) / parallel)
     slices = [symbol.slice(direction, (p,)).symbol for p in phases]
-    sections = [perp * (2**m) for m in range(doublings + 1)]
+    sections = [perp, 2 * perp, 4 * perp]
     minima = []
     for m in sections:
         worst = np.inf
@@ -417,8 +423,8 @@ class CornerSpectrumResult:
         }
 
 
-def _corner_mask(sites, band_dim, extent=4):
-    near = np.all(sites < extent, axis=1)
+def _corner_mask(sites, band_dim):
+    near = np.all(sites < CORNER_EXTENT, axis=1)
     return np.repeat(near, band_dim).astype(float)
 
 
@@ -492,8 +498,7 @@ def _chiral_corner(symbol, side, zero_tol):
     )
 
 
-def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, gap_factor=10.0,
-                    hermitian_tol=1e-10, corner_floor=0.5):
+def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5):
     """Spectrum of the hermitian quarter-plane truncation at size ``side``.
 
     Near-zero eigenvectors are listed with their chirality and corner
@@ -519,7 +524,7 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, gap_factor=10.0,
     if not 0 < corner_floor < 1:
         raise InputError(f"corner_floor must lie in (0, 1), got {corner_floor}")
     scale = max(symbol.coeff_norm(), 1e-300)
-    if symbol.distance(symbol.adjoint()) > hermitian_tol * scale:
+    if symbol.distance(symbol.adjoint()) > HERMITIAN_TOL * scale:
         raise NotHermitian("symbol is not hermitian at coefficient level")
     if chiral:
         pi = chiral_projector(symbol.band_dim)
@@ -527,7 +532,7 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, gap_factor=10.0,
             (float(np.linalg.norm(pi @ a + a @ pi)) for a in symbol.coeffs.values()),
             default=0.0,
         )
-        if worst > hermitian_tol * scale:
+        if worst > HERMITIAN_TOL * scale:
             raise ChiralViolation(
                 f"symbol does not anticommute with the chiral grading "
                 f"(violation {worst:.3e})"
@@ -549,7 +554,7 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, gap_factor=10.0,
         side=int(side),
         zero_tol=zero_tol,
         corner_floor=corner_floor,
-        separation_ok=gap > gap_factor * zero_tol,
+        separation_ok=gap > GAP_FACTOR * zero_tol,
         eigen_chirality=chirality,
         eigen_participation=participation,
     )
@@ -580,7 +585,7 @@ class SpectralFlowResult:
         }
 
 
-def _crossings_of(values, t_values, zero_floor):
+def _crossings_of(values, t_values):
     """Signed zero crossings of one closed (cyclic) eigenvalue track.
 
     Exact zeros adopt the next nonzero sign in cyclic order (a zero belongs
@@ -588,7 +593,7 @@ def _crossings_of(values, t_values, zero_floor):
     sample is counted once, at that sample.
     """
     vals = np.asarray(values, dtype=float)
-    signs = np.where(np.abs(vals) <= zero_floor, 0, np.sign(vals)).astype(int)
+    signs = np.where(np.abs(vals) <= FLOW_ZERO_FLOOR, 0, np.sign(vals)).astype(int)
     if not signs.any():
         return []
     n = signs.size
@@ -619,7 +624,7 @@ def _crossings_of(values, t_values, zero_floor):
     return out
 
 
-def _corner_attached_states(vals, vecs, keep, mask, corner_floor):
+def _corner_attached_states(vals, vecs, keep, mask):
     """Refine degenerate clusters among kept states, drop far-corner ones.
 
     States straddling the true and artificial corners of the square come
@@ -643,7 +648,7 @@ def _corner_attached_states(vals, vecs, keep, mask, corner_floor):
         for j in range(block.shape[1]):
             psi = block[:, j]
             part = float(np.real(np.vdot(psi, mask * psi)))
-            if part >= corner_floor:
+            if part >= FLOW_CORNER_FLOOR:
                 out_vals.append(float(vals[keep[start + j]]))
                 out_vecs.append(psi)
                 out_parts.append(part)
@@ -654,20 +659,18 @@ def _corner_attached_states(vals, vecs, keep, mask, corner_floor):
             np.asarray(out_parts))
 
 
-def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5,
-                  overlap_floor=0.7, certify=True, hermitian_tol=1e-10,
-                  zero_floor=1e-9, corner_floor=0.25):
+def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
     """Net spectral flow of the quarter-plane family over the t circle.
 
     Eigenpairs inside (-window, window) that are attached to the true
-    corner (participation at least ``corner_floor`` after cluster
+    corner (participation at least FLOW_CORNER_FLOOR after cluster
     refinement) are tracked between consecutive samples by greedy maximal
     eigenvector overlap (closing the loop back to the first sample); each
     track contributes its signed zero crossings.  States localized at the
     three artificial corners of the truncation are excluded: they mirror
     the corner spectrum with opposite grading and would cancel the flow
     identically.  A continuing track whose best overlap drops below
-    ``overlap_floor`` while still well inside the window aborts rather
+    OVERLAP_FLOOR while still well inside the window aborts rather
     than guessing.
     """
     if family.num_vars != 3:
@@ -679,15 +682,14 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5,
     if not (math.isfinite(window) and window > 0):
         raise InputError(f"window must be finite and > 0, got {window}")
     scale = max(family.coeff_norm(), 1e-300)
-    if family.distance(family.adjoint()) > hermitian_tol * scale:
+    if family.distance(family.adjoint()) > HERMITIAN_TOL * scale:
         raise NotHermitian("family is not hermitian at coefficient level")
     t_values = _angles(t_samples)
-    if certify:
-        points = [(direction, angle, t) for t in t_values
-                  for direction in range(3) if direction != t_var
-                  for angle in _angles(4)]
-        _certify_slices(family, points, t_var,
-                        "half-plane compression not invertible along the family")
+    points = [(direction, angle, t) for t in t_values
+              for direction in range(3) if direction != t_var
+              for angle in _angles(4)]
+    _certify_slices(family, points, t_var,
+                    "half-plane compression not invertible along the family")
 
     windowed = []
     for t in t_values:
@@ -696,7 +698,7 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5,
         keep = np.nonzero(np.abs(vals) < window)[0]
         mask = _corner_mask(op.col_sites, family.band_dim)
         windowed.append(
-            _corner_attached_states(vals, vecs, keep, mask, corner_floor)
+            _corner_attached_states(vals, vecs, keep, mask)
         )
 
     # Greedy global matching step by step around the circle, closing the loop
@@ -723,7 +725,7 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5,
             for state_k, track_k in order:
                 if state_k in used_state or track_k in used_track:
                     continue
-                if overlap[state_k, track_k] < overlap_floor:
+                if overlap[state_k, track_k] < OVERLAP_FLOOR:
                     break
                 used_state.add(int(state_k))
                 used_track.add(int(track_k))
@@ -745,7 +747,7 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5,
             else:
                 if abs(tr["values"][-1]) < 0.8 * window:
                     raise TrackingAmbiguous(
-                        f"no eigenvector match above overlap {overlap_floor} at "
+                        f"no eigenvector match above overlap {OVERLAP_FLOOR} at "
                         f"t index {j} for a track still well inside the window"
                     )
                 tr["end_state"] = None
@@ -788,9 +790,9 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5,
                 broken = True
                 break
         if broken:
-            cs = _open_crossings(cycle_vals, cycle_ts, zero_floor)
+            cs = _open_crossings(cycle_vals, cycle_ts)
         else:
-            cs = _crossings_of(cycle_vals, cycle_ts, zero_floor)
+            cs = _crossings_of(cycle_vals, cycle_ts)
         crossings.extend(cs)
         flow += sum(s for _, s in cs)
     loop_ids = {id(tr) for tr in loops.values()}
@@ -801,7 +803,7 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5,
                 t_values[(tr["start"] + i) % t_samples]
                 for i in range(len(tr["values"]))
             ]
-            cs = _open_crossings(tr["values"], seg_t, zero_floor)
+            cs = _open_crossings(tr["values"], seg_t)
             crossings.extend(cs)
             flow += sum(s for _, s in cs)
         track_summaries.append(
@@ -823,10 +825,10 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5,
     )
 
 
-def _open_crossings(values, seg_t, zero_floor):
+def _open_crossings(values, seg_t):
     """Signed zero crossings along an open track segment."""
     vals = np.asarray(values)
-    signs = np.where(np.abs(vals) <= zero_floor, 0, np.sign(vals)).astype(int)
+    signs = np.where(np.abs(vals) <= FLOW_ZERO_FLOOR, 0, np.sign(vals)).astype(int)
     nz = np.nonzero(signs)[0]
     out = []
     for a_idx, b_idx in zip(nz, nz[1:]):

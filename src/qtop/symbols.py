@@ -591,7 +591,7 @@ def assemble_chiral(h):
     return LaurentSymbol(h.num_vars, 2 * n, terms)
 
 
-def split_chiral(symbol, tol=1e-12):
+def split_chiral(symbol):
     """Extract h from H = [[0, h*], [h, 0]]; errors when the structure fails."""
     n = symbol.band_dim
     if n % 2 != 0:
@@ -603,7 +603,7 @@ def split_chiral(symbol, tol=1e-12):
         offdiag = max(
             np.linalg.norm(a[:half, :half]), np.linalg.norm(a[half:, half:])
         )
-        if offdiag > tol * scale:
+        if offdiag > 1e-12 * scale:
             raise ChiralViolation(
                 f"diagonal block of coefficient {k} has norm {offdiag:.3e}"
             )
@@ -707,11 +707,11 @@ class SymmetryReport:
         return self
 
 
-def check_symmetry(symbol, spec, grid=8, tol=1e-12):
+def check_symmetry(symbol, spec, tol=1e-12):
     """Validate the relations of an AZ class on a symbol.
 
     The relations are checked exactly at coefficient level and once more on
-    a ``grid``-per-variable torus grid; the reported violation of each
+    an 8-per-variable torus grid; the reported violation of each
     relation is the max of the two, relative to the symbol scale.  Chiral
     classes check the block structure on H and the degree relation on h.
     """
@@ -728,7 +728,7 @@ def check_symmetry(symbol, spec, grid=8, tol=1e-12):
         else:
             target = symbol
         v = _relation_violation(target, rel)
-        v = max(v, _grid_violation(target, rel, grid))
+        v = max(v, _grid_violation(target, rel, 8))
         violations[rel] = v
     return SymmetryReport(label=spec.label, violations=violations, tol=tol)
 

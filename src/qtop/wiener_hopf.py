@@ -132,7 +132,7 @@ def _det_winding(dets):
 # --------------------------------------------------------- tall sections
 
 
-def _kernel_count(*mats, rel_tol=KERNEL_RELTOL):
+def _kernel_count(*mats):
     """Kernel count of the section diag(mats), with the relative size of the
     smallest retained singular value (the margin separating kernel from bulk).
     Columns minus retained values, so a wide block counts its unreachable columns."""
@@ -140,12 +140,12 @@ def _kernel_count(*mats, rel_tol=KERNEL_RELTOL):
     cols = sum(m.shape[1] for m in mats)
     if sv.size == 0 or sv[0] == 0.0:
         return cols, float("inf")
-    above = sv[sv >= rel_tol * sv[0]]
+    above = sv[sv >= KERNEL_RELTOL * sv[0]]
     margin = float(above[-1] / sv[0]) if above.size else float("inf")
     return cols - above.size, margin
 
 
-def _stable_kernel_dim(symbol, start, rel_tol=KERNEL_RELTOL):
+def _stable_kernel_dim(symbol, start):
     """Tall-section kernel dimension, escalated until trustworthy.
 
     Agreement of two consecutive doublings is not enough: a slowly decaying
@@ -160,9 +160,7 @@ def _stable_kernel_dim(symbol, start, rel_tol=KERNEL_RELTOL):
     length = start
     prev = None
     while length <= SECTION_CAP:
-        count, margin = _kernel_count(
-            symbol.section((length + reach,), (length,)), rel_tol=rel_tol
-        )
+        count, margin = _kernel_count(symbol.section((length + reach,), (length,)))
         if prev is not None and count == prev[0] and margin >= 0.3 * prev[1]:
             return count
         prev = (count, margin)
@@ -172,7 +170,7 @@ def _stable_kernel_dim(symbol, start, rel_tol=KERNEL_RELTOL):
     )
 
 
-def toeplitz_kernel_dim(symbol, start=None, rel_tol=KERNEL_RELTOL):
+def toeplitz_kernel_dim(symbol, start=None):
     """Stabilized dim ker of the half-line Toeplitz operator T_f."""
     symbol = _as_one_var(symbol)
     if not symbol.coeffs:
@@ -182,7 +180,7 @@ def toeplitz_kernel_dim(symbol, start=None, rel_tol=KERNEL_RELTOL):
     length = start if start is not None else max(24, 4 * spread)
     if length < 1:
         raise InputError(f"section length must be >= 1, got {length}")
-    return _stable_kernel_dim(symbol, length, rel_tol)
+    return _stable_kernel_dim(symbol, length)
 
 
 # -------------------------------------------------------- partial indices

@@ -174,6 +174,7 @@ def test_factorize_input_errors(capsys, golden_file):
     ["index", "{golden}", "--mode", "w3", "--grid", "4,5,0", "--samples", "4"],
     ["index", "{golden}", "--mode", "w3", "--grid", "0,9,8", "--samples", "4"],
     ["index", "{golden}", "--mode", "w3", "--grid", "2,5,2", "--samples", "4"],
+    ["index", "{golden}", "--mode", "w3", "--grid", "8,131,8", "--samples", "4"],
     ["index", "{golden}", "--mode", "truncation", "--sizes", "0"],
     ["index", "{golden}", "--mode", "truncation", "--sizes", "-3"],
     ["corner", "{H}", "--size", "0"],

@@ -4,12 +4,15 @@ import os
 import qtop
 
 
-def _package_trees():
-    src = os.path.dirname(qtop.__file__)
-    for name in sorted(os.listdir(src)):
+def _trees(directory):
+    for name in sorted(os.listdir(directory)):
         if name.endswith(".py"):
-            with open(os.path.join(src, name)) as fh:
+            with open(os.path.join(directory, name)) as fh:
                 yield ast.parse(fh.read(), filename=name)
+
+
+def _package_trees():
+    return _trees(os.path.dirname(qtop.__file__))
 
 
 def test_every_private_module_function_is_used():
@@ -31,3 +34,63 @@ def test_every_private_module_function_is_used():
             if ref in private and owner.get(id(n)) != ref:
                 used.add(ref)
     assert sorted(set(private) - used) == []
+
+
+def _defaulted_parameters(trees):
+    """(called name, parameter, position) of every defaulted parameter of a
+    module function or method.  A class is called by its own name for
+    ``__init__``; position is None for keyword-only parameters."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                name = owner if child.name == "__init__" else child.name
+                positional = child.args.posonlyargs + child.args.args
+                if owner is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list
+                ):
+                    positional = positional[1:]  # self or cls
+                first = len(positional) - len(child.args.defaults)
+                found.extend((name, arg.arg, first + i)
+                             for i, arg in enumerate(positional[first:]))
+                found.extend((name, arg.arg, None)
+                             for arg, default in zip(child.args.kwonlyargs,
+                                                     child.args.kw_defaults)
+                             if default is not None)
+                visit(child, None)
+
+    for tree in trees:
+        visit(tree, None)
+    return found
+
+
+def test_every_keyword_default_is_set_somewhere():
+    """A defaulted parameter that no call in the package or its tests sets,
+    by keyword or by position, is a knob nobody turns: make it a constant."""
+    trees = list(_package_trees())
+    tests = _trees(os.path.dirname(os.path.abspath(__file__)))
+    calls = {}
+    for tree in trees + list(tests):
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                func = n.func
+                ref = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(ref, []).append(n)
+
+    def is_set(name, param, position):
+        for call in calls.get(name, []):
+            if any(k.arg in (param, None) for k in call.keywords):
+                return True  # by keyword, or by **kwargs
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                return True
+            if position is not None and len(call.args) > position:
+                return True
+        return False
+
+    unset = [f"{name}({param})" for name, param, position in _defaulted_parameters(trees)
+             if not is_set(name, param, position)]
+    assert unset == [], unset

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from qtop.extension import bott_generator, build_extended, build_extended_family
 from qtop.invariants import (
     DEFAULT_GRID,
     _raw_w3,
-    _simpson_weights,
+    _resolves,
     calibrate_orientation,
     gapped_invariant_report,
     w3,
@@ -19,18 +21,6 @@ from qtop.invariants import (
 from qtop.symbols import LaurentSymbol
 
 GRID = (32, 17, 32)
-
-
-def test_simpson_weights_match_scipy():
-    from scipy.integrate import simpson  # test-only reference
-
-    rng = np.random.default_rng(5)
-    for n in range(5, 41):
-        rhos = np.linspace(0.0, 1.0, n)
-        vals = rng.standard_normal((3, n, 4))
-        want = simpson(vals, x=rhos, axis=1)
-        got = np.tensordot(vals, _simpson_weights(rhos), axes=(1, 0))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_winding_number_basics():
@@ -135,15 +125,43 @@ def test_w3_chain_stops_at_first_agreeing_pair(monkeypatch):
     assert len(calls) <= 32
 
 
-def test_w3_chain_of_bott_runs_to_the_requested_grid():
-    res = w3(bott_generator(), grid=DEFAULT_GRID)
+def _golden_plus(m):
+    return golden_symbol() + LaurentSymbol.identity(2, 2).scale(m)
+
+
+def test_w3_chain_runs_to_the_requested_grid_when_no_two_agree():
+    # near gap closing the angular rule limits W3: no two grids agree
+    ext = build_extended(_golden_plus(0.8))
+    res = w3(ext, grid=DEFAULT_GRID)
     assert [h[0] for h in res.history] == [
         (8, 5, 8), (16, 9, 16), (32, 17, 32), (64, 33, 64),
     ]
     assert res.grid == DEFAULT_GRID
-    raw, _ = _raw_w3(bott_generator(), DEFAULT_GRID)
+    raw, _ = _raw_w3(ext, DEFAULT_GRID)
     assert res.raw_value == float((res.sign * raw).real)
-    assert res.error_estimate > 1e-6
+    assert 7.8e-4 < res.error_estimate < 8.0e-4
+    assert abs(res.raw_value - 1) <= 6.4e-7
+
+
+def test_radial_rule_makes_polynomial_extensions_exact():
+    # f^E is a polynomial in rho on each chart, so the Gauss rule
+    # differentiates it exactly and only the angular rule is left
+    res = w3(bott_generator(), grid=DEFAULT_GRID)
+    assert [h[0] for h in res.history] == [(8, 5, 8), (16, 9, 16), (32, 17, 32)]
+    assert abs(res.raw_value - 1) <= 1e-12
+    res = w3(build_extended(_golden_plus(0.5)), grid=DEFAULT_GRID)
+    assert abs(res.raw_value - 1) <= 1e-12
+
+
+def test_resolves_needs_more_radii_than_the_rho_degree():
+    # f^E has rho-degree max(0, -lo) + max(0, hi) in each disk variable
+    one = np.eye(1)
+    ext = SimpleNamespace(base=LaurentSymbol(2, 1, [((0, -4), one), ((1, 4), one)]))
+    assert _resolves(ext, (16, 9, 20))
+    assert not _resolves(ext, (16, 8, 20))
+    ext = SimpleNamespace(base=LaurentSymbol(2, 1, [((0, 0), one), ((0, 3), one)]))
+    assert _resolves(ext, (8, 4, 8))
+    assert not _resolves(ext, (8, 3, 8))
 
 
 def test_w3_chain_of_one_grid():
