@@ -33,13 +33,12 @@ from .errors import (
     NumericalFailure,
     Obstruction,
 )
-from .extension import ChartPoint, ExtendedSymbol, build_extended, check_grid_size
+from .extension import ChartPoint, ExtendedSymbol, build_extended, check_grid_size, check_w3_grid
 from .invariants import DEFAULT_GRID, gapped_invariant_report, w3
 from .operators import corner_spectrum, numerical_index, spectral_flow
 from .symbols import az_class, check_symmetry, load_symbol, split_chiral
 from .wiener_hopf import canonical_factorize, verify_factorization
 
-_CHIRAL_CLASSES = {"AIII", "BDI", "DIII", "CII", "CI"}
 _GRID_HELP = (
     "finest W3 grid n_theta,n_rho,n_phi; W3 stops at the first two of its "
     "halvings that agree"
@@ -59,6 +58,13 @@ def _parse_int_tuple(text, expect=None, name="list"):
             f"{name} needs {expect or 'at least one'} comma-separated integers: {text!r}"
         )
     return values
+
+
+def _w3_grid(args, band_dim):
+    """--grid, refused here when W3 could not run on it (before dense work)."""
+    grid = _parse_int_tuple(args.grid, expect=3, name="--grid")
+    check_w3_grid(grid, band_dim)
+    return grid
 
 
 def _parse_params(items, num_vars, active_var):
@@ -218,8 +224,7 @@ def _cmd_index(args):
     report = {"command": "index", "input": args.file, "mode": args.mode}
     idx = None
     if args.mode in ("w3", "both"):
-        grid = _parse_int_tuple(args.grid, expect=3, name="--grid")
-        check_grid_size(grid, symbol.band_dim)  # before the truncation index runs
+        grid = _w3_grid(args, symbol.band_dim)
     if args.mode in ("truncation", "both"):
         sizes = _parse_int_tuple(args.sizes, name="--sizes")
         idx = numerical_index(symbol, sizes=sizes)
@@ -244,12 +249,14 @@ def _cmd_index(args):
 
 def _cmd_corner(args):
     symbol = load_symbol(args.file)
-    label = args.az_class
-    chiral = label in _CHIRAL_CLASSES if label else True
+    spec = az_class(args.az_class) if args.az_class else None
+    label = spec.label if spec else args.az_class
+    if label == "AIII":
+        grid = _w3_grid(args, symbol.band_dim // 2)
     result = corner_spectrum(
         symbol,
         args.size,
-        chiral=chiral,
+        chiral=spec.chiral if spec else True,
         zero_tol=args.zero_tol,
         corner_floor=args.floor,
     )
@@ -259,8 +266,8 @@ def _cmd_corner(args):
         "class": label,
         "spectrum": result.to_dict(),
     }
-    if label:
-        sym_report = check_symmetry(symbol, az_class(label))
+    if spec:
+        sym_report = check_symmetry(symbol, spec)
         report["symmetry_violations"] = sym_report.violations
         sym_report.require()
     if args.csv:
@@ -280,7 +287,7 @@ def _cmd_corner(args):
         h = split_chiral(symbol)
         _check_threads(args)
         ext = build_extended(h, samples_per_circle=args.samples)
-        w3_res = w3(ext, grid=_parse_int_tuple(args.grid, expect=3, name="--grid"))
+        w3_res = w3(ext, grid=grid)
         report["w3_of_h"] = w3_res.to_dict()
         report["agreement"] = bool(w3_res.rounded == result.signed_count)
         if w3_res.rounded != result.signed_count:
@@ -389,11 +396,11 @@ def _cmd_symmetry(args):
         "degree": spec.degree,
     }
     if args.report:
+        grid = _parse_int_tuple(args.grid, expect=3, name="--grid")
+        if spec.chiral:  # only chiral classes run W3, on h of half the band
+            check_w3_grid(grid, symbol.band_dim // 2)
         full = gapped_invariant_report(
-            symbol,
-            spec,
-            grid=_parse_int_tuple(args.grid, expect=3, name="--grid"),
-            samples_per_circle=args.samples,
+            symbol, spec, grid=grid, samples_per_circle=args.samples
         )
         report["invariants"] = full.to_dict()
         return report

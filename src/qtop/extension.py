@@ -41,7 +41,7 @@ from .errors import (
     SingularOnTorus,
     Unstable,
 )
-from .symbols import _coordinate_slice, _quaternion_unit
+from .symbols import _DEGREE_RELATION, _coordinate_slice, _relation, az_class
 from .wiener_hopf import canonical_factorize
 
 __all__ = [
@@ -53,12 +53,14 @@ __all__ = [
     "check_hermitian",
     "check_equivariance",
     "check_grid_size",
+    "check_w3_grid",
     "bott_generator",
 ]
 
 CHARTS = ("TD", "DT")
 GRID_CAP = 10_000_000  # matrix entries n_theta * n_rho * n_phi * N^2 of one chart grid
 SEAM_TOL = 1e-8        # largest slice defect, relative to the symbol scale
+MAX_RADII = 129        # largest W3 radial rule; its differentiation error grows like n^3 eps
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,14 @@ def check_grid_size(grid, band_dim):
             f"chart grid {tuple(grid)} of band {band_dim} would hold {size} "
             f"entries (cap {GRID_CAP})"
         )
+
+
+def check_w3_grid(grid, band_dim):
+    """Refuse a W3 grid with fewer than 3 angles, radii outside
+    5..MAX_RADII, or more than GRID_CAP entries, before any work on it."""
+    if min(grid[0], grid[2]) < 3 or not 5 <= grid[1] <= MAX_RADII:
+        raise InputError(f"W3 grid {grid} needs >= 3 angles and 5..{MAX_RADII} radii")
+    check_grid_size(grid, band_dim)
 
 
 def _angle_key(angle):
@@ -327,8 +337,12 @@ def bott_generator(reversed_orientation=False):
 # ------------------------------------------------------- symmetry probes
 
 
-def check_hermitian(ext, grid=(16, 9, 16)):
-    """Max relative deviation of f^E from pointwise hermiticity, both charts."""
+def _chart_violation(ext, relation, grid):
+    """Max relative violation of f^E(sigma x) = theta(f^E(x)) over both
+    chart grids, with sigma and theta from symbols' relation table.  A
+    conjugating sigma fixes each chart and sends (theta, rho, phi) to
+    (-theta, rho, -phi), so both sides are compared by index reversal."""
+    conj_point, theta, _ = _relation(relation, ext.band_dim)
     thetas = 2.0 * np.pi * np.arange(grid[0]) / grid[0]
     rhos = np.linspace(0.0, 1.0, grid[1])
     phis = 2.0 * np.pi * np.arange(grid[2]) / grid[2]
@@ -336,59 +350,27 @@ def check_hermitian(ext, grid=(16, 9, 16)):
     for chart in CHARTS:
         vals = ext.chart_grid(chart, thetas, rhos, phis)
         scale = max(float(np.abs(vals).max()), 1e-300)
-        diff = vals - np.conj(np.swapaxes(vals, -1, -2))
+        moved = vals
+        if conj_point:
+            moved = np.roll(np.roll(vals[::-1, :, ::-1], 1, axis=0), 1, axis=2)
+        diff = moved - theta(vals)
         worst = max(worst, float(np.linalg.norm(diff, axis=(-2, -1)).max()) / scale)
     return worst
 
 
-def _involution_target(vals, degree, band_dim):
-    """Image of g = f^E at a point under the target involution of KR-degree
-    ``degree``: the relation g(nu x) = target(g(x)) restates the transposition
-    relations x^tau = x*, x^tau = x, x^tau = -x (and their quaternionic
-    versions) pointwise, since x^tau evaluated at x is the transpose at nu x.
-    """
-    transpose = np.swapaxes(vals, -1, -2)
-    if degree in (0, 1):
-        return np.conj(vals)
-    if degree == -1:
-        return transpose
-    if degree == 2:
-        return -transpose
-    u = _quaternion_unit(band_dim)
-    uinv = u.T
-    if degree == 3:
-        return u @ transpose @ uinv
-    if degree in (4, 5):
-        return u @ np.conj(vals) @ uinv
-    if degree == 6:
-        return -(u @ transpose @ uinv)
-    raise InputError(f"no involution for degree {degree}")
+def check_hermitian(ext, grid=(16, 9, 16)):
+    """Max relative deviation of f^E from pointwise hermiticity, both charts."""
+    return _chart_violation(ext, "hermitian", grid)
 
 
 def check_equivariance(ext, spec, grid=(16, 9, 16)):
     """Max relative violation of f^E(conj z, conj w) = Theta_i(f^E(z, w)).
 
     ``spec`` is an AZClassSpec or label of a real class; Theta_i is the
-    target involution of its KR degree.  The coordinate involution fixes
-    each chart and sends (theta, rho, phi) to (-theta, rho, -phi), so both
-    sides are compared on one chart grid by index reversal.
+    target involution of its KR degree i, the theta of its degree relation.
     """
-    from .symbols import az_class
-
     if isinstance(spec, str):
         spec = az_class(spec)
     if spec.antiunitary == "none":
         raise InputError(f"class {spec.label} carries no reality constraint")
-    thetas = 2.0 * np.pi * np.arange(grid[0]) / grid[0]
-    rhos = np.linspace(0.0, 1.0, grid[1])
-    phis = 2.0 * np.pi * np.arange(grid[2]) / grid[2]
-    worst = 0.0
-    for chart in CHARTS:
-        vals = ext.chart_grid(chart, thetas, rhos, phis)
-        scale = max(float(np.abs(vals).max()), 1e-300)
-        flipped = vals[::-1, :, ::-1]
-        flipped = np.roll(np.roll(flipped, 1, axis=0), 1, axis=2)
-        target = _involution_target(vals, spec.degree, ext.band_dim)
-        diff = flipped - target
-        worst = max(worst, float(np.linalg.norm(diff, axis=(-2, -1)).max()) / scale)
-    return worst
+    return _chart_violation(ext, _DEGREE_RELATION[spec.degree], grid)

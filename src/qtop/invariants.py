@@ -45,8 +45,8 @@ from .extension import (
     bott_generator,
     build_extended,
     check_equivariance,
-    check_grid_size,
     check_hermitian,
+    check_w3_grid,
 )
 from .symbols import _coordinate_slice, az_class, check_symmetry, split_chiral
 from .wiener_hopf import _slice_indices
@@ -62,7 +62,6 @@ __all__ = [
 
 DEFAULT_GRID = (64, 33, 64)
 AGREEMENT_TOL = 1e-6  # two successive chain grids agreeing this closely end W3
-MAX_RADII = 129  # largest radial rule; its differentiation error grows like n^3 eps
 REPORT_SYMMETRY_TOL = 1e-8  # class relation tolerance of gapped_invariant_report
 
 
@@ -252,9 +251,7 @@ def w3(ext, grid=DEFAULT_GRID):
     if getattr(ext, "has_family", False):
         raise InputError("w3 needs a two-variable extension; slice the family first")
     grid = tuple(int(g) for g in grid)
-    if min(grid[0], grid[2]) < 3 or not 5 <= grid[1] <= MAX_RADII:
-        raise InputError(f"W3 grid {grid} needs >= 3 angles and 5..{MAX_RADII} radii")
-    check_grid_size(grid, ext.band_dim)
+    check_w3_grid(grid, ext.band_dim)
     sign = calibrate_orientation()
     history = []
     previous = error_estimate = None

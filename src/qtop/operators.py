@@ -34,7 +34,7 @@ from .errors import (
     TrackingAmbiguous,
     Unstable,
 )
-from .symbols import LaurentSymbol, _coordinate_slice, _reducing_subspaces, chiral_projector
+from .symbols import LaurentSymbol, _coordinate_slice, _reducing_subspaces, _relation_violation
 from .wiener_hopf import (
     _kernel_count,
     _slice_indices,
@@ -523,19 +523,14 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5):
         raise InputError(f"zero_tol must be finite and > 0, got {zero_tol}")
     if not 0 < corner_floor < 1:
         raise InputError(f"corner_floor must lie in (0, 1), got {corner_floor}")
-    scale = max(symbol.coeff_norm(), 1e-300)
-    if symbol.distance(symbol.adjoint()) > HERMITIAN_TOL * scale:
+    if _relation_violation(symbol, "hermitian") > HERMITIAN_TOL:
         raise NotHermitian("symbol is not hermitian at coefficient level")
     if chiral:
-        pi = chiral_projector(symbol.band_dim)
-        worst = max(
-            (float(np.linalg.norm(pi @ a + a @ pi)) for a in symbol.coeffs.values()),
-            default=0.0,
-        )
-        if worst > HERMITIAN_TOL * scale:
+        worst = _relation_violation(symbol, "chiral")
+        if worst > HERMITIAN_TOL:
             raise ChiralViolation(
                 f"symbol does not anticommute with the chiral grading "
-                f"(violation {worst:.3e})"
+                f"(violation {worst * max(symbol.coeff_norm(), 1e-300):.3e})"
             )
     _check_rows(side * side * symbol.band_dim)
     solve = _chiral_corner if chiral else _hermitian_corner
@@ -681,8 +676,7 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
         raise InputError(f"t_samples and side must be >= 1, got {t_samples} and {side}")
     if not (math.isfinite(window) and window > 0):
         raise InputError(f"window must be finite and > 0, got {window}")
-    scale = max(family.coeff_norm(), 1e-300)
-    if family.distance(family.adjoint()) > HERMITIAN_TOL * scale:
+    if _relation_violation(family, "hermitian") > HERMITIAN_TOL:
         raise NotHermitian("family is not hermitian at coefficient level")
     t_values = _angles(t_samples)
     points = [(direction, angle, t) for t in t_values

@@ -278,16 +278,6 @@ class LaurentSymbol:
         ]
         return LaurentSymbol(self.num_vars, self.band_dim, terms)
 
-    def transpose_flip(self):
-        """The transposition a_j -> a_{-j}^T (transpose composed with z -> conj(z))."""
-        terms = [(tuple(-e for e in k), a.T) for k, a in self._coeffs.items()]
-        return LaurentSymbol(self.num_vars, self.band_dim, terms)
-
-    def conj_coeffs(self):
-        """Entrywise conjugation of every coefficient (no exponent flip)."""
-        terms = [(k, a.conj()) for k, a in self._coeffs.items()]
-        return LaurentSymbol(self.num_vars, self.band_dim, terms)
-
     def block_diag(self, other):
         """Direct sum with another symbol over the same variables."""
         if self.num_vars != other.num_vars:
@@ -513,31 +503,6 @@ class AZClassSpec:
     relations: tuple
 
 
-def _relations_for(label, info):
-    rel = ["hermitian"]
-    if info["chiral"]:
-        rel.append("chiral")
-    block = "h" if info["chiral"] else "H"
-    i = info["degree"]
-    if i == -1:
-        rel.append(f"transpose_symmetric:{block}")
-    elif i == 1 and info["antiunitary"] == "real":
-        rel.append(f"real_coefficients:{block}")
-    elif i == 0 and info["antiunitary"] == "real":
-        rel.append(f"real_coefficients:{block}")
-    elif i == 2:
-        rel.append(f"transpose_antisymmetric:{block}")
-    elif i == 3:
-        rel.append(f"quaternion_transpose_symmetric:{block}")
-    elif i == 4:
-        rel.append(f"quaternion_real:{block}")
-    elif i == 5:
-        rel.append(f"quaternion_real:{block}")
-    elif i == 6:
-        rel.append(f"quaternion_transpose_antisymmetric:{block}")
-    return tuple(rel)
-
-
 def az_class(label):
     """Look up an AZClassSpec by its standard label (case-insensitive)."""
     key = str(label).strip()
@@ -545,12 +510,16 @@ def az_class(label):
     if found is None:
         raise InputError(f"unknown symmetry class {label!r}")
     info = _CLASS_TABLE[found]
+    relations = ("hermitian", "chiral") if info["chiral"] else ("hermitian",)
+    if info["antiunitary"] != "none":
+        block = "h" if info["chiral"] else "H"
+        relations += (f"{_DEGREE_RELATION[info['degree']]}:{block}",)
     return AZClassSpec(
         label=found,
         degree=info["degree"],
         chiral=info["chiral"],
         antiunitary=info["antiunitary"],
-        relations=_relations_for(found, info),
+        relations=relations,
     )
 
 
@@ -613,75 +582,65 @@ def split_chiral(symbol):
 
 # ------------------------------------------------------ relation checks
 
+# Every relation reads f(sigma z) = theta(f(z)) on the torus, with
+# theta(X) = sign * W op(X) W^T for a real orthogonal W (none, the chiral
+# grading Pi or the symplectic unit J) and op a transpose and/or an entrywise
+# conjugation.  Columns: the KR degrees whose real classes carry the
+# relation, sigma conjugates every variable, op conjugates, op transposes,
+# sign, W.
+_RELATIONS = {
+    "hermitian": ((), False, True, True, 1, None),
+    "chiral": ((), False, False, False, -1, chiral_projector),
+    "real_coefficients": ((0, 1), True, True, False, 1, None),
+    "transpose_symmetric": ((-1,), True, False, True, 1, None),
+    "transpose_antisymmetric": ((2,), True, False, True, -1, None),
+    "quaternion_transpose_symmetric": ((3,), True, False, True, 1, _quaternion_unit),
+    "quaternion_real": ((4, 5), True, True, False, 1, _quaternion_unit),
+    "quaternion_transpose_antisymmetric": ((6,), True, False, True, -1, _quaternion_unit),
+}
+_DEGREE_RELATION = {i: name for name, row in _RELATIONS.items() for i in row[0]}
+
+
+def _relation(relation, band_dim):
+    """(conj_point, theta, flip) of a named relation (an optional ':block'
+    suffix is ignored): whether sigma conjugates every variable, theta on
+    stacks of matrices, and whether coefficient a_k is compared with
+    theta(a_{-k}) rather than theta(a_k), which is so exactly when one of
+    sigma and theta conjugates."""
+    _, conj_point, conj, transpose, sign, unit = _RELATIONS[relation.split(":", 1)[0]]
+    w = None if unit is None else unit(band_dim)
+
+    def theta(x):
+        x = np.swapaxes(x, -1, -2) if transpose else x
+        x = np.conj(x) if conj else x
+        x = x if w is None else w @ x @ w.T
+        return -x if sign < 0 else x
+
+    return conj_point, theta, conj_point != conj
+
 
 def _relation_violation(symbol, relation):
-    """Max coefficient-level violation of one named relation on ``symbol``."""
-    name = relation.split(":", 1)[0]
-    scale = max(symbol.coeff_norm(), 1e-300)
-    if name == "hermitian":
-        return symbol.distance(symbol.adjoint()) / scale
-    if name == "chiral":
-        pi = chiral_projector(symbol.band_dim)
-        worst = 0.0
-        for _, a in symbol.coeffs.items():
-            worst = max(worst, float(np.linalg.norm(pi @ a + a @ pi)))
-        return worst / scale
-    if name == "real_coefficients":
-        return symbol.distance(symbol.conj_coeffs()) / scale
-    if name == "transpose_symmetric":
-        return symbol.distance(symbol.transpose_flip()) / scale
-    if name == "transpose_antisymmetric":
-        return symbol.distance(symbol.transpose_flip().scale(-1.0)) / scale
-    u = _quaternion_unit(symbol.band_dim)
-    uinv = u.T
-    if name == "quaternion_transpose_symmetric":
-        flipped = symbol.transpose_flip()
-        terms = [(k, u @ a @ uinv) for k, a in flipped.coeffs.items()]
-        return symbol.distance(LaurentSymbol(symbol.num_vars, symbol.band_dim, terms)) / scale
-    if name == "quaternion_transpose_antisymmetric":
-        flipped = symbol.transpose_flip()
-        terms = [(k, -(u @ a @ uinv)) for k, a in flipped.coeffs.items()]
-        return symbol.distance(LaurentSymbol(symbol.num_vars, symbol.band_dim, terms)) / scale
-    if name == "quaternion_real":
-        conj = symbol.conj_coeffs()
-        terms = [(k, u @ a @ uinv) for k, a in conj.coeffs.items()]
-        return symbol.distance(LaurentSymbol(symbol.num_vars, symbol.band_dim, terms)) / scale
-    raise InputError(f"unknown relation {relation!r}")
+    """Max coefficient-level violation of one named relation on ``symbol``,
+    relative to its scale: the distance from the symbol with coefficients
+    theta(a_k), at -k when the relation flips exponents."""
+    _, theta, flip = _relation(relation, symbol.band_dim)
+    sign = -1 if flip else 1
+    image = LaurentSymbol(symbol.num_vars, symbol.band_dim, [
+        (tuple(sign * e for e in k), theta(a)) for k, a in symbol.coeffs.items()
+    ])
+    return symbol.distance(image) / max(symbol.coeff_norm(), 1e-300)
 
 
 def _grid_violation(symbol, relation, grid):
-    """Same relation evaluated pointwise on a torus grid (rounding-level check)."""
-    name = relation.split(":", 1)[0]
+    """f(sigma z) - theta(f(z)) on a torus grid (rounding-level check)."""
+    conj_point, theta, _ = _relation(relation, symbol.band_dim)
     axes = [
         np.exp(2j * np.pi * np.arange(grid) / grid) for _ in range(symbol.num_vars)
     ]
     vals = symbol.eval_grid(axes)
     scale = max(float(np.abs(vals).max()), 1e-300)
-    if name == "hermitian":
-        diff = vals - np.conj(np.swapaxes(vals, -1, -2))
-        return float(np.linalg.norm(diff, axis=(-2, -1)).max()) / scale
-    if name == "chiral":
-        pi = chiral_projector(symbol.band_dim)
-        diff = pi @ vals + vals @ pi
-        return float(np.linalg.norm(diff, axis=(-2, -1)).max()) / scale
-    vals_conj_pt = symbol.eval_grid([ax.conj() for ax in axes])
-    if name == "real_coefficients":
-        diff = vals_conj_pt - np.conj(vals)
-    elif name == "transpose_symmetric":
-        diff = vals_conj_pt - np.swapaxes(vals, -1, -2)
-    elif name == "transpose_antisymmetric":
-        diff = vals_conj_pt + np.swapaxes(vals, -1, -2)
-    else:
-        u = _quaternion_unit(symbol.band_dim)
-        uinv = u.T
-        if name == "quaternion_transpose_symmetric":
-            diff = vals_conj_pt - u @ np.swapaxes(vals, -1, -2) @ uinv
-        elif name == "quaternion_transpose_antisymmetric":
-            diff = vals_conj_pt + u @ np.swapaxes(vals, -1, -2) @ uinv
-        elif name == "quaternion_real":
-            diff = vals_conj_pt - u @ np.conj(vals) @ uinv
-        else:
-            raise InputError(f"unknown relation {relation!r}")
+    moved = symbol.eval_grid([ax.conj() for ax in axes]) if conj_point else vals
+    diff = moved - theta(vals)
     return float(np.linalg.norm(diff, axis=(-2, -1)).max()) / scale
 
 

@@ -252,6 +252,40 @@ def test_corner_with_class_and_csv(capsys, golden_H_file, tmp_path):
     assert len(lines) == 1 + 12 * 12 * 4
 
 
+def test_corner_class_is_case_insensitive(capsys, golden_H_file):
+    code, rep = run(capsys, [
+        "corner", golden_H_file, "--class", "aiii", "--size", "8",
+        "--grid", "16,9,16", "--samples", "8",
+    ])
+    assert code == 0
+    assert rep["class"] == "AIII"
+    assert rep["spectrum"]["signed_count"] == 1
+    assert rep["w3_of_h"]["rounded"] == 1
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("dense work ran before the input was checked")
+
+
+def test_corner_unknown_class_exits_before_the_solve(capsys, golden_H_file, monkeypatch):
+    monkeypatch.setattr(cli, "corner_spectrum", _refuse)
+    code, rep = run(capsys, ["corner", golden_H_file, "--class", "XY", "--size", "8"])
+    assert code == 4
+    assert rep["error"] == "InputError"
+
+
+@pytest.mark.parametrize("grid", ["8,131,8", "2,5,2", "abc"])
+def test_malformed_grid_exits_before_dense_work(capsys, golden_file, golden_H_file,
+                                                monkeypatch, grid):
+    for name in ("numerical_index", "corner_spectrum", "gapped_invariant_report"):
+        monkeypatch.setattr(cli, name, _refuse)
+    for argv in (["index", golden_file],
+                 ["corner", golden_H_file, "--class", "AIII"],
+                 ["symmetry", golden_H_file, "--class", "AIII", "--report"]):
+        code, rep = run(capsys, argv + ["--grid", grid])
+        assert code == 4 and rep["error"] == "InputError", argv
+
+
 def test_corner_rejects_nonhermitian(capsys, golden_file):
     code, rep = run(capsys, ["corner", golden_file, "--size", "8"])
     assert code == 2

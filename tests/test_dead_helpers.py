@@ -94,3 +94,19 @@ def test_every_keyword_default_is_set_somewhere():
     unset = [f"{name}({param})" for name, param, position in _defaulted_parameters(trees)
              if not is_set(name, param, position)]
     assert unset == [], unset
+
+
+def test_involutions_stay_inside_symbols():
+    """Only symbols.py names the chiral grading and the symplectic unit;
+    every other module reads its involutions from the relation table."""
+    directory = os.path.dirname(qtop.__file__)
+    leaks = []
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py") and name != "symbols.py":
+            with open(os.path.join(directory, name)) as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            for n in ast.walk(tree):  # names, attributes and imported aliases
+                ref = getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+                if ref in ("_quaternion_unit", "chiral_projector"):
+                    leaks.append((name, ref))
+    assert leaks == []

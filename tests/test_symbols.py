@@ -13,6 +13,7 @@ from qtop.errors import (
     SymmetryViolation,
     ZeroCoordinate,
 )
+from qtop.invariants import gapped_invariant_report
 from qtop.operators import Quarter, Segment, assemble, kernel_dim
 from qtop.symbols import (
     LaurentSymbol,
@@ -213,6 +214,71 @@ def test_check_symmetry_reports_violation_size(golden_H):
     report = check_symmetry(broken, az_class("AIII"))
     assert not report.passed
     assert report.violations["chiral"] > 1e-4
+
+
+# Degree relation of each real class on its designated block (H, or h for
+# the chiral classes), written independently of the package: the block
+# satisfies it when a_{-k} (flip) or a_k equals the image of a_k, where
+# ``j`` is the symplectic unit diag([[0, -1], [1, 0]], ...).
+_DEGREE_IMAGES = {
+    "AI": (False, lambda a, j: a.conj()),
+    "BDI": (False, lambda a, j: a.conj()),
+    "D": (True, lambda a, j: -a.T),
+    "DIII": (True, lambda a, j: j @ a.T @ j.T),
+    "AII": (False, lambda a, j: j @ a.conj() @ j.T),
+    "CII": (False, lambda a, j: j @ a.conj() @ j.T),
+    "C": (True, lambda a, j: -(j @ a.T @ j.T)),
+    "CI": (True, lambda a, j: a.T),
+}
+
+
+def _degree_image(label, g):
+    flip, image = _DEGREE_IMAGES[label]
+    n = g.band_dim
+    j = np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]]) if n % 2 == 0 else None
+    sign = -1 if flip else 1
+    return LaurentSymbol(2, n, [(tuple(sign * e for e in k), image(a, j))
+                                for k, a in g.coeffs.items()])
+
+
+def _class_symbol(label, n, seed):
+    """Seeded symbol of class ``label`` with a band-``n`` designated block:
+    a dominant constant plus small hops, averaged with its image under the
+    degree relation and then with its adjoint (or made chiral)."""
+    rng = np.random.default_rng(seed)
+    terms = [((0, 0), small_term(rng, n, 1.0))]
+    terms += [(k, small_term(rng, n, 0.05))
+              for k in ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1))]
+    g = LaurentSymbol(2, n, terms)
+    g = (g + _degree_image(label, g)).scale(0.5)
+    if az_class(label).chiral:
+        return assemble_chiral(g)
+    return (g + g.adjoint()).scale(0.5)
+
+
+@pytest.mark.parametrize("label, n", [
+    ("AI", 3), ("BDI", 2), ("D", 2), ("DIII", 2),
+    ("AII", 4), ("CII", 2), ("C", 2), ("CI", 3),
+])
+def test_every_real_class_accepts_its_symmetrized_symbol(label, n):
+    spec = az_class(label)
+    sym = _class_symbol(label, n, seed=0)
+    assert max(check_symmetry(sym, spec).violations.values()) <= 1e-14
+
+    # a 1e-6 constant kick that keeps hermiticity and chirality breaks
+    # exactly the degree relation
+    kick = 1e-6 * small_term(np.random.default_rng(1), n, 1.0)
+    if spec.chiral:
+        kicked = assemble_chiral(split_chiral(sym) + LaurentSymbol.constant(2, kick))
+    else:
+        kicked = sym + LaurentSymbol.constant(2, kick + kick.conj().T)
+    report = check_symmetry(kicked, spec)
+    assert [r for r, v in report.violations.items() if v > report.tol] == [
+        spec.relations[-1]
+    ]
+
+    full = gapped_invariant_report(sym, label, grid=(16, 9, 16))
+    assert full.extension_checks["equivariance"] <= 1e-8
 
 
 def test_conjugate_by_unitary(rng, golden):
