@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .errors import QtopError
 from .symbols import (
     LaurentSymbol,
-    SliceSymbol,
     az_class,
     assemble_chiral,
     check_symmetry,
@@ -50,10 +49,7 @@ from .invariants import (
 from .operators import (
     CornerSpectrumResult,
     HalfPlaneGapReport,
-    HalfPlaneRect,
     IndexReport,
-    Quarter,
-    Segment,
     SpectralFlowResult,
     assemble,
     certify_fredholm,
@@ -69,7 +65,6 @@ __all__ = [
     "__version__",
     "QtopError",
     "LaurentSymbol",
-    "SliceSymbol",
     "az_class",
     "assemble_chiral",
     "check_symmetry",
@@ -99,10 +94,7 @@ __all__ = [
     "winding_number",
     "CornerSpectrumResult",
     "HalfPlaneGapReport",
-    "HalfPlaneRect",
     "IndexReport",
-    "Quarter",
-    "Segment",
     "SpectralFlowResult",
     "assemble",
     "certify_fredholm",

@@ -198,6 +198,8 @@ def _cmd_factorize(args):
     if symbol.num_vars == 1:
         if args.param:
             raise InputError("--param given for a one-variable symbol")
+        if args.var != 0:
+            raise InputError(f"--var {args.var} out of range for a one-variable symbol")
         target = symbol
         fixed = ()
     else:

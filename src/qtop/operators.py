@@ -1,7 +1,8 @@
 """Finite truncations of Toeplitz-type lattice operators and their spectra.
 
-Geometries are Dirichlet boxes; every dense truncation is a
-LaurentSymbol.section, which fixes the site-block layout.
+Every dense truncation is a LaurentSymbol.section on a Dirichlet box at the
+origin, which fixes the site-block layout; ``assemble`` is the square one,
+(side,) * num_vars, as a plain array.
 
 The numerical Fredholm index of the quarter-plane operator compares kernel
 counts of f and its adjoint on sections whose rows are the full hopping
@@ -43,10 +44,6 @@ from .wiener_hopf import (
 )
 
 __all__ = [
-    "Segment",
-    "HalfPlaneRect",
-    "Quarter",
-    "TruncatedOperator",
     "assemble",
     "dump_operator",
     "kernel_dim",
@@ -70,113 +67,38 @@ FLOW_ZERO_FLOOR = 1e-9    # flow track values at or below this count as zero
 FLOW_CORNER_FLOOR = 0.25  # corner participation of a tracked flow state
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Sites 0 <= x < length of the one-dimensional lattice."""
-
-    length: int
-
-
-@dataclass(frozen=True)
-class HalfPlaneRect:
-    """Dirichlet rectangle for a half-plane operator: the half-line
-    variable ``direction`` runs over [0, perp), the other over [0, parallel)."""
-
-    direction: int
-    parallel: int
-    perp: int
-
-
-@dataclass(frozen=True)
-class Quarter:
-    """Sites [0, side) x [0, side) of the quarter plane."""
-
-    side: int
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Dense compression of a hopping symbol to a finite site set."""
-
-    matrix: np.ndarray
-    geometry: object
-    band_dim: int
-    row_sites: np.ndarray
-    col_sites: np.ndarray
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
-def _site_grid(box):
-    """All integer sites of a box at the origin, lexicographic, as an (n, d) array."""
-    mesh = np.meshgrid(*[np.arange(b) for b in box], indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _check_rows(size):
     """Refuse a dense matrix of more than DENSE_CAP rows before allocating it."""
     if size > DENSE_CAP:
         raise SizeOverflow(f"dense compression would be {size} rows (cap {DENSE_CAP})")
 
 
-def _dense_section(symbol, rows, cols):
-    """symbol.section, refused before any allocation beyond DENSE_CAP rows."""
-    _check_rows(max(math.prod(rows), math.prod(cols)) * symbol.band_dim)
-    return symbol.section(rows, cols)
+def assemble(symbol, side):
+    """Dense Dirichlet section of ``symbol`` on the box (side,) * num_vars:
+    a segment for one variable, a quarter-plane square for two."""
+    if symbol.num_vars not in (1, 2):
+        raise DimensionMismatch("assemble needs a one- or two-variable symbol")
+    box = (side,) * symbol.num_vars
+    _check_rows(math.prod(box) * symbol.band_dim)
+    return symbol.section(box, box)
 
 
-def assemble(symbol, geometry):
-    """Dense Dirichlet compression of ``symbol`` to one of the geometries."""
-    if isinstance(geometry, Segment):
-        if symbol.num_vars != 1:
-            raise DimensionMismatch("segment geometry needs a one-variable symbol")
-        box = (geometry.length,)
-    elif isinstance(geometry, Quarter):
-        if symbol.num_vars != 2:
-            raise DimensionMismatch("quarter geometry needs a two-variable symbol")
-        box = (geometry.side, geometry.side)
-    elif isinstance(geometry, HalfPlaneRect):
-        if symbol.num_vars != 2:
-            raise DimensionMismatch("half-plane geometry needs a two-variable symbol")
-        if geometry.direction not in (0, 1):
-            raise InputError("direction must be 0 or 1")
-        box = [0, 0]
-        box[geometry.direction] = geometry.perp
-        box[1 - geometry.direction] = geometry.parallel
-    else:
-        raise InputError(f"unknown geometry {geometry!r}")
-    mat = _dense_section(symbol, box, box)
-    sites = _site_grid(box)
-    return TruncatedOperator(
-        matrix=mat,
-        geometry=geometry,
-        band_dim=symbol.band_dim,
-        row_sites=sites,
-        col_sites=sites,
-    )
-
-
-def dump_operator(op, path):
+def dump_operator(matrix, band_dim, path):
     """Raw dense dump: int64 header (rows, cols, band_dim), then the matrix
     entries row-major as interleaved re/im float64 pairs."""
-    mat = op.matrix
     with open(path, "wb") as fh:
-        np.array([mat.shape[0], mat.shape[1], op.band_dim], dtype=np.int64).tofile(fh)
-        inter = np.empty(mat.shape + (2,), dtype=np.float64)
-        inter[..., 0] = mat.real
-        inter[..., 1] = mat.imag
+        np.array([*matrix.shape, band_dim], dtype=np.int64).tofile(fh)
+        inter = np.empty(matrix.shape + (2,), dtype=np.float64)
+        inter[..., 0] = matrix.real
+        inter[..., 1] = matrix.imag
         inter.tofile(fh)
 
 
 def kernel_dim(*blocks):
-    """Numerical kernel count of diag(blocks): singular values of the blocks
-    below KERNEL_RELTOL * sigma_max (see wiener_hopf), sigma_max the largest
-    over all of them.  Each block is a TruncatedOperator or a matrix; one
-    block is the plain count."""
-    mats = [b.matrix if isinstance(b, TruncatedOperator) else np.asarray(b) for b in blocks]
-    return _kernel_count(*mats)[0]
+    """Numerical kernel count of diag(blocks): singular values of the
+    matrices ``blocks`` below KERNEL_RELTOL * sigma_max (see wiener_hopf),
+    sigma_max the largest over all of them; one block is the plain count."""
+    return _kernel_count(*blocks)[0]
 
 
 # ---------------------------------------------------------------- index
@@ -251,10 +173,10 @@ def numerical_index(symbol, sizes=(10, 14, 18), certify=True):
     symbol whose coefficients share reducing subspaces W_i (band_dim <= 16)
     is counted block by block, with the counts of the undivided section:
     one section of W_i* f W_i per block on the rows of the whole symbol's
-    reach, and one kernel_dim over all of them.  Segments are counted with the
-    escalating section criterion: a kernel vector decaying like r^x keeps
-    its section residual above any fixed cutoff until the section outruns
-    the decay, so a fixed size list can undercount.
+    reach, and one kernel_dim over all of them.  A one-variable symbol is
+    counted with the escalating section criterion: a kernel vector decaying
+    like r^x keeps its section residual above any fixed cutoff until the
+    section outruns the decay, so a fixed size list can undercount.
     """
     if symbol.num_vars not in (1, 2):
         raise DimensionMismatch("index needs a one- or two-variable symbol")
@@ -334,13 +256,13 @@ def half_plane_gap(symbol, direction, parallel=32, perp=8):
     if direction not in (0, 1):
         raise InputError("direction must be 0 or 1")
     phases = np.exp(2j * np.pi * np.arange(parallel) / parallel)
-    slices = [symbol.slice(direction, (p,)).symbol for p in phases]
+    slices = [symbol.slice(direction, (p,)) for p in phases]
     sections = [perp, 2 * perp, 4 * perp]
     minima = []
     for m in sections:
         worst = np.inf
         for sl in slices:
-            sv = np.linalg.svd(_dense_section(sl, (m,), (m,)), compute_uv=False)
+            sv = np.linalg.svd(assemble(sl, m), compute_uv=False)
             worst = min(worst, float(sv[-1]))
         minima.append(worst)
     if not all(np.isfinite(minima)):
@@ -423,9 +345,10 @@ class CornerSpectrumResult:
         }
 
 
-def _corner_mask(sites, band_dim):
-    near = np.all(sites < CORNER_EXTENT, axis=1)
-    return np.repeat(near, band_dim).astype(float)
+def _corner_mask(side, band_dim):
+    """Indicator of the corner patch on the rows of a side x side section."""
+    near = np.arange(side) < CORNER_EXTENT
+    return np.repeat(np.logical_and.outer(near, near).ravel(), band_dim).astype(float)
 
 
 def _participation(cols, mask):
@@ -452,13 +375,13 @@ def _refined_cluster_basis(block, corner_mask):
 
 def _hermitian_corner(symbol, side, zero_tol):
     """Eigenvalues, participations and zero modes from one dense eigh."""
-    op = assemble(symbol, Quarter(side))
-    vals, vecs = np.linalg.eigh(op.matrix)
-    mask = _corner_mask(op.col_sites, symbol.band_dim)
+    mat = assemble(symbol, side)
+    vals, vecs = np.linalg.eigh(mat)
+    mask = _corner_mask(side, symbol.band_dim)
     basis = _refined_cluster_basis(vecs[:, np.abs(vals) <= zero_tol], mask)
     modes = [
         ZeroMode(
-            value=float(np.real(np.vdot(psi, op.matrix @ psi))),
+            value=float(np.real(np.vdot(psi, mat @ psi))),
             chirality=float("nan"),
             corner_participation=float(part),
         )
@@ -476,10 +399,9 @@ def _chiral_corner(symbol, side, zero_tol):
     """
     half = symbol.band_dim // 2
     h = LaurentSymbol(2, half, [(k, a[half:, :half]) for k, a in symbol.coeffs.items()])
-    op = assemble(h, Quarter(side))
-    u, s, vh = np.linalg.svd(op.matrix)
+    u, s, vh = np.linalg.svd(assemble(h, side))
     v = vh.conj().T
-    mask = _corner_mask(op.col_sites, half)
+    mask = _corner_mask(side, half)
     zero = s <= zero_tol
     modes = []
     for chi, block in ((1.0, v[:, zero]), (-1.0, u[:, zero])):
@@ -686,11 +608,10 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
                     "half-plane compression not invertible along the family")
 
     windowed = []
+    mask = _corner_mask(side, family.band_dim)
     for t in t_values:
-        op = assemble(family.freeze({t_var: np.exp(1j * t)}), Quarter(side))
-        vals, vecs = np.linalg.eigh(op.matrix)
+        vals, vecs = np.linalg.eigh(assemble(family.freeze({t_var: np.exp(1j * t)}), side))
         keep = np.nonzero(np.abs(vals) < window)[0]
-        mask = _corner_mask(op.col_sites, family.band_dim)
         windowed.append(
             _corner_attached_states(vals, vecs, keep, mask)
         )

@@ -3,7 +3,6 @@
 Contents
 --------
 LaurentSymbol   coefficient-level container with eval / product / adjoint
-SliceSymbol     one variable kept active, the others frozen to torus points
 az_class        Altland-Zirnbauer class table (degree, relations, block rule)
 check_symmetry  validate the class relations at coefficient level and on grids
 assemble_chiral build H = [[0, h*], [h, 0]] from an arbitrary symbol h
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .errors import (
 
 __all__ = [
     "LaurentSymbol",
-    "SliceSymbol",
     "AZClassSpec",
     "SymmetryReport",
     "az_class",
@@ -328,8 +326,9 @@ class LaurentSymbol:
         """Freeze all variables except ``active_var`` at torus values.
 
         ``fixed_point`` lists the values of the d-1 frozen variables in
-        variable order.  Returns a SliceSymbol wrapping the collapsed
-        one-variable symbol.
+        variable order.  Returns the collapsed one-variable symbol, the
+        ``freeze`` of those values: evaluating it at z equals evaluating f
+        with z inserted at ``active_var``.
         """
         if not 0 <= active_var < self.num_vars:
             raise InputError(f"active_var {active_var} out of range")
@@ -339,8 +338,7 @@ class LaurentSymbol:
                 f"need {self.num_vars - 1} frozen values, got {len(fixed)}"
             )
         frozen_vars = [v for v in range(self.num_vars) if v != active_var]
-        collapsed = self.freeze(dict(zip(frozen_vars, fixed)))
-        return SliceSymbol(self, active_var, fixed, collapsed)
+        return self.freeze(dict(zip(frozen_vars, fixed)))
 
     # ---------------------------------------------------------- sections
 
@@ -378,24 +376,6 @@ class LaurentSymbol:
 
     def to_dict(self):
         return symbol_to_dict(self)
-
-
-@dataclass(frozen=True)
-class SliceSymbol:
-    """One-variable slice of a multivariable symbol.
-
-    Evaluating the slice at z equals evaluating the parent with z inserted
-    at ``active_var`` and ``fixed_point`` elsewhere; the collapsed
-    coefficients make that identity exact.
-    """
-
-    parent: LaurentSymbol
-    active_var: int
-    fixed_point: tuple
-    symbol: LaurentSymbol = field(compare=False)
-
-    def eval(self, z):
-        return self.symbol.eval((z,))
 
 
 def _coordinate_slice(symbol, direction, angle, t_var, t):

@@ -54,7 +54,7 @@ from .errors import (
     Unstable,
     WindowTooSmall,
 )
-from .symbols import LaurentSymbol, SliceSymbol, det_on_circle
+from .symbols import LaurentSymbol, det_on_circle
 
 __all__ = [
     "FactorizationResult",
@@ -84,8 +84,6 @@ SCAN_GRID = 1024            # Fourier grid of the radially scaled symbols
 
 
 def _as_one_var(symbol):
-    if isinstance(symbol, SliceSymbol):
-        symbol = symbol.symbol
     if symbol.num_vars != 1:
         raise DimensionMismatch("a one-variable symbol is required here")
     return symbol
@@ -455,16 +453,19 @@ def canonical_factorize(symbol, truncation=None):
     """Compute the canonical factorization of a one-variable symbol.
 
     Raises SingularOnTorus / NotCanonical when f is not invertible on the
-    circle or has nonzero partial indices; NonConvergent when the relative
-    defect stays above DEFECT_TOL at MAX_TRUNCATION; IllConditioned when
-    the condition (see FactorizationResult) crosses COND_CAP; InputError
-    for a ``truncation`` outside 0..MAX_TRUNCATION.
+    circle or has nonzero partial indices; NonConvergent when a doubling
+    does not lower the relative defect, or it stays above DEFECT_TOL at
+    MAX_TRUNCATION; IllConditioned when the condition (see
+    FactorizationResult) crosses COND_CAP; InputError for a ``truncation``
+    outside 0..MAX_TRUNCATION.
 
     Without ``truncation`` the solve starts at FIRST_TRUNCATION blocks and
-    doubles until the relative defect is at most DEFECT_TOL.  Only when the
-    first certificate bound fails does the kernel-scan certificate run, and
-    a slice it rejects raises NotCanonical with its partial indices before
-    any IllConditioned or NonConvergent.
+    doubles until the relative defect is at most DEFECT_TOL, giving up at
+    the first doubling that does not lower it rather than solving every
+    section up to MAX_TRUNCATION.  Only when the first certificate bound
+    fails does the kernel-scan certificate run, and a slice it rejects
+    raises NotCanonical with its partial indices before any IllConditioned
+    or NonConvergent.
     """
     if truncation is not None and not 0 <= truncation <= MAX_TRUNCATION:
         raise InputError(
@@ -499,6 +500,7 @@ def canonical_factorize(symbol, truncation=None):
         if solved is None:
             solved = _solve_section(symbol, m)  # a singular section raises, as before
     scale = symbol.coeff_norm()
+    previous = np.inf
     while True:
         h_stack, (c_stack, b_stack, defect), cond = solved
         if cond is None:
@@ -510,11 +512,17 @@ def canonical_factorize(symbol, truncation=None):
         defect = float(np.linalg.norm(defect, axis=(-2, -1)).sum())
         if defect <= DEFECT_TOL * scale or truncation is not None:
             break
+        if defect >= previous:
+            raise NonConvergent(
+                f"relative defect {defect / scale:.3e} at truncation {m} is not "
+                f"below {previous / scale:.3e} at {m // 2}: doubling does not converge"
+            )
         if 2 * m > MAX_TRUNCATION:
             raise NonConvergent(
                 f"relative defect {defect / scale:.3e} above {DEFECT_TOL:.1e} "
                 f"at truncation cap {m}"
             )
+        previous = defect
         m *= 2
         solved = _solve_section(symbol, m)
     return FactorizationResult(

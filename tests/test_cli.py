@@ -181,6 +181,7 @@ def test_factorize_input_errors(capsys, golden_file):
     ["corner", "{H}", "--size", "-2"],
     ["factorize", "{golden}", "--param", "1=1", "--trunc", "-4"],
     ["factorize", "{golden}", "--var", "0", "--param", "1=1", "--trunc", "100000"],
+    ["factorize", "{s1}", "--var", "7"],
     ["corner", "{H}", "--size", "10", "--zero-tol", "-1"],
     ["corner", "{H}", "--size", "10", "--zero-tol", "nan"],
     ["corner", "{H}", "--size", "10", "--floor", "0"],
@@ -197,8 +198,10 @@ def test_size_flags_out_of_range_are_input_errors(capsys, tmp_path, golden_file,
                                                   golden_H_file, argv):
     family = tmp_path / "family.json"
     save_symbol(sin_mass_family(assemble_chiral(golden_symbol())), family)
+    s1 = tmp_path / "s1.json"
+    save_symbol(golden_symbol().freeze({1: 1.0}), s1)
     files = {"family": str(family), "golden": golden_file, "H": golden_H_file,
-             "dump": str(tmp_path / "dump")}
+             "dump": str(tmp_path / "dump"), "s1": str(s1)}
     code, rep = run(capsys, [a.format(**files) for a in argv])
     assert code == 4 and rep["error"] == "InputError"
 

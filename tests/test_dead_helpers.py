@@ -110,3 +110,33 @@ def test_involutions_stay_inside_symbols():
                 if ref in ("_quaternion_unit", "chiral_projector"):
                     leaks.append((name, ref))
     assert leaks == []
+
+
+def _is_dataclass(node):
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if getattr(target, "id", None) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    """A field of a package dataclass that no code of the package or its
+    tests reads as an attribute is carried for nobody: delete it."""
+    trees = list(_package_trees())
+    tests = list(_trees(os.path.dirname(os.path.abspath(__file__))))
+    fields = [
+        (cls.name, stmt.target.id)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    read = {
+        n.attr
+        for tree in trees + tests
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []

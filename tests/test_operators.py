@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,8 @@ from qtop.errors import (
     SizeOverflow,
 )
 from qtop.operators import (
-    HalfPlaneRect,
-    Quarter,
-    Segment,
+    CORNER_EXTENT,
+    _corner_mask,
     assemble,
     certify_fredholm,
     corner_spectrum,
@@ -36,18 +37,18 @@ def scalar_1d(terms):
 
 
 def test_segment_assembly_puts_shift_below_diagonal():
-    op = assemble(scalar_1d([(1, 1.0)]), Segment(5))
+    mat = assemble(scalar_1d([(1, 1.0)]), 5)
     want = np.zeros((5, 5))
     want[np.arange(1, 5), np.arange(4)] = 1.0
-    assert np.array_equal(op.matrix, want)
+    assert np.array_equal(mat, want)
 
 
 def test_quarter_assembly_layout(golden):
-    op = assemble(golden, Quarter(3))
-    assert op.matrix.shape == (18, 18)
+    mat = assemble(golden, 3)
+    assert mat.shape == (18, 18)
     # hop z: site (x, y) -> (x+1, y); site order is lexicographic in (x, y)
-    sites = [tuple(s) for s in op.col_sites]
-    a = op.matrix.reshape(9, 2, 9, 2)
+    sites = list(itertools.product(range(3), range(3)))
+    a = mat.reshape(9, 2, 9, 2)
     i, j = sites.index((1, 2)), sites.index((0, 2))
     assert np.allclose(a[i, :, j, :], np.array([[1.0, 0.0], [0.0, 0.0]]))
     # Dirichlet: no wraparound from the last column
@@ -57,20 +58,27 @@ def test_quarter_assembly_layout(golden):
 
 def test_assembly_validation(golden):
     with pytest.raises(DimensionMismatch):
-        assemble(golden, Segment(4))
-    with pytest.raises(DimensionMismatch):
-        assemble(scalar_1d([(1, 1.0)]), Quarter(4))
+        assemble(promote_to_family(golden), 4)
     with pytest.raises(InputError):
-        assemble(golden, HalfPlaneRect(direction=2, parallel=4, perp=4))
-    with pytest.raises(InputError):
-        assemble(golden, "quarter")
+        assemble(golden, -1)
     with pytest.raises(SizeOverflow):
-        assemble(golden, Quarter(200))
+        assemble(golden, 200)
+
+
+def test_corner_mask_matches_the_site_grid_mask():
+    # reference: the corner indicator over sites listed lexicographically,
+    # repeated over the band index, as the section lays out its rows
+    for side in range(1, 7):
+        sites = np.array(list(itertools.product(range(side), range(side))))
+        near = np.all(sites < CORNER_EXTENT, axis=1)
+        for n in (1, 2, 3):
+            assert np.array_equal(_corner_mask(side, n), np.repeat(near, n).astype(float))
+    assert np.all(_corner_mask(CORNER_EXTENT - 1, 2) == 1.0)
 
 
 def test_kernel_dim_of_finite_shift():
-    assert kernel_dim(assemble(scalar_1d([(1, 1.0)]), Segment(8))) == 1
-    assert kernel_dim(assemble(scalar_1d([(0, 1.0)]), Segment(8))) == 0
+    assert kernel_dim(assemble(scalar_1d([(1, 1.0)]), 8)) == 1
+    assert kernel_dim(assemble(scalar_1d([(0, 1.0)]), 8)) == 0
     assert kernel_dim(np.ones((1, 3))) == 2
     assert kernel_dim(np.zeros((2, 3))) == 3
 
@@ -252,7 +260,7 @@ def test_chiral_corner_spectrum_matches_dense_eigh(golden, case):
     }[case]()
     for side in (1, 5, 10):
         res = corner_spectrum(H, side=side)
-        ref = np.linalg.eigvalsh(assemble(H, Quarter(side)).matrix)
+        ref = np.linalg.eigvalsh(assemble(H, side))
         assert res.eigenvalues.shape == ref.shape
         assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert len(res.zero_modes) == np.count_nonzero(np.abs(ref) <= res.zero_tol)
@@ -325,11 +333,11 @@ def test_spectral_flow_validation(golden, golden_H):
 
 
 def test_dump_operator_roundtrip(tmp_path, golden):
-    op = assemble(golden, Quarter(3))
+    mat = assemble(golden, 3)
     path = tmp_path / "op.bin"
-    dump_operator(op, path)
+    dump_operator(mat, golden.band_dim, path)
     raw = path.read_bytes()
     header = np.frombuffer(raw[:24], dtype=np.int64)
     assert tuple(header) == (18, 18, 2)
     data = np.frombuffer(raw[24:], dtype=np.float64).reshape(18, 18, 2)
-    assert np.array_equal(data[..., 0] + 1j * data[..., 1], op.matrix)
+    assert np.array_equal(data[..., 0] + 1j * data[..., 1], mat)

@@ -10,8 +10,9 @@ from conftest import (
     sin_mass_family,
     small_term,
 )
+from test_symbols import _class_symbol
 import qtop.wiener_hopf
-from qtop.errors import InputError, NotCanonical, SingularOnTorus, Unstable
+from qtop.errors import InputError, NonConvergent, NotCanonical, SingularOnTorus, Unstable
 from qtop.operators import spectral_flow
 from qtop.symbols import LaurentSymbol, assemble_chiral
 from qtop.wiener_hopf import (
@@ -60,7 +61,7 @@ def test_certify_invertible_rejects_vanishing_det():
 
 
 def test_large_section_condition_estimate():
-    sl = golden_symbol().slice(0, (np.exp(1.1j),)).symbol
+    sl = golden_symbol().slice(0, (np.exp(1.1j),))
     m = 1100
     assert (m + 1) * sl.band_dim > EXACT_COND_ROWS
     h_big = _solve_section(sl, m)[0]
@@ -174,6 +175,7 @@ def test_plus_polynomial_inverts_the_solved_series(rng):
 def test_radial_scan_bounded_below_for_golden_slice():
     sl = golden_symbol().slice(1, (np.exp(0.6j),))
     scan = radial_scan(canonical_factorize(sl), radii=np.linspace(0.0, 1.0, 9))
+    assert scan.radii == tuple(np.linspace(0.0, 1.0, 9))
     assert len(scan.sigma_min) == 9
     assert scan.worst >= 0.1
 
@@ -227,7 +229,7 @@ def test_wiener_certificate_rejects_quietly():
             assert not _bound_holds(sym)
             for h_stack in (h_any, 1e200 * h_any, np.full_like(h_any, np.nan)):
                 assert _certificate(sym, h_stack) is None
-        assert _certificate(golden_symbol().slice(0, (1.0,)).symbol,
+        assert _certificate(golden_symbol().slice(0, (1.0,)),
                             h_any[:1]) is None  # h shorter than the 1/z reach
 
 
@@ -273,3 +275,23 @@ def test_kernel_scan_fallback_factorizes_slow_decay(monkeypatch):
     assert np.isfinite(fact.condition) and fact.condition < COND_CAP
     for value in (fact.truncation, fact.residual, fact.condition):
         assert isinstance(value, (int, float)) and np.isfinite(value)
+
+
+def test_doubling_that_raises_the_defect_is_nonconvergent(monkeypatch):
+    # the TD slice at angle 0 of a seeded class-AI band-3 symbol: its
+    # relative defect goes 0.109, 3.64, 0.025, 15.8 at m = 32 ... 256, so
+    # the doubling loop stops at m = 64 instead of solving up to the cap
+    sl = _class_symbol("AI", 3, seed=1).slice(1, (1.0,))
+    real = qtop.wiener_hopf._solve_section
+    calls = []
+
+    def counted(symbol, m):
+        calls.append(m)
+        if len(calls) > 2:
+            raise AssertionError(f"section solve number {len(calls)}, at m = {m}")
+        return real(symbol, m)
+
+    monkeypatch.setattr(qtop.wiener_hopf, "_solve_section", counted)
+    with pytest.raises(NonConvergent, match="doubling does not converge"):
+        canonical_factorize(sl)
+    assert calls == [FIRST_TRUNCATION, 2 * FIRST_TRUNCATION]
