@@ -44,18 +44,15 @@ from .invariants import (
     calibrate_orientation,
     gapped_invariant_report,
     w3,
-    winding_number,
 )
 from .operators import (
     CornerSpectrumResult,
-    HalfPlaneGapReport,
     IndexReport,
     SpectralFlowResult,
     assemble,
     certify_fredholm,
     corner_spectrum,
     dump_operator,
-    half_plane_gap,
     kernel_dim,
     numerical_index,
     spectral_flow,
@@ -91,16 +88,13 @@ __all__ = [
     "calibrate_orientation",
     "gapped_invariant_report",
     "w3",
-    "winding_number",
     "CornerSpectrumResult",
-    "HalfPlaneGapReport",
     "IndexReport",
     "SpectralFlowResult",
     "assemble",
     "certify_fredholm",
     "corner_spectrum",
     "dump_operator",
-    "half_plane_gap",
     "kernel_dim",
     "numerical_index",
     "spectral_flow",

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .extension import ChartPoint, ExtendedSymbol, build_extended, check_grid_size, check_w3_grid
 from .invariants import DEFAULT_GRID, gapped_invariant_report, w3
-from .operators import corner_spectrum, numerical_index, spectral_flow
+from .operators import _write_dump, corner_spectrum, numerical_index, spectral_flow
 from .symbols import az_class, check_symmetry, load_symbol, split_chiral
 from .wiener_hopf import canonical_factorize, verify_factorization
 
@@ -82,6 +82,8 @@ def _parse_params(items, num_vars, active_var):
             value = complex(tail)
         except ValueError:
             raise InputError(f"--param value {tail!r} is not a complex literal") from None
+        if not np.isfinite(value):
+            raise InputError(f"--param value {tail!r} is not finite")
         if not 0 <= var < num_vars:
             raise InputError(f"--param variable {var} out of range for {num_vars} variables")
         if var == active_var:
@@ -227,14 +229,14 @@ def _cmd_index(args):
     idx = None
     if args.mode in ("w3", "both"):
         grid = _w3_grid(args, symbol.band_dim)
+        if symbol.num_vars != 2:
+            raise InputError("W3 needs a two-variable symbol")
     if args.mode in ("truncation", "both"):
         sizes = _parse_int_tuple(args.sizes, name="--sizes")
         idx = numerical_index(symbol, sizes=sizes)
         report["truncation"] = idx.to_dict()
     w3_res = None
     if args.mode in ("w3", "both"):
-        if symbol.num_vars != 2:
-            raise InputError("W3 needs a two-variable symbol")
         _check_threads(args)
         ext = build_extended(symbol, samples_per_circle=args.samples)
         w3_res = w3(ext, grid=grid)
@@ -374,10 +376,7 @@ def _cmd_extend(args):
     for chart in charts:
         grid = ext.chart_grid(chart, thetas, rhos, phis)
         path = f"{args.out}.{chart}.bin"
-        with open(path, "wb") as fh:
-            np.asarray([nt, nr, np_, symbol.band_dim], dtype=np.int64).tofile(fh)
-            flat = grid.reshape(-1)
-            np.stack([flat.real, flat.imag], axis=-1).astype(np.float64).tofile(fh)
+        _write_dump(path, [nt, nr, np_, symbol.band_dim], grid)
         paths[chart] = path
     return {
         "command": "extend",

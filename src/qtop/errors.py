@@ -114,10 +114,6 @@ class CalibrationFailed(NumericalFailure):
     """Orientation calibration did not land near an integer of modulus 1."""
 
 
-class UndersampledLoop(NumericalFailure):
-    """Phase steps of a sampled loop too coarse to count winding safely."""
-
-
 class Unstable(NumericalFailure):
     """A quantity required to stabilize across truncation sizes did not."""
 

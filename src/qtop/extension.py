@@ -41,7 +41,7 @@ from .errors import (
     SingularOnTorus,
     Unstable,
 )
-from .symbols import _DEGREE_RELATION, _coordinate_slice, _relation, az_class
+from .symbols import GRID_CAP, _DEGREE_RELATION, _coordinate_slice, _relation, az_class
 from .wiener_hopf import canonical_factorize
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 CHARTS = ("TD", "DT")
-GRID_CAP = 10_000_000  # matrix entries n_theta * n_rho * n_phi * N^2 of one chart grid
 SEAM_TOL = 1e-8        # largest slice defect, relative to the symbol scale
 MAX_RADII = 129        # largest W3 radial rule; its differentiation error grows like n^3 eps
 
@@ -83,6 +82,8 @@ class ChartPoint:
             raise OutOfDomain(f"unknown chart {self.chart!r}, expected TD or DT")
         if not 0.0 <= self.rho <= 1.0:
             raise OutOfDomain(f"rho = {self.rho} outside [0, 1]")
+        if not np.isfinite([self.theta, self.phi, 0.0 if self.t is None else self.t]).all():
+            raise OutOfDomain(f"chart angles theta, phi, t must be finite: {self}")
 
     def coordinates(self):
         if self.chart == "TD":

@@ -1,9 +1,7 @@
 """Winding-number invariants of symbols and their boundary extensions.
 
-The one-dimensional winding number of a nonvanishing loop is computed from
-sampled values by summing argument increments.  The three-dimensional
-winding number W3 of an extended symbol g on the glued bidisk boundary is
-the degree integral
+The three-dimensional winding number W3 of an extended symbol g on the
+glued bidisk boundary is the degree integral
 
     W3 = s (1/24 pi^2) [ I_TD - I_DT ],
     I_chart = int tr( A_theta [A_rho, A_phi] + cyclic ) dtheta drho dphi,
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import CalibrationFailed, InputError, UndersampledLoop, Unstable
+from .errors import CalibrationFailed, InputError
 from .extension import (
     bott_generator,
     build_extended,
@@ -52,7 +50,6 @@ from .symbols import _coordinate_slice, az_class, check_symmetry, split_chiral
 from .wiener_hopf import _slice_indices
 
 __all__ = [
-    "winding_number",
     "w3",
     "W3Result",
     "calibrate_orientation",
@@ -63,31 +60,6 @@ __all__ = [
 DEFAULT_GRID = (64, 33, 64)
 AGREEMENT_TOL = 1e-6  # two successive chain grids agreeing this closely end W3
 REPORT_SYMMETRY_TOL = 1e-8  # class relation tolerance of gapped_invariant_report
-
-
-def winding_number(samples):
-    """Winding of a closed loop of nonzero complex values around 0.
-
-    ``samples`` traverse the loop once in order; the closing step from the
-    last value back to the first is included automatically.  Each
-    consecutive phase step must be smaller than pi in magnitude, otherwise
-    the loop is undersampled and the winding is ambiguous.
-    """
-    vals = np.asarray(samples, dtype=complex).ravel()
-    if vals.size < 2:
-        raise InputError("need at least two samples of the loop")
-    if not np.all(np.isfinite(vals)) or np.any(vals == 0):
-        raise InputError("loop samples must be finite and nonzero")
-    steps = np.angle(np.roll(vals, -1) / vals)
-    if np.abs(steps).max() >= np.pi * (1.0 - 1e-9):
-        raise UndersampledLoop(
-            "consecutive phase step of the loop reaches pi; increase sampling"
-        )
-    total = float(steps.sum()) / (2.0 * np.pi)
-    result = int(round(total))
-    if abs(total - result) > 1e-6:
-        raise Unstable(f"argument increment {total:.3e} turns is not an integer")
-    return result
 
 
 # ------------------------------------------------------------ derivatives

@@ -10,11 +10,6 @@ reach of the columns.  The artificial far edges and the far corner then
 contribute nothing; small singular values can only come from modes attached
 to the true corner, which is what the index counts.  Stability of the
 counts across truncation sizes is still required and reported.
-
-The half-plane gap avoids rectangle corners altogether: truncating the
-parallel direction periodically block-diagonalizes the half-plane operator
-over discrete momenta, so the gap is the minimum over momentum slices of
-the smallest singular value of one-dimensional segment sections.
 """
 
 from __future__ import annotations
@@ -49,8 +44,6 @@ __all__ = [
     "kernel_dim",
     "numerical_index",
     "IndexReport",
-    "half_plane_gap",
-    "HalfPlaneGapReport",
     "corner_spectrum",
     "CornerSpectrumResult",
     "ZeroMode",
@@ -83,15 +76,19 @@ def assemble(symbol, side):
     return symbol.section(box, box)
 
 
+def _write_dump(path, header, values):
+    """Raw binary dump: the int64 ``header``, then ``values`` in C order as
+    interleaved re/im float64 pairs."""
+    values = np.asarray(values, dtype=complex)
+    with open(path, "wb") as fh:
+        np.asarray(header, dtype=np.int64).tofile(fh)
+        np.stack([values.real, values.imag], axis=-1).tofile(fh)
+
+
 def dump_operator(matrix, band_dim, path):
     """Raw dense dump: int64 header (rows, cols, band_dim), then the matrix
     entries row-major as interleaved re/im float64 pairs."""
-    with open(path, "wb") as fh:
-        np.array([*matrix.shape, band_dim], dtype=np.int64).tofile(fh)
-        inter = np.empty(matrix.shape + (2,), dtype=np.float64)
-        inter[..., 0] = matrix.real
-        inter[..., 1] = matrix.imag
-        inter.tofile(fh)
+    _write_dump(path, [*matrix.shape, band_dim], matrix)
 
 
 def kernel_dim(*blocks):
@@ -216,65 +213,6 @@ def numerical_index(symbol, sizes=(10, 14, 18), certify=True):
         sizes=tuple(int(s) for s in sizes),
         kernel_counts=tuple(kers),
         cokernel_counts=tuple(coks),
-    )
-
-
-# ----------------------------------------------------------- edge gaps
-
-
-@dataclass(frozen=True)
-class HalfPlaneGapReport:
-    """Smallest singular value of a half-plane operator, with size trend."""
-
-    direction: int
-    sections: tuple
-    minima: tuple
-    gap: float
-    gapless_trend: bool
-
-    def to_dict(self):
-        return {
-            "direction": self.direction,
-            "sections": list(self.sections),
-            "minima": list(self.minima),
-            "gap": self.gap,
-            "gapless_trend": self.gapless_trend,
-        }
-
-
-def half_plane_gap(symbol, direction, parallel=32, perp=8):
-    """Gap of the half-plane operator with half-line variable ``direction``.
-
-    The parallel direction is made periodic with ``parallel`` sites, which
-    splits the operator into momentum slices; each slice is a 1D Toeplitz
-    operator whose segment sections of growing size bound its gap.  The
-    reported gap is the minimum over momenta at the largest section; a
-    monotone shrink across two doublings flags a gapless edge.
-    """
-    if symbol.num_vars != 2:
-        raise DimensionMismatch("half-plane gap needs a two-variable symbol")
-    if direction not in (0, 1):
-        raise InputError("direction must be 0 or 1")
-    phases = np.exp(2j * np.pi * np.arange(parallel) / parallel)
-    slices = [symbol.slice(direction, (p,)) for p in phases]
-    sections = [perp, 2 * perp, 4 * perp]
-    minima = []
-    for m in sections:
-        worst = np.inf
-        for sl in slices:
-            sv = np.linalg.svd(assemble(sl, m), compute_uv=False)
-            worst = min(worst, float(sv[-1]))
-        minima.append(worst)
-    if not all(np.isfinite(minima)):
-        raise Unstable("half-plane gap scan produced non-finite values")
-    ratios = [b / max(a, 1e-300) for a, b in zip(minima, minima[1:])]
-    gapless = all(r < 0.7 for r in ratios)
-    return HalfPlaneGapReport(
-        direction=direction,
-        sections=tuple(sections),
-        minima=tuple(minima),
-        gap=minima[-1],
-        gapless_trend=gapless,
     )
 
 

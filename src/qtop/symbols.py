@@ -317,7 +317,12 @@ class LaurentSymbol:
                 if e != 0 and p == 0:
                     raise ZeroCoordinate(f"frozen variable {v} at zero with exponent {e}")
                 if e != 0:
-                    factor *= p**e
+                    try:
+                        factor *= p**e
+                    except OverflowError:
+                        raise InputError(
+                            f"frozen variable {v} = {p} overflows at exponent {e}"
+                        ) from None
             k = tuple(key[v] for v in keep)
             acc[k] = acc[k] + factor * a if k in acc else factor * a
         return LaurentSymbol(len(keep), self.band_dim, acc.items())
@@ -389,6 +394,7 @@ def _coordinate_slice(symbol, direction, angle, t_var, t):
     return symbol.slice(direction, fixed)
 
 
+GRID_CAP = 10_000_000  # matrix entries of one evaluation grid (torus or chart)
 COMMUTANT_MAX_BAND = 16  # largest band whose default index sections fit DENSE_CAP
 
 
@@ -603,6 +609,8 @@ def _relation_violation(symbol, relation):
     """Max coefficient-level violation of one named relation on ``symbol``,
     relative to its scale: the distance from the symbol with coefficients
     theta(a_k), at -k when the relation flips exponents."""
+    if not symbol.coeffs:
+        return 0.0  # and no band_dim-sized W is built
     _, theta, flip = _relation(relation, symbol.band_dim)
     sign = -1 if flip else 1
     image = LaurentSymbol(symbol.num_vars, symbol.band_dim, [
@@ -612,7 +620,13 @@ def _relation_violation(symbol, relation):
 
 
 def _grid_violation(symbol, relation, grid):
-    """f(sigma z) - theta(f(z)) on a torus grid (rounding-level check)."""
+    """f(sigma z) - theta(f(z)) on a torus grid (rounding-level check),
+    refused above GRID_CAP entries before any is allocated."""
+    if grid ** symbol.num_vars * symbol.band_dim ** 2 > GRID_CAP:
+        raise InputError(
+            f"torus grid of {grid} points in each of {symbol.num_vars} variables "
+            f"at band {symbol.band_dim} exceeds {GRID_CAP} entries"
+        )
     conj_point, theta, _ = _relation(relation, symbol.band_dim)
     axes = [
         np.exp(2j * np.pi * np.arange(grid) / grid) for _ in range(symbol.num_vars)
@@ -700,8 +714,10 @@ def symbol_from_dict(data):
     try:
         num_vars = int(data["num_vars"])
         band_dim = int(data["band_dim"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"num_vars / band_dim must be integers: {exc}") from None
+    if not isinstance(data["terms"], list):
+        raise InputError("symbol document field 'terms' must be a list")
     terms = []
     for pos, term in enumerate(data["terms"]):
         if not isinstance(term, dict) or "exponents" not in term or "matrix" not in term:
@@ -709,7 +725,7 @@ def symbol_from_dict(data):
         exps = term["exponents"]
         try:
             ok = len(exps) == num_vars and all(float(e).is_integer() for e in exps)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
             raise InputError(
@@ -725,7 +741,8 @@ def symbol_from_dict(data):
                 f"term {pos}: matrix has shape {arr.shape}, "
                 f"expected ({band_dim}, {band_dim}, 2)"
             )
-        terms.append(([int(e) for e in exps], arr[..., 0] + 1j * arr[..., 1]))
+        with np.errstate(invalid="ignore"):  # 1j * inf; LaurentSymbol refuses the result
+            terms.append(([int(e) for e in exps], arr[..., 0] + 1j * arr[..., 1]))
     return LaurentSymbol(num_vars, band_dim, terms)
 
 

@@ -101,9 +101,11 @@ def _poly_values(coeff_stack, u):
 
 def certify_invertible(symbol):
     """Check min |det f| on a DET_SAMPLES-point circle grid; SingularOnTorus
-    below DET_TOL."""
-    with np.errstate(invalid="ignore"):
-        dets = det_on_circle(_as_one_var(symbol), DET_SAMPLES)
+    below DET_TOL, for the zero symbol without sampling it."""
+    dets = np.zeros(1)
+    if _as_one_var(symbol).coeffs:
+        with np.errstate(invalid="ignore"):
+            dets = det_on_circle(symbol, DET_SAMPLES)
     dmin = float(np.abs(dets).min())
     if not dmin > DET_TOL:  # NaN fails this comparison too
         raise SingularOnTorus(

@@ -98,6 +98,61 @@ def test_oversized_coefficient_exits_cleanly(capsys, tmp_path):
         assert code in (2, 3, 4) and "error" in rep, argv
 
 
+# Damage a symbol file can carry, each as an in-place edit of golden's document.
+_MUTATIONS = {
+    "missing_num_vars": lambda d: d.pop("num_vars"),
+    "missing_band_dim": lambda d: d.pop("band_dim"),
+    "missing_terms": lambda d: d.pop("terms"),
+    "missing_exponents": lambda d: d["terms"][0].pop("exponents"),
+    "missing_matrix": lambda d: d["terms"][0].pop("matrix"),
+    "num_vars_fraction": lambda d: d.update(num_vars=1.5),
+    "num_vars_text": lambda d: d.update(num_vars="two"),
+    "num_vars_huge": lambda d: d.update(num_vars=10**6),
+    "num_vars_inf": lambda d: d.update(num_vars=float("inf")),
+    "num_vars_nan": lambda d: d.update(num_vars=float("nan")),
+    "band_dim_fraction": lambda d: d.update(band_dim=2.5),
+    "band_dim_huge": lambda d: d.update(band_dim=10**8),
+    "band_dim_inf": lambda d: d.update(band_dim=float("inf")),
+    "band_dim_nan": lambda d: d.update(band_dim=float("nan")),
+    "terms_number": lambda d: d.update(terms=5),
+    "terms_null": lambda d: d.update(terms=None),
+    "terms_object": lambda d: d.update(terms={"exponents": [0, 0]}),
+    "exponents_short": lambda d: d["terms"][0].update(exponents=[1]),
+    "exponents_fraction": lambda d: d["terms"][0].update(exponents=[0.5, 0]),
+    "exponents_text": lambda d: d["terms"][0].update(exponents=["a", 0]),
+    "exponents_huge": lambda d: d["terms"][0].update(exponents=[10**400, 0]),
+    "matrix_shape": lambda d: d["terms"][0].update(matrix=[[[1.0, 0.0]]]),
+    "matrix_nan": lambda d: d["terms"][0]["matrix"][0][0].__setitem__(0, float("nan")),
+    "matrix_inf": lambda d: d["terms"][0]["matrix"][1][0].__setitem__(1, float("-inf")),
+    "duplicate_exponent": lambda d: d["terms"][1].update(exponents=d["terms"][0]["exponents"]),
+    "empty_terms_huge_band": lambda d: d.update(terms=[], band_dim=10**8),
+    "empty_terms_many_vars": lambda d: d.update(terms=[], num_vars=10**6),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS) + ["invalid_json"])
+def test_malformed_document_ends_in_a_report(capsys, tmp_path, mutation):
+    """Every subcommand on a damaged file exits 0, 2, 3, 4 or 5 with a JSON
+    report, never with a traceback."""
+    doc = symbol_to_dict(golden_symbol())
+    if mutation == "invalid_json":
+        text = json.dumps(doc)[:-1]
+    else:
+        _MUTATIONS[mutation](doc)
+        text = json.dumps(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    for argv in (["factorize", path, "--param", "1=1"],
+                 ["index", path, "--sizes", "2", "--grid", "8,5,8", "--samples", "4"],
+                 ["corner", path, "--size", "2"],
+                 ["flow", path, "--tsamples", "2", "--size", "2"],
+                 ["extend", path, "--eval", "chart=TD;theta=0;rho=0.5;phi=0", "--samples", "4"],
+                 ["extend", path, "--dump", "4,5,4", "--out", tmp_path / "dump", "--samples", "4"],
+                 ["symmetry", path, "--class", "A"]):
+        code, rep = run(capsys, [str(a) for a in argv])
+        assert code in (0, 2, 3, 4, 5), argv
+
+
 def test_no_command_is_input_error():
     assert cli.main([]) == 4
 
@@ -163,6 +218,11 @@ def test_factorize_input_errors(capsys, golden_file):
         "factorize", golden_file, "--var", "0", "--param", "1=abc",
     ])
     assert code == 4
+    for value in ("inf", "nan", "1+infj"):
+        code, rep = run(capsys, [
+            "factorize", golden_file, "--var", "0", "--param", f"1={value}",
+        ])
+        assert code == 4 and rep["error"] == "InputError", value
     code, rep = run(capsys, ["factorize", "/nonexistent/sym.json"])
     assert code == 4
 
@@ -289,6 +349,19 @@ def test_malformed_grid_exits_before_dense_work(capsys, golden_file, golden_H_fi
         assert code == 4 and rep["error"] == "InputError", argv
 
 
+@pytest.mark.parametrize("mode", ["w3", "both"])
+def test_w3_of_a_one_variable_file_exits_before_dense_work(capsys, tmp_path, monkeypatch,
+                                                           mode):
+    monkeypatch.setattr(cli, "numerical_index", _refuse)
+    path = tmp_path / "s1.json"
+    # golden's slice, and 1 + z, whose determinant vanishes at z = -1
+    for sym in (golden_symbol().freeze({1: 1.0}),
+                LaurentSymbol(1, 1, [((0,), np.eye(1)), ((1,), np.eye(1))])):
+        save_symbol(sym, path)
+        code, rep = run(capsys, ["index", str(path), "--mode", mode])
+        assert code == 4 and rep["error"] == "InputError"
+
+
 def test_corner_rejects_nonhermitian(capsys, golden_file):
     code, rep = run(capsys, ["corner", golden_file, "--size", "8"])
     assert code == 2
@@ -370,6 +443,9 @@ def test_extend_eval_bad_points(capsys, golden_file):
         "chart=TD;theta=0;rho=0",
         "chart=TD;theta=zero;rho=0;phi=0",
         "chart=TD;theta=0;rho=0;phi=0;q=1",
+        "chart=TD;theta=0;rho=0.5;phi=inf",
+        "chart=DT;theta=nan;rho=0.5;phi=0",
+        "chart=DT;theta=0;rho=0.5;phi=0;t=-inf",
     ):
         code, rep = run(capsys, ["extend", golden_file, "--eval", point])
         assert code == 4, point

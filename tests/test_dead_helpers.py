@@ -1,12 +1,13 @@
 import ast
 import os
+import re
 
 import qtop
 
 
-def _trees(directory):
+def _trees(directory, skip=None):
     for name in sorted(os.listdir(directory)):
-        if name.endswith(".py"):
+        if name.endswith(".py") and name != skip:
             with open(os.path.join(directory, name)) as fh:
                 yield ast.parse(fh.read(), filename=name)
 
@@ -140,3 +141,50 @@ def test_every_dataclass_field_is_read():
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
     }
     assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []
+
+
+def _names(node, outside=None):
+    """Names, attributes and imported aliases under ``node``, skipping the
+    body of any function or class called ``outside``."""
+    found = set()
+
+    def visit(n):
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == outside:
+            return
+        ref = getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+        if isinstance(ref, str):
+            found.add(ref)
+        for child in ast.iter_child_nodes(n):
+            visit(child)
+
+    visit(node)
+    return found
+
+
+def test_every_public_name_is_reached():
+    """A name of qtop.__all__ that no module of the package uses outside its
+    own definition (re-exports do not count), that no acceptance test uses
+    and that README does not name is API nobody reaches: delete it."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    trees = list(_trees(os.path.dirname(qtop.__file__), skip="__init__.py"))
+    with open(os.path.join(tests, "test_acceptance.py")) as fh:
+        acceptance = _names(ast.parse(fh.read()))
+    with open(os.path.join(os.path.dirname(tests), "README.md")) as fh:
+        readme = set(re.findall(r"\w+", fh.read()))
+    unreached = [
+        name for name in qtop.__all__
+        if name not in acceptance and name not in readme
+        and not any(name in _names(tree, outside=name) for tree in trees)
+    ]
+    assert unreached == [], unreached
+
+
+def test_every_error_class_is_named_outside_errors():
+    """An exception class that no other module raises, catches or imports
+    is a failure mode nothing reports: delete it."""
+    directory = os.path.dirname(qtop.__file__)
+    with open(os.path.join(directory, "errors.py")) as fh:
+        classes = [n.name for n in ast.parse(fh.read()).body if isinstance(n, ast.ClassDef)]
+    named = set().union(*(_names(tree) for tree in _trees(directory, skip="errors.py")))
+    unnamed = [c for c in classes if c not in named]
+    assert unnamed == [], unnamed

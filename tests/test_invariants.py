@@ -7,7 +7,7 @@ import qtop.extension
 import qtop.invariants
 import qtop.wiener_hopf
 from conftest import golden_symbol, promote_to_family, random_canonical_2d
-from qtop.errors import CalibrationFailed, InputError, SymmetryViolation, UndersampledLoop
+from qtop.errors import CalibrationFailed, InputError, SymmetryViolation
 from qtop.extension import bott_generator, build_extended, build_extended_family
 from qtop.invariants import (
     DEFAULT_GRID,
@@ -16,28 +16,10 @@ from qtop.invariants import (
     calibrate_orientation,
     gapped_invariant_report,
     w3,
-    winding_number,
 )
 from qtop.symbols import LaurentSymbol
 
 GRID = (32, 17, 32)
-
-
-def test_winding_number_basics():
-    th = 2 * np.pi * np.arange(64) / 64
-    for k in (-3, -1, 0, 2, 5):
-        assert winding_number(np.exp(1j * k * th)) == k
-    assert winding_number(2.0 + np.exp(1j * th)) == 0
-
-
-def test_winding_number_rejects_bad_loops():
-    with pytest.raises(InputError):
-        winding_number([1.0])
-    with pytest.raises(InputError):
-        winding_number([1.0, 0.0, 1.0])
-    th = 2 * np.pi * np.arange(4) / 4
-    with pytest.raises(UndersampledLoop):
-        winding_number(np.exp(2j * th))
 
 
 def test_orientation_calibration_is_plus_one():

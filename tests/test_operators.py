@@ -24,7 +24,6 @@ from qtop.operators import (
     certify_fredholm,
     corner_spectrum,
     dump_operator,
-    half_plane_gap,
     kernel_dim,
     numerical_index,
     spectral_flow,
@@ -174,23 +173,6 @@ def test_certify_fredholm_reports_direction():
     assert err.value.direction == 0
     assert err.value.indices == (1, -1)
     certify_fredholm(golden_symbol())  # does not raise
-
-
-def test_half_plane_gap_golden(golden):
-    for direction in (0, 1):
-        rep = half_plane_gap(golden, direction, parallel=16, perp=8)
-        assert rep.gap >= 0.5
-        assert not rep.gapless_trend
-
-
-def test_half_plane_gap_flags_gapless():
-    sym = LaurentSymbol(2, 1, [
-        ((1, 0), np.array([[1.0]])),
-        ((-1, 0), np.array([[1.0]])),
-    ])
-    rep = half_plane_gap(sym, 0, parallel=4, perp=8)
-    assert rep.gapless_trend
-    assert rep.gap < 0.2
 
 
 def test_corner_spectrum_golden(golden_H):

@@ -102,6 +102,8 @@ def test_slice_freezes_other_variable():
     assert f.freeze({1: w0}) == sl
     with pytest.raises(ZeroCoordinate):
         f.slice(0, (0.0,))
+    with pytest.raises(InputError):  # (1e200)^2 overflows a complex
+        LaurentSymbol(2, 1, [((0, 2), np.eye(1))]).freeze({1: 1e200})
     with pytest.raises(DimensionMismatch):
         f.slice(0, (w0, w0))
 

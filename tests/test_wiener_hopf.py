@@ -48,6 +48,7 @@ class _NaNSymbol:
     """One-variable stand-in whose values are all NaN."""
 
     num_vars = 1
+    coeffs = {(0,): np.full((1, 1), np.nan, dtype=complex)}
 
     def eval_grid(self, axes):
         return np.full((len(axes[0]), 1, 1), np.nan, dtype=complex)
