@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -38,6 +39,8 @@ from .invariants import DEFAULT_GRID, gapped_invariant_report, w3
 from .operators import _write_dump, corner_spectrum, numerical_index, spectral_flow
 from .symbols import az_class, check_symmetry, load_symbol, split_chiral
 from .wiener_hopf import canonical_factorize, verify_factorization
+
+_PARAM_NAMES = 8  # missing --param variables named in the message
 
 _GRID_HELP = (
     "finest W3 grid n_theta,n_rho,n_phi; W3 stops at the first two of its "
@@ -91,9 +94,12 @@ def _parse_params(items, num_vars, active_var):
         if var in fixed:
             raise InputError(f"--param variable {var} given twice")
         fixed[var] = value
-    missing = [v for v in range(num_vars) if v != active_var and v not in fixed]
-    if missing:
-        raise InputError(f"missing --param for variable(s) {missing}")
+    missing = (v for v in range(num_vars) if v != active_var and v not in fixed)
+    first = list(itertools.islice(missing, _PARAM_NAMES + 1))
+    if first:
+        count = num_vars - len(fixed) - (0 <= active_var < num_vars)
+        names = first if count <= _PARAM_NAMES else f"{first[:-1]} ({count} in all)"
+        raise InputError(f"missing --param for variable(s) {names}")
     return tuple(fixed[v] for v in sorted(fixed))
 
 

@@ -32,17 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    NotCanonical,
-    NotFredholm,
-    OutOfDomain,
-    SingularOnTorus,
-    Unstable,
-)
-from .symbols import GRID_CAP, _DEGREE_RELATION, _coordinate_slice, _relation, az_class
-from .wiener_hopf import canonical_factorize
+from .errors import DimensionMismatch, InputError, OutOfDomain, Unstable
+from .symbols import GRID_CAP, _DEGREE_RELATION, _relation, az_class
+from .wiener_hopf import _slice_table
 
 __all__ = [
     "ChartPoint",
@@ -109,16 +101,12 @@ def check_w3_grid(grid, band_dim):
     check_grid_size(grid, band_dim)
 
 
-def _angle_key(angle):
-    return round(float(angle) % (2.0 * np.pi), 12)
-
-
 class ExtendedSymbol:
     """Evaluator for f^E built from per-slice canonical factorizations.
 
     Construct through build_extended / build_extended_family.  Evaluation at
     angles outside the prebuilt sample set factorizes the needed slice on
-    demand (results are cached); nothing is interpolated.
+    demand, once per base symbol (its slice table); nothing is interpolated.
     """
 
     def __init__(self, base, family_var=None, samples_per_circle=16):
@@ -137,9 +125,7 @@ class ExtendedSymbol:
         self.family_var = family_var
         self.samples_per_circle = int(samples_per_circle)
         spatial = [v for v in range(base.num_vars) if v != family_var]
-        self._var_torus = {"TD": spatial[0], "DT": spatial[1]}
         self._var_disk = {"TD": spatial[1], "DT": spatial[0]}
-        self._cache = {}
         self.seam_residuals = {}
 
     @property
@@ -153,32 +139,12 @@ class ExtendedSymbol:
     # ------------------------------------------------------------- slices
 
     def factor_at(self, chart, angle, t=None):
-        """Canonical factorization of the disk-variable slice (cached)."""
-        if self.has_family:
-            if t is None:
-                raise OutOfDomain("family symbol requires a t coordinate")
-            key = (chart, _angle_key(angle), _angle_key(t))
-        else:
-            if t is not None:
-                raise OutOfDomain("symbol has no family variable, drop t")
-            key = (chart, _angle_key(angle))
-        fact = self._cache.get(key)
-        if fact is None:
-            sl = _coordinate_slice(
-                self.base, self._var_disk[chart], angle, self.family_var, t
-            )
-            try:
-                fact = canonical_factorize(sl)
-            except (NotCanonical, SingularOnTorus) as exc:
-                where = (angle,) if t is None else (angle, t)
-                raise NotFredholm(
-                    direction=self._var_disk[chart],
-                    where=where,
-                    indices=getattr(exc, "indices", None),
-                    detail=str(exc),
-                ) from exc
-            self._cache[key] = fact
-        return fact
+        """Canonical factorization of the disk-variable slice."""
+        if self.has_family and t is None:
+            raise OutOfDomain("family symbol requires a t coordinate")
+        if not self.has_family and t is not None:
+            raise OutOfDomain("symbol has no family variable, drop t")
+        return _slice_table(self.base).factor(self._var_disk[chart], angle, self.family_var, t)
 
     # --------------------------------------------------------- evaluation
 
@@ -238,7 +204,7 @@ def _prebuild(ext, t_values):
     scale = max(ext.base.coeff_norm(), 1e-300)
     for t in t_values:
         seam = max(f.defect for job, f in zip(jobs, facts) if job[2] == t) / scale
-        ext.seam_residuals[None if t is None else _angle_key(t)] = seam
+        ext.seam_residuals[t] = seam
         if seam > SEAM_TOL:
             at = "" if t is None else f" at t = {t:.6f}"
             raise Unstable(

@@ -46,8 +46,8 @@ from .extension import (
     check_hermitian,
     check_w3_grid,
 )
-from .symbols import _coordinate_slice, az_class, check_symmetry, split_chiral
-from .wiener_hopf import _slice_indices
+from .symbols import az_class, check_symmetry, split_chiral
+from .wiener_hopf import _slice_table
 
 __all__ = [
     "w3",
@@ -294,15 +294,14 @@ def _direction_certificates(symbol):
     All-zero tuples certify that each sampled half-plane compression is
     invertible; any other value would have aborted the extension build.
     """
-    certs = {}
-    for direction in range(symbol.num_vars):
-        rows = []
-        for j in range(4):
-            angle = 2.0 * np.pi * j / 4
-            sl = _coordinate_slice(symbol, direction, angle, None, None)
-            rows.append({"angle": angle, "partial_indices": list(_slice_indices(sl))})
-        certs[f"direction_{direction}"] = rows
-    return certs
+    table = _slice_table(symbol)
+    return {
+        f"direction_{direction}": [
+            {"angle": angle, "partial_indices": list(table.indices(direction, angle, None, None))}
+            for angle in (2.0 * np.pi * j / 4 for j in range(4))
+        ]
+        for direction in range(symbol.num_vars)
+    }
 
 
 def gapped_invariant_report(symbol, spec, grid=DEFAULT_GRID, samples_per_circle=16):

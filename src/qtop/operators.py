@@ -23,20 +23,13 @@ from .errors import (
     ChiralViolation,
     DimensionMismatch,
     InputError,
-    NotFredholm,
     NotHermitian,
-    SingularOnTorus,
     SizeOverflow,
     TrackingAmbiguous,
     Unstable,
 )
-from .symbols import LaurentSymbol, _coordinate_slice, _reducing_subspaces, _relation_violation
-from .wiener_hopf import (
-    _kernel_count,
-    _slice_indices,
-    certify_invertible,
-    toeplitz_kernel_dim,
-)
+from .symbols import LaurentSymbol, _reducing_subspaces, _relation_violation
+from .wiener_hopf import _kernel_count, _slice_table, certify_invertible, toeplitz_kernel_dim
 
 __all__ = [
     "assemble",
@@ -110,27 +103,6 @@ def _reach_compression(symbol, parts, box):
     return [part.section(rows, box) for part in parts]
 
 
-def _angles(count):
-    return [2.0 * np.pi * j / count for j in range(count)]
-
-
-def _certify_slices(symbol, points, t_var, detail):
-    """Raise NotFredholm at the first (direction, angle, t) of ``points``
-    whose coordinate slice has a nonzero partial index or a singular det."""
-    for direction, angle, t in points:
-        where = (angle,) if t is None else (angle, t)
-        try:
-            indices = _slice_indices(_coordinate_slice(symbol, direction, angle, t_var, t))
-        except SingularOnTorus as exc:
-            raise NotFredholm(
-                direction=direction, where=where, indices=None, detail=str(exc),
-            ) from exc
-        if any(indices):
-            raise NotFredholm(
-                direction=direction, where=where, indices=indices, detail=detail,
-            )
-
-
 def certify_fredholm(symbol):
     """Check that the coordinate slices at eight angles per direction factor
     canonically.
@@ -139,9 +111,11 @@ def certify_fredholm(symbol):
     in each direction having only zero partial indices; the first offender
     aborts with its direction, angle, and index tuple.
     """
-    points = [(direction, angle, None) for direction in range(symbol.num_vars)
-              for angle in _angles(8)]
-    _certify_slices(symbol, points, None, "half-plane compression is not invertible")
+    table = _slice_table(symbol)
+    for direction in range(symbol.num_vars):
+        for j in range(8):
+            table.certify(direction, 2.0 * np.pi * j / 8, None, None,
+                          "half-plane compression is not invertible")
 
 
 @dataclass(frozen=True)
@@ -538,12 +512,13 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
         raise InputError(f"window must be finite and > 0, got {window}")
     if _relation_violation(family, "hermitian") > HERMITIAN_TOL:
         raise NotHermitian("family is not hermitian at coefficient level")
-    t_values = _angles(t_samples)
-    points = [(direction, angle, t) for t in t_values
-              for direction in range(3) if direction != t_var
-              for angle in _angles(4)]
-    _certify_slices(family, points, t_var,
-                    "half-plane compression not invertible along the family")
+    t_values = [2.0 * np.pi * j / t_samples for j in range(t_samples)]
+    table = _slice_table(family)
+    for t in t_values:
+        for direction in (d for d in range(3) if d != t_var):
+            for j in range(4):
+                table.certify(direction, 2.0 * np.pi * j / 4, t_var, t,
+                              "half-plane compression not invertible along the family")
 
     windowed = []
     mask = _corner_mask(side, family.band_dim)

@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 
+GRID_CAP = 10_000_000  # matrix entries of one evaluation grid (torus or chart)
+
+
 def _as_coeff(matrix, band_dim):
     a = np.asarray(matrix, dtype=complex)
     if a.shape != (band_dim, band_dim):
@@ -71,7 +74,9 @@ class LaurentSymbol:
         Exponent vectors are length-d integer tuples; duplicate vectors are
         a hard error (no silent summing), and so is a non-finite entry.
         Exact-zero matrices are dropped.  A ``coeff_norm()`` whose
-        ``band_dim``-th power overflows (det f would) is an InputError.
+        ``band_dim``-th power overflows (det f would) is an InputError, and
+        so is an exponent beyond GRID_CAP or a variable whose coefficient
+        stack, (max - min exponent + 1) * band_dim^2 entries, exceeds it.
     """
 
     def __init__(self, num_vars, band_dim, terms):
@@ -90,12 +95,20 @@ class LaurentSymbol:
                 )
             if key in coeffs:
                 raise DuplicateExponent(key)
+            if max(map(abs, key)) > GRID_CAP:
+                raise InputError(f"exponent vector {key} has an entry beyond {GRID_CAP}")
             a = _as_coeff(matrix, self.band_dim)
             if not np.all(np.isfinite(a)):
                 raise InputError(f"coefficient at {key} has a non-finite entry")
             if np.any(a != 0):
                 coeffs[key] = a
         self._coeffs = coeffs
+        for var, es in enumerate(zip(*coeffs)):
+            if (max(es) - min(es) + 1) * self.band_dim**2 > GRID_CAP:
+                raise InputError(
+                    f"exponents {min(es)}..{max(es)} of variable {var} at band "
+                    f"{self.band_dim} exceed {GRID_CAP} coefficient entries"
+                )
         with np.errstate(over="ignore"):
             norm = self.coeff_norm()
         if not norm <= sys.float_info.max ** (1.0 / self.band_dim):
@@ -383,18 +396,6 @@ class LaurentSymbol:
         return symbol_to_dict(self)
 
 
-def _coordinate_slice(symbol, direction, angle, t_var, t):
-    """The slice keeping ``direction`` active, with the family variable
-    ``t_var`` (None for none) at e^{i t} and every other one at e^{i angle}."""
-    fixed = tuple(
-        np.exp(1j * (t if v == t_var else angle))
-        for v in range(symbol.num_vars)
-        if v != direction
-    )
-    return symbol.slice(direction, fixed)
-
-
-GRID_CAP = 10_000_000  # matrix entries of one evaluation grid (torus or chart)
 COMMUTANT_MAX_BAND = 16  # largest band whose default index sections fit DENSE_CAP
 
 
@@ -714,8 +715,13 @@ def symbol_from_dict(data):
     try:
         num_vars = int(data["num_vars"])
         band_dim = int(data["band_dim"])
+        whole = all(float(data[k]).is_integer() for k in ("num_vars", "band_dim"))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"num_vars / band_dim must be integers: {exc}") from None
+    if not whole:
+        raise InputError(
+            f"num_vars / band_dim must be integers, got {data['num_vars']} / {data['band_dim']}"
+        )
     if not isinstance(data["terms"], list):
         raise InputError("symbol document field 'terms' must be a list")
     terms = []

@@ -36,10 +36,15 @@ rows are the full hopping reach of the columns 0..L-1, so small singular
 values correspond to genuine approximate kernel vectors and corner artifacts
 of square sections never appear.  Counts must agree across L and 2L before
 they are believed.
+
+The coordinate slices of a symbol in several variables are built, opened
+and factorized once, in its slice table (``_slice_table``), which every
+Fredholm certificate and the extension f^E read.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +55,7 @@ from .errors import (
     InputError,
     NonConvergent,
     NotCanonical,
+    NotFredholm,
     SingularOnTorus,
     Unstable,
     WindowTooSmall,
@@ -238,38 +244,6 @@ def partial_indices(symbol):
     return tuple(indices)
 
 
-def _slice_indices(symbol):
-    """Partial indices of a slice that is invertible on the circle.
-
-    All zero when the Wiener-norm bound on one FIRST_TRUNCATION solve (no
-    condition number) proves the slice canonical; otherwise the kernel-scan
-    certificate decides, and the full partial_indices scan names the
-    indices of a slice it rejects.
-    """
-    symbol = _as_one_var(symbol)
-    dets = certify_invertible(symbol)
-    try:
-        certified = _solve_section(symbol, FIRST_TRUNCATION)[2] is not None
-    except np.linalg.LinAlgError:
-        certified = False
-    if certified or _certified_canonical(symbol, dets):
-        return (0,) * symbol.band_dim
-    return partial_indices(symbol)
-
-
-def _certified_canonical(symbol, dets):
-    """Kernel-scan certificate, run when the Wiener-norm bound fails:
-    winding(det) = 0 and trivial T_f kernel.
-
-    ``dets`` are the samples of det f returned by ``certify_invertible``.
-    dim ker T_f = sum_i max(-kappa_i, 0), so a trivial kernel forces all
-    indices >= 0; winding zero is their sum, hence all are zero.
-    """
-    if _det_winding(dets) != 0:
-        return False
-    return toeplitz_kernel_dim(symbol) == 0
-
-
 # ----------------------------------------------------------- factorization
 
 
@@ -451,6 +425,26 @@ def _wiener_certificate(symbol, h_stack, factors):
     return f_norm * m_minus * h_norm / (1.0 - r_plus) / (1.0 - q) if q <= 0.5 else None
 
 
+def _open(symbol, m):
+    """Opening steps of every slice certificate and factorization:
+    certify_invertible, then (f not constant) the m-block solve, and the
+    kernel-scan certificate if its bound fails.  A trivial T_f kernel forces
+    every index >= 0 (dim ker T_f = sum_i max(-kappa_i, 0)) and winding(det)
+    is their sum, so with winding 0 all are zero.  Returns (m, the solve or
+    None, whether f is proved canonical)."""
+    dets = certify_invertible(symbol)
+    lo, hi = symbol.exponent_range(0)
+    if lo == hi == 0:
+        return m, None, True
+    try:
+        solved = _solve_section(symbol, m)
+    except np.linalg.LinAlgError:
+        solved = None
+    if solved is not None and solved[2] is not None:
+        return m, solved, True
+    return m, solved, _det_winding(dets) == 0 and toeplitz_kernel_dim(symbol) == 0
+
+
 def canonical_factorize(symbol, truncation=None):
     """Compute the canonical factorization of a one-variable symbol.
 
@@ -474,7 +468,14 @@ def canonical_factorize(symbol, truncation=None):
             f"truncation must be in 0..{MAX_TRUNCATION}, got {truncation}"
         )
     symbol = _as_one_var(symbol)
-    dets = certify_invertible(symbol)
+    m = truncation if truncation is not None else FIRST_TRUNCATION
+    return _factorize(symbol, _open(symbol, m), truncation)
+
+
+def _factorize(symbol, opened, truncation):
+    """canonical_factorize from the ``_open`` result of ``symbol``: its
+    doubling loop starts from the opening solve."""
+    m, solved, canonical = opened
     n = symbol.band_dim
     lo, hi = symbol.exponent_range(0)
     if lo == hi == 0:
@@ -490,17 +491,10 @@ def canonical_factorize(symbol, truncation=None):
             condition=float(np.linalg.cond(a)),
             defect=0.0,
         )
-
-    m = truncation if truncation is not None else FIRST_TRUNCATION
-    try:
+    if not canonical:
+        raise NotCanonical(partial_indices(symbol))
+    if solved is None:  # none kept, or a singular section, which raises as before
         solved = _solve_section(symbol, m)
-    except np.linalg.LinAlgError:
-        solved = None
-    if solved is None or solved[2] is None:
-        if not _certified_canonical(symbol, dets):
-            raise NotCanonical(partial_indices(symbol))
-        if solved is None:
-            solved = _solve_section(symbol, m)  # a singular section raises, as before
     scale = symbol.coeff_norm()
     previous = np.inf
     while True:
@@ -538,6 +532,82 @@ def canonical_factorize(symbol, truncation=None):
         condition=cond,
         defect=defect,
     )
+
+
+# ------------------------------------------------------------- slice table
+
+
+class _SliceTable:
+    """The coordinate slices of one symbol, each built and opened once.
+
+    The slice at (direction, angle, family variable, t) keeps ``direction``
+    free, the family variable (None for none) at e^{i t} and the others at
+    e^{i angle}; angles count modulo 2 pi to 12 decimals, so a chart grid
+    point at a sampled angle reads the sampled slice.  An entry holds the
+    slice, its ``_open`` result and, once asked for, its factorization.
+    """
+
+    def __init__(self, symbol):
+        self.symbol = symbol
+        self._entries = {}
+
+    def _entry(self, direction, angle, t_var, t):
+        key = (direction, t_var) + tuple(
+            None if a is None else round(float(a) % (2.0 * np.pi), 12) for a in (angle, t))
+        if key not in self._entries:
+            fixed = [np.exp(1j * (t if v == t_var else angle))
+                     for v in range(self.symbol.num_vars) if v != direction]
+            sl = self.symbol.slice(direction, fixed)
+            self._entries[key] = [sl, _open(sl, FIRST_TRUNCATION), None]
+        return self._entries[key]
+
+    def indices(self, direction, angle, t_var, t):
+        """Partial indices of the slice: all zero when its opening proves it
+        canonical, else the partial_indices scan.  A family slice drops its
+        first solve here: the flow factorizes none (keeping 256 raises its
+        peak memory by 9%), the family extension each one as it opens it."""
+        entry = self._entry(direction, angle, t_var, t)
+        sl, (m, _, canonical), _ = entry
+        if t_var is not None:
+            entry[1] = (m, None, canonical)
+        return (0,) * sl.band_dim if canonical else partial_indices(sl)
+
+    def certify(self, direction, angle, t_var, t, detail):
+        """NotFredholm, with ``detail``, at a slice with a nonzero partial index."""
+        with self._fredholm(direction, angle, t, detail):
+            indices = self.indices(direction, angle, t_var, t)
+            if any(indices):
+                raise NotCanonical(indices)
+
+    def factor(self, direction, angle, t_var, t):
+        """Canonical factorization of the slice, continued from its opening
+        solve; NotFredholm at a slice that has none."""
+        with self._fredholm(direction, angle, t, None):
+            entry = self._entry(direction, angle, t_var, t)
+            if entry[2] is None:
+                entry[2] = _factorize(entry[0], entry[1], None)
+            return entry[2]
+
+    @contextmanager
+    def _fredholm(self, direction, angle, t, detail):
+        """SingularOnTorus and NotCanonical as NotFredholm at the slice."""
+        try:
+            yield
+        except (SingularOnTorus, NotCanonical) as exc:
+            indices = getattr(exc, "indices", None)
+            raise NotFredholm(
+                direction=direction,
+                where=(angle,) if t is None else (angle, t),
+                indices=indices,
+                detail=detail if detail and indices is not None else str(exc),
+            ) from exc
+
+
+def _slice_table(symbol):
+    """The slice table of ``symbol``, made on first use and kept on it."""
+    if not hasattr(symbol, "_slice_table"):
+        symbol._slice_table = _SliceTable(symbol)
+    return symbol._slice_table
 
 
 # ------------------------------------------------------------ verification

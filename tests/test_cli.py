@@ -127,7 +127,20 @@ _MUTATIONS = {
     "duplicate_exponent": lambda d: d["terms"][1].update(exponents=d["terms"][0]["exponents"]),
     "empty_terms_huge_band": lambda d: d.update(terms=[], band_dim=10**8),
     "empty_terms_many_vars": lambda d: d.update(terms=[], num_vars=10**6),
+    "monomial_past_int64": lambda d: _scalar(d, [(10**30, 1.0)]),
+    "exponent_far_out": lambda d: _scalar(d, [(0, 1.0), (10**9, 0.5)]),
+    "exponent_span_past_grid_cap": lambda d: _scalar(d, [(0, 1.0), (10**7, 0.5)]),
 }
+# Mutations after which the file holds no symbol: every subcommand exits 4.
+_REFUSED = {"num_vars_fraction", "band_dim_fraction", "monomial_past_int64",
+            "exponent_far_out", "exponent_span_past_grid_cap"}
+
+
+def _scalar(doc, terms):
+    """Replace ``doc`` by the one-variable scalar symbol sum c z^e of ``terms``."""
+    doc.update(num_vars=1, band_dim=1, terms=[
+        {"exponents": [e], "matrix": [[[c, 0.0]]]} for e, c in terms
+    ])
 
 
 @pytest.mark.parametrize("mutation", sorted(_MUTATIONS) + ["invalid_json"])
@@ -151,6 +164,76 @@ def test_malformed_document_ends_in_a_report(capsys, tmp_path, mutation):
                  ["symmetry", path, "--class", "A"]):
         code, rep = run(capsys, [str(a) for a in argv])
         assert code in (0, 2, 3, 4, 5), argv
+        assert code == 4 or mutation not in _REFUSED, argv
+
+
+def test_far_exponent_below_the_cap_factorizes(capsys, tmp_path):
+    path = tmp_path / "far.json"
+    doc = {}
+    _scalar(doc, [(0, 1.0), (1000, 0.5)])  # 1 + 0.5 z^1000
+    path.write_text(json.dumps(doc))
+    code, rep = run(capsys, ["factorize", str(path)])
+    assert code == 0 and rep["partial_indices"] == [0]
+
+
+def test_missing_params_are_named_briefly(capsys, tmp_path):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"num_vars": 1000000, "band_dim": 1, "terms": []}))
+    assert cli.main(["factorize", str(path)]) == 4
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 1024
+    assert "[1, 2, 3, 4, 5, 6, 7, 8] (999999 in all)" in out
+
+
+def test_each_slice_is_solved_once_per_command(capsys, tmp_path, golden_file,
+                                               golden_H_file, monkeypatch):
+    """The Fredholm certificates and the extension read one slice table per
+    symbol, and golden's slices all pass on their first solve: 16 slices per
+    variable for the extension (the certificates' 8 and 4 angles are among
+    them), 4 angles in each of 2 directions per t for the flow."""
+    calls = []
+    real = qtop.wiener_hopf._solve_section
+    monkeypatch.setattr(qtop.wiener_hopf, "_solve_section",
+                        lambda *args: calls.append(args) or real(*args))
+    family = tmp_path / "family.json"
+    save_symbol(sin_mass_family(assemble_chiral(golden_symbol())), family)
+    for argv in (["index", golden_file, "--mode", "both"],
+                 ["symmetry", golden_H_file, "--class", "AIII", "--report"],
+                 ["corner", golden_H_file, "--class", "AIII", "--size", "14"],
+                 ["flow", str(family), "--tsamples", "4", "--size", "4"]):
+        calls.clear()
+        code, _ = run(capsys, argv)
+        assert (code, len(calls)) == (0, 32), argv
+
+
+def test_each_reader_names_its_own_failing_slice(capsys, tmp_path):
+    """diag(zw, 1/(zw)) is non-canonical in both directions.  The Fredholm
+    certificate (modes both and truncation) reads direction 0 first, the
+    extension alone (mode w3) direction 1, each with its own detail; the
+    flow names the first failing (angle, t)."""
+    path = tmp_path / "diagzw.json"
+    save_symbol(LaurentSymbol(2, 2, [((1, 1), np.diag([1.0, 0.0])),
+                                     ((-1, -1), np.diag([0.0, 1.0]))]), path)
+    prefix = "slice in variable {} at (0.0,) is not canonically factorable: partial indices [1, -1]"
+    for mode, direction, detail in (
+        ("both", 0, "half-plane compression is not invertible"),
+        ("truncation", 0, "half-plane compression is not invertible"),
+        ("w3", 1, "partial indices [1, -1] are not all zero"),
+    ):
+        assert run(capsys, ["index", str(path), "--mode", mode]) == (2, {
+            "command": "index", "error": "NotFredholm",
+            "detail": f"{prefix.format(direction)} ({detail})",
+            "indices": [1, -1], "direction": direction, "where": [0.0],
+        }), mode
+    closing = tmp_path / "closing.json"
+    save_symbol(gap_closing_family(), closing)
+    where = "(0.0, 2.356194490192345)"
+    assert run(capsys, ["flow", str(closing), "--tsamples", "16", "--size", "4"]) == (2, {
+        "command": "flow", "error": "NotFredholm",
+        "detail": f"slice in variable 0 at {where} is not canonically factorable: partial "
+                  "indices [1, -1] (half-plane compression not invertible along the family)",
+        "indices": [1, -1], "direction": 0, "where": [0.0, 2.356194490192345],
+    })
 
 
 def test_no_command_is_input_error():

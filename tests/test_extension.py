@@ -8,7 +8,7 @@ from conftest import (
     promote_to_family,
     random_canonical_2d,
 )
-import qtop.extension
+import qtop.wiener_hopf
 from qtop.errors import InputError, NotFredholm, OutOfDomain, Unstable
 from qtop.extension import (
     ChartPoint,
@@ -75,10 +75,11 @@ def test_seam_agreement_for_golden():
 
 def test_slice_defect_above_seam_tolerance_is_unstable(monkeypatch, rng):
     # a one-term f_+^{-1} series leaves a defect of order cap^2 on every
-    # slice of a canonical product
-    real = qtop.extension.canonical_factorize
-    monkeypatch.setattr(qtop.extension, "canonical_factorize",
-                        lambda sl: real(sl, truncation=1))
+    # slice of a canonical product; every slice table factorization below is
+    # canonical_factorize(sl, truncation=1)
+    real = qtop.wiener_hopf._factorize
+    monkeypatch.setattr(qtop.wiener_hopf, "_factorize",
+                        lambda sl, opened, truncation: real(sl, qtop.wiener_hopf._open(sl, 1), 1))
     with pytest.raises(Unstable):
         build_extended(random_canonical_2d(rng), samples_per_circle=4)
 

@@ -3,7 +3,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import qtop.extension
 import qtop.invariants
 import qtop.wiener_hopf
 from conftest import golden_symbol, promote_to_family, random_canonical_2d
@@ -89,13 +88,13 @@ def test_w3_refinement_keeps_value():
 
 def test_w3_chain_stops_at_first_agreeing_pair(monkeypatch):
     calls = []
-    real = qtop.wiener_hopf.canonical_factorize
+    real = qtop.wiener_hopf._factorize
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(qtop.extension, "canonical_factorize", counted)
+    monkeypatch.setattr(qtop.wiener_hopf, "_factorize", counted)
     ext = build_extended(golden_symbol())
     assert len(calls) == 32  # the prebuilt slices only: 16 per variable
     res = w3(ext, grid=DEFAULT_GRID)

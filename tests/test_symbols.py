@@ -16,6 +16,7 @@ from qtop.errors import (
 from qtop.invariants import gapped_invariant_report
 from qtop.operators import assemble
 from qtop.symbols import (
+    GRID_CAP,
     LaurentSymbol,
     assemble_chiral,
     az_class,
@@ -59,6 +60,20 @@ def test_oversized_coefficient_norm_is_input_error():
     with pytest.raises(InputError):
         LaurentSymbol(1, 4, [((0,), 1e80 * np.eye(4))])  # norm 2e80; its 4th power overflows
     assert np.isclose(LaurentSymbol(1, 4, [((0,), 1e60 * np.eye(4))]).coeff_norm(), 2e60)
+
+
+def test_exponents_beyond_the_grid_cap_are_input_errors():
+    """An exponent past GRID_CAP, or a variable whose coefficient stack would
+    hold more than GRID_CAP entries, is refused before any array is built."""
+    one, half = np.eye(1), 0.5 * np.eye(1)
+    for terms in ([((10**30,), one)], [((0,), one), ((10**9,), half)],
+                  [((0,), one), ((10**7,), half)], [((0, 1), one), ((-(10**7), 1), half)]):
+        with pytest.raises(InputError, match=str(GRID_CAP)):
+            LaurentSymbol(len(terms[0][0]), 1, terms)
+    with pytest.raises(InputError):  # 2.5e6 + 1 exponents of a band-2 coefficient
+        LaurentSymbol(1, 2, [((0,), np.eye(2)), ((2_500_000,), np.eye(2))])
+    assert LaurentSymbol(1, 1, [((0,), one), ((1000,), half)]).exponent_range(0) == (0, 1000)
+    assert LaurentSymbol(1, 1, [((GRID_CAP,), one)]).exponent_range(0) == (GRID_CAP, GRID_CAP)
 
 
 def test_eval_matches_eval_grid(rng):

@@ -21,7 +21,7 @@ from qtop.wiener_hopf import (
     FIRST_TRUNCATION,
     _factor_coeffs,
     _section_condition,
-    _slice_indices,
+    _slice_table,
     _solve_section,
     _wiener_certificate,
     canonical_factorize,
@@ -188,6 +188,13 @@ def _bound_holds(symbol):
         return False
 
 
+def _table_indices(symbol):
+    """Partial indices the slice table reads for ``symbol``, the slice of its
+    lift to two variables at any angle."""
+    lift = LaurentSymbol(2, symbol.band_dim, [((k, 0), a) for (k,), a in symbol.coeffs.items()])
+    return _slice_table(lift).indices(0, 0.0, None, None)
+
+
 def _diag_monomial(ks):
     n = len(ks)
     terms = {}
@@ -202,7 +209,7 @@ def test_wiener_certificate_on_canonical_and_twisted_products():
         for _ in range(4):
             g = random_canonical_1d(rng, n, 2, cap=0.6)
             assert _bound_holds(g)
-            assert _slice_indices(g) == (0,) * n
+            assert _table_indices(g) == (0,) * n
     # f_- diag(z^k) f_+ with f_-^{+-1} analytic outside the disk and f_+^{+-1}
     # inside is a Wiener-Hopf factorization: its partial indices are the k
     for ks in ((1, -1), (1, 0), (0, -1), (0, 0, 1)):
@@ -212,7 +219,7 @@ def test_wiener_certificate_on_canonical_and_twisted_products():
         plus = LaurentSymbol(1, n, [eye, ((1,), small_term(rng, n, 0.3))])
         twisted = minus * _diag_monomial(ks) * plus
         assert not _bound_holds(twisted)
-        assert _slice_indices(twisted) == tuple(sorted(ks, reverse=True))
+        assert _table_indices(twisted) == tuple(sorted(ks, reverse=True))
 
 
 def _certificate(symbol, h_stack):
