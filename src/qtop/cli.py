@@ -243,7 +243,6 @@ def _cmd_index(args):
         report["truncation"] = idx.to_dict()
     w3_res = None
     if args.mode in ("w3", "both"):
-        _check_threads(args)
         ext = build_extended(symbol, samples_per_circle=args.samples)
         w3_res = w3(ext, grid=grid)
         report["w3"] = w3_res.to_dict()
@@ -295,7 +294,6 @@ def _cmd_corner(args):
         report["csv"] = args.csv
     if label == "AIII":
         h = split_chiral(symbol)
-        _check_threads(args)
         ext = build_extended(h, samples_per_circle=args.samples)
         w3_res = w3(ext, grid=grid)
         report["w3_of_h"] = w3_res.to_dict()
@@ -348,7 +346,6 @@ def _cmd_extend(args):
     if args.eval is not None:
         point = _parse_chart_point(args.eval)
         family_var = args.tvar if symbol.num_vars == 3 else None
-        _check_threads(args)
         ext = ExtendedSymbol(symbol, family_var=family_var, samples_per_circle=args.samples)
         value = ext.value(point)
         return {
@@ -372,7 +369,6 @@ def _cmd_extend(args):
     if min(nt, nr, np_) < 2:
         raise InputError("--dump grid needs at least 2 points per axis")
     check_grid_size((nt, nr, np_), symbol.band_dim)
-    _check_threads(args)
     ext = build_extended(symbol, samples_per_circle=args.samples)
     thetas = 2.0 * np.pi * np.arange(nt) / nt
     rhos = np.linspace(0.0, 1.0, nr)
@@ -556,6 +552,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 4
     out = getattr(args, "out", None)
     try:
+        _check_threads(args)
         report = args.func(args)
     except CrossCheckFailed as exc:
         # --out already holds the full report with "agreement": false

@@ -414,42 +414,35 @@ class SpectralFlowResult:
         }
 
 
-def _crossings_of(values, t_values):
-    """Signed zero crossings of one closed (cyclic) eigenvalue track.
+def _crossings(values, t_values, cyclic):
+    """Signed zero crossings of one sequence of track samples at ``t_values``.
 
-    Exact zeros adopt the next nonzero sign in cyclic order (a zero belongs
-    to the side it is heading toward), so a crossing sitting exactly on a
-    sample is counted once, at that sample.
+    Values at or below FLOW_ZERO_FLOOR are zeros.  A sign change between
+    neighbouring samples sits at their midpoint (across the seam of the t
+    circle where it wraps); one across a run of zeros sits at the first
+    zero of the run.  A cyclic sequence also compares its last nonzero
+    sample with its first; zeros at either end of an open one are not
+    crossed.
     """
     vals = np.asarray(values, dtype=float)
     signs = np.where(np.abs(vals) <= FLOW_ZERO_FLOOR, 0, np.sign(vals)).astype(int)
-    if not signs.any():
-        return []
-    n = signs.size
-    filled = signs.copy()
-    nxt = 0
-    for i in range(2 * n - 1, -1, -1):
-        j = i % n
-        if signs[j] != 0:
-            nxt = signs[j]
-        else:
-            filled[j] = nxt
+    nz = np.nonzero(signs)[0]
+    ends = list(zip(nz, nz[1:]))
+    if cyclic and nz.size:
+        ends.append((nz[-1], nz[0]))
     out = []
-    for i in range(n):
-        k = (i + 1) % n
-        a, b = filled[i], filled[k]
-        if a == b:
+    for a, b in ends:
+        if signs[a] == signs[b]:
             continue
-        if signs[i] == 0:
-            t_loc = t_values[i]
-        elif signs[k] == 0:
-            t_loc = t_values[k]
+        k = (a + 1) % vals.size
+        if k == b:
+            t_next = t_values[b]
+            if t_next <= t_values[a]:
+                t_next += 2.0 * np.pi  # wrap seam
+            t_loc = 0.5 * (t_values[a] + t_next)
         else:
-            t_next = t_values[k]
-            if t_next <= t_values[i]:
-                t_next += 2.0 * np.pi  # wrap seam of the cycle
-            t_loc = 0.5 * (t_values[i] + t_next)
-        out.append((float(t_loc % (2.0 * np.pi)), 1 if b > a else -1))
+            t_loc = t_values[k]
+        out.append((float(t_loc % (2.0 * np.pi)), 1 if signs[b] > signs[a] else -1))
     return out
 
 
@@ -461,31 +454,12 @@ def _corner_attached_states(vals, vecs, keep, mask):
     which breaks both classification and overlap tracking; rotate each
     cluster to definite corner participation first.
     """
-    empty = (np.empty(0), np.empty((vecs.shape[0], 0), dtype=vecs.dtype),
-             np.empty(0))
-    if keep.size == 0:
-        return empty
     deg_tol = 1e-7 * max(1.0, float(np.max(np.abs(vals))))
-    out_vals, out_vecs, out_parts = [], [], []
-    start = 0
-    while start < keep.size:
-        stop = start + 1
-        while (stop < keep.size
-               and vals[keep[stop]] - vals[keep[stop - 1]] <= deg_tol):
-            stop += 1
-        block = _refined_cluster_basis(vecs[:, keep[start:stop]], mask)
-        for j in range(block.shape[1]):
-            psi = block[:, j]
-            part = float(np.real(np.vdot(psi, mask * psi)))
-            if part >= FLOW_CORNER_FLOOR:
-                out_vals.append(float(vals[keep[start + j]]))
-                out_vecs.append(psi)
-                out_parts.append(part)
-        start = stop
-    if not out_vals:
-        return empty
-    return (np.asarray(out_vals), np.stack(out_vecs, axis=1),
-            np.asarray(out_parts))
+    clusters = np.split(keep, np.nonzero(np.diff(vals[keep]) > deg_tol)[0] + 1)
+    basis = np.concatenate([_refined_cluster_basis(vecs[:, c], mask) for c in clusters], axis=1)
+    parts = _participation(basis, mask)
+    on = parts >= FLOW_CORNER_FLOOR
+    return vals[keep][on], basis[:, on], parts[on]
 
 
 def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
@@ -494,13 +468,14 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
     Eigenpairs inside (-window, window) that are attached to the true
     corner (participation at least FLOW_CORNER_FLOOR after cluster
     refinement) are tracked between consecutive samples by greedy maximal
-    eigenvector overlap (closing the loop back to the first sample); each
-    track contributes its signed zero crossings.  States localized at the
-    three artificial corners of the truncation are excluded: they mirror
-    the corner spectrum with opposite grading and would cancel the flow
-    identically.  A continuing track whose best overlap drops below
-    OVERLAP_FLOOR while still well inside the window aborts rather
-    than guessing.
+    eigenvector overlap.  A track matched back at t_0 links to the track
+    begun at the state it reaches; the links join the tracks into cycles
+    and open paths, each one sequence of samples whose signed zero
+    crossings are counted once.  States localized at the three artificial
+    corners of the truncation are excluded: they mirror the corner
+    spectrum with opposite grading and would cancel the flow identically.
+    A continuing track whose best overlap drops below OVERLAP_FLOOR while
+    still well inside the window aborts rather than guessing.
     """
     if family.num_vars != 3:
         raise DimensionMismatch("spectral flow needs a three-variable family")
@@ -512,6 +487,7 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
         raise InputError(f"window must be finite and > 0, got {window}")
     if _relation_violation(family, "hermitian") > HERMITIAN_TOL:
         raise NotHermitian("family is not hermitian at coefficient level")
+    _check_rows(side * side * family.band_dim)
     t_values = [2.0 * np.pi * j / t_samples for j in range(t_samples)]
     table = _slice_table(family)
     for t in t_values:
@@ -525,150 +501,93 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
     for t in t_values:
         vals, vecs = np.linalg.eigh(assemble(family.freeze({t_var: np.exp(1j * t)}), side))
         keep = np.nonzero(np.abs(vals) < window)[0]
-        windowed.append(
-            _corner_attached_states(vals, vecs, keep, mask)
-        )
+        windowed.append(_corner_attached_states(vals, vecs, keep, mask))
 
-    # Greedy global matching step by step around the circle, closing the loop
-    # back onto the t_0 states.  A track remembers which t_0 state it began
-    # at (start_state) so exchanged tracks can be stitched into longer cycles.
+    # Greedy global matching step by step around the circle.  The tracks
+    # begun at t_0 come first, in state order, so the t_0 state a track
+    # reaches at the closing step is the index of the track it links to.
+    tracks = []
     finished = []
-    active = [
-        {"values": [windowed[0][0][k]], "start": 0, "start_state": k,
-         "vec": windowed[0][1][:, k], "parts": [windowed[0][2][k]]}
-        for k in range(windowed[0][0].size)
-    ]
+
+    def begin(j, k):
+        vals, vecs, parts = windowed[j]
+        tracks.append({"start": j, "values": [vals[k]], "parts": [parts[k]],
+                       "vec": vecs[:, k], "link": None})
+        return len(tracks) - 1
+
+    active = [begin(0, k) for k in range(windowed[0][0].size)]
     for step in range(1, t_samples + 1):
         j = step % t_samples
         vals, vecs, parts = windowed[j]
         closing = step == t_samples
-        pairs = []
+        match, reached = {}, set()  # track index -> state index, and the states
         if active and vals.size:
             overlap = np.abs(vecs.conj().T @ np.stack(
-                [tr["vec"] for tr in active], axis=1))  # (states, tracks)
+                [tracks[i]["vec"] for i in active], axis=1))  # (states, tracks)
             order = np.dstack(np.unravel_index(
                 np.argsort(overlap, axis=None)[::-1], overlap.shape))[0]
-            used_state = set()
-            used_track = set()
-            for state_k, track_k in order:
-                if state_k in used_state or track_k in used_track:
+            for state_k, track_k in order.tolist():
+                if state_k in reached or active[track_k] in match:
                     continue
                 if overlap[state_k, track_k] < OVERLAP_FLOOR:
                     break
-                used_state.add(int(state_k))
-                used_track.add(int(track_k))
-                pairs.append((int(track_k), int(state_k)))
-        matched_tracks = {tk for tk, _ in pairs}
-        matched_states = {sk for _, sk in pairs}
+                match[active[track_k]] = state_k
+                reached.add(state_k)
         still = []
-        for tk, tr in enumerate(active):
-            if tk in matched_tracks:
-                sk = next(s for t_, s in pairs if t_ == tk)
-                tr["values"].append(vals[sk])
-                tr["parts"].append(parts[sk])
-                if closing:
-                    tr["end_state"] = sk
-                    finished.append(tr)
-                else:
-                    tr["vec"] = vecs[:, sk]
-                    still.append(tr)
-            else:
+        for i in active:
+            tr = tracks[i]
+            if i not in match:
                 if abs(tr["values"][-1]) < 0.8 * window:
                     raise TrackingAmbiguous(
                         f"no eigenvector match above overlap {OVERLAP_FLOOR} at "
                         f"t index {j} for a track still well inside the window"
                     )
-                tr["end_state"] = None
-                finished.append(tr)
+                finished.append(i)
+                continue
+            sk = match[i]
+            tr["values"].append(vals[sk])
+            tr["parts"].append(parts[sk])
+            if closing:
+                tr["link"] = sk
+                finished.append(i)
+            else:
+                tr["vec"] = vecs[:, sk]
+                still.append(i)
         if not closing:
-            for k in range(vals.size):
-                if k not in matched_states:
-                    still.append(
-                        {"values": [vals[k]], "start": j, "start_state": None,
-                         "vec": vecs[:, k], "parts": [parts[k]]}
-                    )
-            active = still
+            active = still + [begin(j, k) for k in range(vals.size) if k not in reached]
 
+    # Open paths start at the tracks no link reaches; what is left lies on
+    # cycles.  A linked track drops its last sample, the next track's first.
+    linked = {tr["link"] for tr in tracks}
+    heads = [i for i in range(len(tracks)) if i not in linked] + list(range(len(tracks)))
     crossings = []
-    flow = 0
-    track_summaries = []
-    # Full-loop tracks close into a t_0 state; stitch them along that
-    # permutation so eigenvalue exchanges are counted on the merged cycle.
-    loops = {
-        tr["start_state"]: tr
-        for tr in finished
-        if tr["start"] == 0 and tr.get("end_state") is not None
-        and len(tr["values"]) == t_samples + 1
-    }
-    visited = set()
-    for k0, tr in loops.items():
-        if k0 in visited:
+    seen = set()
+    for i in heads:
+        if i in seen:
             continue
-        cycle_vals, cycle_ts = [], []
-        k, broken = k0, False
-        while True:
-            visited.add(k)
-            cur = loops[k]
-            cycle_vals.extend(cur["values"][:-1])
-            cycle_ts.extend(t_values)
-            k = cur["end_state"]
-            if k == k0:
-                break
-            if k not in loops or k in visited:
-                broken = True
-                break
-        if broken:
-            cs = _open_crossings(cycle_vals, cycle_ts)
-        else:
-            cs = _crossings_of(cycle_vals, cycle_ts)
-        crossings.extend(cs)
-        flow += sum(s for _, s in cs)
-    loop_ids = {id(tr) for tr in loops.values()}
-    for tr in finished:
-        is_loop = id(tr) in loop_ids
-        if not is_loop:
-            seg_t = [
-                t_values[(tr["start"] + i) % t_samples]
-                for i in range(len(tr["values"]))
-            ]
-            cs = _open_crossings(tr["values"], seg_t)
-            crossings.extend(cs)
-            flow += sum(s for _, s in cs)
-        track_summaries.append(
-            {
-                "start_index": tr["start"],
-                "values": [float(v) for v in tr["values"]],
-                "participation": [float(p) for p in tr["parts"]],
-                "closed": bool(is_loop),
-            }
-        )
+        values, ts = [], []
+        while i is not None and i not in seen:
+            seen.add(i)
+            tr = tracks[i]
+            own = tr["values"][:-1] if tr["link"] is not None else tr["values"]
+            values += own
+            ts += [t_values[(tr["start"] + m) % t_samples] for m in range(len(own))]
+            i = tr["link"]
+        crossings += _crossings(values, ts, cyclic=i is not None)
     crossings.sort()
     return SpectralFlowResult(
-        flow=int(flow),
+        flow=int(sum(s for _, s in crossings)),
         crossings=tuple(crossings),
-        tracks=tuple(track_summaries),
+        tracks=tuple(
+            {
+                "start_index": tracks[i]["start"],
+                "values": [float(v) for v in tracks[i]["values"]],
+                "participation": [float(p) for p in tracks[i]["parts"]],
+                "closed": tracks[i]["start"] == 0 and tracks[i]["link"] is not None,
+            }
+            for i in finished
+        ),
         t_values=tuple(t_values),
         side=int(side),
         window=window,
     )
-
-
-def _open_crossings(values, seg_t):
-    """Signed zero crossings along an open track segment."""
-    vals = np.asarray(values)
-    signs = np.where(np.abs(vals) <= FLOW_ZERO_FLOOR, 0, np.sign(vals)).astype(int)
-    nz = np.nonzero(signs)[0]
-    out = []
-    for a_idx, b_idx in zip(nz, nz[1:]):
-        a, b = signs[a_idx], signs[b_idx]
-        if a == b:
-            continue
-        if b_idx > a_idx + 1:
-            t_loc = seg_t[(a_idx + b_idx) // 2]
-        else:
-            t_next = seg_t[b_idx]
-            if t_next <= seg_t[a_idx]:
-                t_next += 2.0 * np.pi  # wrap seam
-            t_loc = 0.5 * (seg_t[a_idx] + t_next)
-        out.append((float(t_loc % (2.0 * np.pi)), 1 if b > a else -1))
-    return out

@@ -581,21 +581,19 @@ def test_symmetry_full_report(capsys, golden_H_file):
     assert rep["invariants"]["invariant_label"] == "W3(h^E)"
 
 
-def test_threads_resolution(capsys, golden_file, monkeypatch):
-    monkeypatch.setenv("QTOP_THREADS", "2")
-    code, _ = run(capsys, [
-        "extend", golden_file, "--eval", "chart=TD;theta=0;rho=0;phi=0",
-        "--samples", "4",
-    ])
-    assert code == 0
-    monkeypatch.setenv("QTOP_THREADS", "zero")
-    code, rep = run(capsys, [
-        "extend", golden_file, "--eval", "chart=TD;theta=0;rho=0;phi=0",
-    ])
-    assert code == 4
-    monkeypatch.setenv("QTOP_THREADS", "4")
-    code, _ = run(capsys, [
-        "extend", golden_file, "--eval", "chart=TD;theta=0;rho=0;phi=0",
-        "--threads", "1", "--samples", "4",
-    ])
-    assert code == 0
+def test_threads_resolution(capsys, golden_file, golden_H_file, monkeypatch):
+    for argv in (
+        ["factorize", golden_file, "--param", "1=1"],
+        ["symmetry", golden_H_file, "--class", "AIII"],
+        ["index", golden_file, "--mode", "truncation"],
+        ["extend", golden_file, "--eval", "chart=TD;theta=0;rho=0;phi=0", "--samples", "4"],
+    ):
+        monkeypatch.setenv("QTOP_THREADS", "2")
+        assert run(capsys, argv)[0] == 0, argv
+        for threads in ("0", "-5"):
+            code, rep = run(capsys, argv + ["--threads", threads])
+            assert (code, rep["error"]) == (4, "InputError"), argv
+        monkeypatch.setenv("QTOP_THREADS", "zero")
+        code, rep = run(capsys, argv)
+        assert (code, rep["error"]) == (4, "InputError"), argv
+        assert run(capsys, argv + ["--threads", "1"])[0] == 0, argv

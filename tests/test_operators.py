@@ -9,6 +9,7 @@ from conftest import (
     promote_to_family,
     sin_mass_family,
 )
+from qtop import wiener_hopf
 from qtop.errors import (
     ChiralViolation,
     DimensionMismatch,
@@ -16,10 +17,12 @@ from qtop.errors import (
     NotFredholm,
     NotHermitian,
     SizeOverflow,
+    TrackingAmbiguous,
 )
 from qtop.operators import (
     CORNER_EXTENT,
     _corner_mask,
+    _crossings,
     assemble,
     certify_fredholm,
     corner_spectrum,
@@ -288,14 +291,17 @@ def test_spectral_flow_constant_family(golden_H):
 
 
 def test_spectral_flow_sin_mass(golden_H):
-    res = spectral_flow(sin_mass_family(golden_H), t_samples=16, side=6)
-    assert res.flow == 0
-    assert len(res.crossings) == 2
-    signs = sorted(s for _, s in res.crossings)
-    assert signs == [-1, 1]
-    ts = sorted(t for t, _ in res.crossings)
-    assert abs(ts[0] - 0.0) <= 1e-9
-    assert abs(ts[1] - np.pi) <= 2 * np.pi / 16 + 1e-9
+    # at window 0.25 the crossing at t = 0 joins a track begun at t index 14
+    # to the t_0 track it closes into; the two are counted as one sequence
+    for window in (0.5, 0.25):
+        res = spectral_flow(sin_mass_family(golden_H), t_samples=16, side=6, window=window)
+        assert res.flow == 0, window
+        assert len(res.crossings) == 2, window
+        signs = sorted(s for _, s in res.crossings)
+        assert signs == [-1, 1]
+        ts = sorted(t for t, _ in res.crossings)
+        assert abs(ts[0] - 0.0) <= 1e-9
+        assert abs(ts[1] - np.pi) <= 2 * np.pi / 16 + 1e-9
 
 
 def test_spectral_flow_stable_under_refinement(golden_H):
@@ -305,13 +311,42 @@ def test_spectral_flow_stable_under_refinement(golden_H):
     assert len(a.crossings) == len(b.crossings) == 2
 
 
-def test_spectral_flow_validation(golden, golden_H):
+def test_spectral_flow_validation(golden, golden_H, monkeypatch):
     with pytest.raises(NotHermitian):
         spectral_flow(promote_to_family(golden), t_samples=4, side=4)
     with pytest.raises(NotFredholm):
         spectral_flow(gap_closing_family(), t_samples=16, side=4)
     with pytest.raises(DimensionMismatch):
         spectral_flow(golden_H)
+    with pytest.raises(TrackingAmbiguous):
+        spectral_flow(sin_mass_family(golden_H), t_samples=16, side=6, window=0.2)
+    # the row cap is checked before the first of 512 slice certificates
+    monkeypatch.setattr(wiener_hopf, "_open", lambda *a: pytest.fail("a slice certificate ran"))
+    with pytest.raises(SizeOverflow):
+        spectral_flow(sin_mass_family(golden_H), t_samples=64, side=100)
+
+
+@pytest.mark.parametrize("values, cyclic, expected", [
+    # sign change from the last sample to the first: midpoint across the seam
+    ([-1, -1, -1, 1], True, [(5 * np.pi / 4, 1), (7 * np.pi / 4, -1)]),
+    ([1, -1, -1, -1], True, [(np.pi / 4, -1), (7 * np.pi / 4, 1)]),
+    # a run of three zeros: the crossing sits at the first one
+    ([-1, 0, 0, 0, 1, 1, 1, 1], False, [(np.pi / 4, 1)]),
+    ([1, 1, 1, 1, -1, 0, 0, 0], True, [(7 * np.pi / 8, -1), (5 * np.pi / 4, 1)]),
+    # zeros at both ends of an open sequence are not crossed
+    ([0, 0, 1, 1, -1, 0], False, [(7 * np.pi / 6, -1)]),
+    ([0, 0, 0, 0], True, []),
+    ([0, 0, 0, 0], False, []),
+    ([0, 0, 1, 0], True, []),
+    ([0, 0, 1, 0], False, []),
+])
+def test_crossings_of_hand_made_sequences(values, cyclic, expected):
+    t_values = [2.0 * np.pi * j / len(values) for j in range(len(values))]
+    got = _crossings(values, t_values, cyclic)
+    assert len(got) == len(expected)
+    for (t, s), (t_want, s_want) in zip(got, expected):
+        assert s == s_want
+        assert abs(t - t_want) <= 1e-12
 
 
 def test_dump_operator_roundtrip(tmp_path, golden):
