@@ -28,7 +28,7 @@ from .errors import (
     TrackingAmbiguous,
     Unstable,
 )
-from .symbols import LaurentSymbol, _reducing_subspaces, _relation_violation
+from .symbols import LaurentSymbol, _reducing_subspaces, _relation_violation, _split_mass
 from .wiener_hopf import _kernel_count, _slice_table, certify_invertible, toeplitz_kernel_dim
 
 __all__ = [
@@ -462,6 +462,34 @@ def _corner_attached_states(vals, vecs, keep, mask):
     return vals[keep][on], basis[:, on], parts[on]
 
 
+def _section_eigh(symbol, side):
+    """Ascending eigenpairs of the hermitian section ``assemble(symbol, side)``.
+
+    A symbol H + m Pi, with H = [[0, h*], [h, 0]] chiral and m a scalar, is
+    solved by one SVD T = U S V* of the section of h, half the rows: on
+    (v_i, 0), (0, u_i) the section is [[m, s_i], [s_i, -m]], with the
+    eigenvalues -+hypot(m, s_i) and, for phi = arctan2(s_i, m), the
+    eigenvectors (-sin(phi/2) v_i, cos(phi/2) u_i) and (cos(phi/2) v_i,
+    sin(phi/2) u_i).  The values come out ascending because s descends.
+    Any other symbol is solved by a dense eigh.
+    """
+    try:
+        m, h = _split_mass(symbol)
+    except ChiralViolation:
+        return np.linalg.eigh(assemble(symbol, side))
+    u, s, vh = np.linalg.svd(assemble(h, side))
+    v = vh.conj().T
+    half_phi = 0.5 * np.arctan2(s, m)
+    cos, sin = np.cos(half_phi), np.sin(half_phi)
+    r = np.hypot(m, s)
+    top = np.concatenate([-sin * v, (cos * v)[:, ::-1]], axis=1)
+    bottom = np.concatenate([cos * u, (sin * u)[:, ::-1]], axis=1)
+    # each site's band holds its Pi = +1 half (the top rows) first
+    n, half = top.shape[1], h.band_dim
+    vecs = np.concatenate([top.reshape(-1, half, n), bottom.reshape(-1, half, n)], axis=1)
+    return np.concatenate([-r, r[::-1]]), vecs.reshape(-1, n)
+
+
 def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
     """Net spectral flow of the quarter-plane family over the t circle.
 
@@ -475,7 +503,13 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
     corners of the truncation are excluded: they mirror the corner
     spectrum with opposite grading and would cancel the flow identically.
     A continuing track whose best overlap drops below OVERLAP_FLOOR while
-    still well inside the window aborts rather than guessing.
+    still well inside the window aborts rather than guessing.  A track is
+    ``closed`` when it was matched at the closing step; its last sample is
+    then the first sample of the track it links to.
+
+    Each frozen section is solved by ``_section_eigh``: when the frozen
+    symbol less m Pi (m read from its constant term) splits chirally, by
+    one SVD of the section of h, half the rows; otherwise by a dense eigh.
     """
     if family.num_vars != 3:
         raise DimensionMismatch("spectral flow needs a three-variable family")
@@ -499,7 +533,7 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
     windowed = []
     mask = _corner_mask(side, family.band_dim)
     for t in t_values:
-        vals, vecs = np.linalg.eigh(assemble(family.freeze({t_var: np.exp(1j * t)}), side))
+        vals, vecs = _section_eigh(family.freeze({t_var: np.exp(1j * t)}), side)
         keep = np.nonzero(np.abs(vals) < window)[0]
         windowed.append(_corner_attached_states(vals, vecs, keep, mask))
 
@@ -583,7 +617,7 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
                 "start_index": tracks[i]["start"],
                 "values": [float(v) for v in tracks[i]["values"]],
                 "participation": [float(p) for p in tracks[i]["parts"]],
-                "closed": tracks[i]["start"] == 0 and tracks[i]["link"] is not None,
+                "closed": tracks[i]["link"] is not None,
             }
             for i in finished
         ),

@@ -567,6 +567,18 @@ def split_chiral(symbol):
     return LaurentSymbol(symbol.num_vars, half, terms)
 
 
+def _split_mass(symbol):
+    """(m, h) with symbol = assemble_chiral(h) + m Pi for a scalar m, read
+    from the constant coefficient as Re tr(Pi a_0) / band_dim;
+    split_chiral decides the rest and raises ChiralViolation when it fails."""
+    if symbol.band_dim % 2 != 0:
+        raise ChiralViolation("band_dim must be even for a chiral block structure")
+    pi = chiral_projector(symbol.band_dim)
+    zero = (0,) * symbol.num_vars
+    m = float(np.real(np.trace(pi @ symbol.coeff(zero)))) / symbol.band_dim
+    return m, split_chiral(symbol - LaurentSymbol.constant(symbol.num_vars, m * pi))
+
+
 # ------------------------------------------------------ relation checks
 
 # Every relation reads f(sigma z) = theta(f(z)) on the torus, with

@@ -483,6 +483,22 @@ def test_flow_command(capsys, tmp_path):
     assert len(lines) >= 9
 
 
+def test_flow_csv_writes_each_sample_once(capsys, tmp_path):
+    # at window 0.25 a track begun after t_0 closes into the t_0 state that
+    # the first track starts from; their joint sample is one row
+    path = tmp_path / "family.json"
+    save_symbol(sin_mass_family(assemble_chiral(golden_symbol())), path)
+    csv_path = tmp_path / "tracks.csv"
+    code, _ = run(capsys, [
+        "flow", str(path), "--tsamples", "16", "--size", "6", "--window", "0.25",
+        "--csv", str(csv_path),
+    ])
+    assert code == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    samples = [(t, lam, part) for t, _, lam, part in rows]
+    assert len(samples) == len(set(samples))
+
+
 def test_flow_rejects_gap_closing(capsys, tmp_path):
     path = tmp_path / "closing.json"
     save_symbol(gap_closing_family(), path)

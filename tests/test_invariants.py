@@ -16,6 +16,7 @@ from qtop.invariants import (
     gapped_invariant_report,
     w3,
 )
+from qtop.operators import numerical_index
 from qtop.symbols import LaurentSymbol
 
 GRID = (32, 17, 32)
@@ -184,6 +185,16 @@ def test_random_canonical_products_have_zero_w3(rng):
         g = random_canonical_2d(rng)
         res = w3(build_extended(g, samples_per_circle=8), grid=(16, 9, 16))
         assert res.rounded == 0
+
+
+def test_index_is_multiplicative_under_a_canonical_product():
+    # g is close enough to I that the path to it stays Fredholm, so f g and
+    # g f keep golden's index; at the default sizes (10, 14, 18) the side-10
+    # section of g f counts no kernel vector yet, hence the larger sizes
+    g = random_canonical_2d(np.random.default_rng(0))
+    for product in (golden_symbol() * g, g * golden_symbol()):
+        assert numerical_index(product, sizes=(14, 18, 22)).value == 1
+        assert w3(build_extended(product)).rounded == 1
 
 
 def test_gapped_report_chiral_class(golden_H):

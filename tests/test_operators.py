@@ -23,6 +23,7 @@ from qtop.operators import (
     CORNER_EXTENT,
     _corner_mask,
     _crossings,
+    _section_eigh,
     assemble,
     certify_fredholm,
     corner_spectrum,
@@ -31,7 +32,7 @@ from qtop.operators import (
     numerical_index,
     spectral_flow,
 )
-from qtop.symbols import LaurentSymbol, _reducing_subspaces, assemble_chiral
+from qtop.symbols import LaurentSymbol, _reducing_subspaces, _split_mass, assemble_chiral
 
 
 def scalar_1d(terms):
@@ -309,6 +310,59 @@ def test_spectral_flow_stable_under_refinement(golden_H):
     b = spectral_flow(sin_mass_family(golden_H), t_samples=32, side=6)
     assert a.flow == b.flow == 0
     assert len(a.crossings) == len(b.crossings) == 2
+
+
+@pytest.mark.parametrize("family, t, mass", [
+    ("sin_mass", 0.0, 0.0),
+    ("sin_mass", 0.7, 0.3 * np.sin(0.7)),
+    ("sin_mass", np.pi / 2, 0.3),
+    ("constant", 0.7, 0.0),
+])
+def test_section_eigh_matches_dense_eigh(golden_H, family, t, mass):
+    fam = {"sin_mass": sin_mass_family, "constant": promote_to_family}[family](golden_H)
+    frozen = fam.freeze({2: np.exp(1j * t)})
+    m, _ = _split_mass(frozen)  # the section takes the SVD path
+    assert abs(m - mass) <= 1e-15
+    for side in (4, 5, 6, 7):
+        a = assemble(frozen, side)
+        scale = np.linalg.norm(a, 2)
+        vals, vecs = _section_eigh(frozen, side)
+        assert np.max(np.abs(vals - np.linalg.eigh(a)[0])) <= 1e-12 * scale
+        assert np.linalg.norm(a @ vecs - vecs * vals) <= 1e-12 * scale
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(a.shape[0])) <= 1e-12
+
+
+def test_split_mass_refuses_what_is_not_chiral_plus_mass(golden_H):
+    with pytest.raises(ChiralViolation):
+        _split_mass(LaurentSymbol.identity(2, 3))
+    # diag(1, -1, 1, -1) has no part along the grading diag(1, 1, -1, -1)
+    with pytest.raises(ChiralViolation):
+        _split_mass(golden_H + LaurentSymbol.constant(2, 0.05 * np.diag([1.0, -1, 1, -1])))
+    m, h = _split_mass(golden_H + LaurentSymbol.constant(2, 0.2 * np.diag([1.0, 1, -1, -1])))
+    assert abs(m - 0.2) <= 1e-15
+    assert h.distance(golden_symbol()) <= 1e-15
+
+
+def test_spectral_flow_falls_back_to_dense_eigh(golden_H, monkeypatch):
+    calls = []  # eigh of full 6 x 6 sections, not of cluster blocks
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if a.shape[0] == 6 * 6 * 4:
+            calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    spectral_flow(sin_mass_family(golden_H), t_samples=16, side=6)
+    assert calls == []
+    # a constant site-local term off the grading: no t takes the SVD path
+    stag = LaurentSymbol.constant(3, 0.05 * np.diag([1.0, -1, 1, -1]))
+    res = spectral_flow(sin_mass_family(golden_H) + stag, t_samples=16, side=6)
+    assert len(calls) == 16
+    assert res.flow == 0
+    assert [s for _, s in res.crossings] == [1, -1]
+    for (t, _), want in zip(res.crossings, (np.pi / 16, 15 * np.pi / 16)):
+        assert abs(t - want) <= 1e-12
 
 
 def test_spectral_flow_validation(golden, golden_H, monkeypatch):
