@@ -136,7 +136,7 @@ class IndexReport:
         }
 
 
-def numerical_index(symbol, sizes=(10, 14, 18), certify=True):
+def numerical_index(symbol, sizes=(10, 14, 18)):
     """Fredholm index of the quarter-plane (or segment) compression.
 
     dim ker - dim ker of the adjoint, each computed on reach-extended
@@ -153,11 +153,10 @@ def numerical_index(symbol, sizes=(10, 14, 18), certify=True):
         raise DimensionMismatch("index needs a one- or two-variable symbol")
     if min(sizes, default=1) < 1:
         raise InputError(f"truncation sizes must be >= 1, got {tuple(sizes)}")
-    if certify:
-        if symbol.num_vars == 2:
-            certify_fredholm(symbol)
-        else:
-            certify_invertible(symbol)
+    if symbol.num_vars == 2:
+        certify_fredholm(symbol)
+    else:
+        certify_invertible(symbol)
     adj = symbol.adjoint()
     parts = [symbol]
     if symbol.num_vars == 2:

@@ -22,20 +22,16 @@ Truncated series for f_+^{-1} (h itself) and f_-^{-1} bound both inverses in
 the Wiener norm (sum of coefficient 2-norms); when ||X||_W <= 1/2 each of
 T_{f_-}, T_{I+X}, T_{f_+} is invertible, hence so is T_f and every partial
 index is zero; the same norms bound cond(T_f).  When the bound fails the
-slice falls back to the kernel scan below, which also gives the indices of
-a non-canonical slice.  A factorization is judged by its relative defect
+partial indices decide.  A factorization is judged by its relative defect
 sum_k ||E_k||_F / coeff_norm().
 
 Partial indices are recovered without factorizing, from kernel dimensions
 of the shifted operators T_{z^m f}:
 dim ker T_{z^m f} = sum_i max(-(kappa_i + m), 0), so the multiplicity of the
-index value -m is the second difference of that count in m.
-
-Kernel dimensions come from tall sections (LaurentSymbol.section) whose
-rows are the full hopping reach of the columns 0..L-1, so small singular
-values correspond to genuine approximate kernel vectors and corner artifacts
-of square sections never appear.  Counts must agree across L and 2L before
-they are believed.
+index value -m is the second difference of that count in m.  Each count is
+the rank defect of a small block-Hankel matrix of the coefficients of
+f^{-1}, all read off one FFT.  ``toeplitz_kernel_dim`` counts independently,
+from tall sections escalated until counts agree across L and 2L.
 
 The coordinate slices of a symbol in several variables are built, opened
 and factorized once, in its slice table (``_slice_table``), which every
@@ -60,7 +56,7 @@ from .errors import (
     Unstable,
     WindowTooSmall,
 )
-from .symbols import LaurentSymbol, det_on_circle
+from .symbols import GRID_CAP, LaurentSymbol, det_on_circle
 
 __all__ = [
     "FactorizationResult",
@@ -75,10 +71,11 @@ __all__ = [
     "certify_invertible",
 ]
 
-KERNEL_RELTOL = 1e-8        # singular values below this times sigma_max count as zero
+KERNEL_RELTOL = 1e-8        # singular values below this times the scale count as zero
 COND_CAP = 1e12
 EXACT_COND_ROWS = 2048      # largest section whose condition is a full SVD
 SECTION_CAP = 1536          # largest kernel-scan section before giving up
+INVERSE_GRID = 4096         # circle grid of the FFT of f^{-1} in partial_indices
 FIRST_TRUNCATION = 32       # block size of the first f_+^{-1} solve
 MAX_TRUNCATION = 4096       # cap of the doubling loop and of a given truncation
 DEFECT_TOL = 1e-10          # relative defect at which the doubling loop stops
@@ -151,8 +148,9 @@ def _kernel_count(*mats):
     return cols - above.size, margin
 
 
-def _stable_kernel_dim(symbol, start):
-    """Tall-section kernel dimension, escalated until trustworthy.
+def toeplitz_kernel_dim(symbol, start=None):
+    """dim ker of the half-line Toeplitz operator T_f from tall sections,
+    escalated until trustworthy.
 
     Agreement of two consecutive doublings is not enough: a slowly decaying
     kernel vector keeps its section residual above the cutoff at small
@@ -162,8 +160,14 @@ def _stable_kernel_dim(symbol, start):
     heading under the cutoff, so the doubling continues until it crosses
     (the count increments) or levels off.
     """
-    reach = max(0, symbol.exponent_range(0)[1])
-    length = start
+    symbol = _as_one_var(symbol)
+    if not symbol.coeffs:
+        return symbol.band_dim  # zero symbol: everything is kernel
+    lo, hi = symbol.exponent_range(0)
+    length = start if start is not None else max(24, 4 * max(hi - lo, 1))
+    if length < 1:
+        raise InputError(f"section length must be >= 1, got {length}")
+    reach = max(0, hi)
     prev = None
     while length <= SECTION_CAP:
         count, margin = _kernel_count(symbol.section((length + reach,), (length,)))
@@ -171,22 +175,7 @@ def _stable_kernel_dim(symbol, start):
             return count
         prev = (count, margin)
         length *= 2
-    raise Unstable(
-        f"kernel dimension did not stabilize below section length {SECTION_CAP}"
-    )
-
-
-def toeplitz_kernel_dim(symbol, start=None):
-    """Stabilized dim ker of the half-line Toeplitz operator T_f."""
-    symbol = _as_one_var(symbol)
-    if not symbol.coeffs:
-        return symbol.band_dim  # zero symbol: everything is kernel
-    lo, hi = symbol.exponent_range(0)
-    spread = max(hi - lo, 1)
-    length = start if start is not None else max(24, 4 * spread)
-    if length < 1:
-        raise InputError(f"section length must be >= 1, got {length}")
-    return _stable_kernel_dim(symbol, length)
+    raise Unstable(f"kernel dimension did not stabilize below section length {SECTION_CAP}")
 
 
 # -------------------------------------------------------- partial indices
@@ -195,52 +184,64 @@ def toeplitz_kernel_dim(symbol, start=None):
 def partial_indices(symbol):
     """Partial indices of the right factorization, descending with multiplicity.
 
-    Scans m over [-M-1, M+1] with M = band_dim * exponent spread (indices of
-    a Laurent polynomial cannot exceed its exponent range, so this window is
-    always wide enough) and reads multiplicities off second differences of
-    d(m) = dim ker T_{z^m f}.  Linear tails of d at the window ends are
-    required; their absence raises WindowTooSmall.
+    They lie in the exponent range [lo, hi] of f, so m runs over
+    [-hi-1, -lo+1]; d(m) must vanish at the positive end and grow by n per
+    step at the negative end, else WindowTooSmall.  With L = -(lo + m) and
+    r_k the coefficients of p^{-1}, p = z^{-lo} f, d(m) is 0 for L <= 0, else
+    n L minus the rank of the block Hankel matrix [r_{-(q+l-1)}] with
+    q = 1 .. n (hi - lo) + L, l = 1 .. L (Gohberg, Lerer & Rodman, Bull. AMS
+    84, 1978), counting singular values below KERNEL_RELTOL max_k ||r_k|| as
+    zero (a monomial's matrix is pure rounding).  r comes from one
+    INVERSE_GRID-point FFT; the Hankel matrices read |k| < INVERSE_GRID / 4,
+    and aliasing moves those by about the cube of the largest ||r_k|| / max
+    over the middle half of the grid: Unstable when it exceeds 1e-12.
     """
     symbol = _as_one_var(symbol)
-    dets = certify_invertible(symbol)
     n = symbol.band_dim
     lo, hi = symbol.exponent_range(0)
-    if lo == hi:
-        # single monomial a z^lo with a invertible: indices are all lo
-        return tuple([lo] * n)
-    window = n * (hi - lo)
-    d = {}
-    for m in range(-window - 1, window + 2):
-        spread = max(hi - lo + abs(m), 1)
-        try:
-            d[m] = _stable_kernel_dim(symbol.shift((m,)), max(24, 4 * spread))
-        except Unstable as exc:
-            raise Unstable(f"kernel count for shift {m}: {exc}") from exc
+    rows, cols = (n + 1) * (hi - lo) + 1, hi - lo + 1  # blocks of the widest Hankel
+    if max(INVERSE_GRID, rows * cols) * n * n > GRID_CAP or rows + cols > INVERSE_GRID // 4:
+        raise InputError(f"exponent spread {hi - lo} at band {n} exceeds the "
+                         f"{INVERSE_GRID}-point inverse grid or {GRID_CAP} entries")
+    dets = certify_invertible(symbol)
+    p = np.array([symbol.coeff((k,)) for k in range(lo, hi + 1)], dtype=complex)
+    try:  # p sampled at 1/z, so the second FFT reads r_{-k} at index k
+        tail = np.fft.fft(np.linalg.inv(np.fft.fft(p, INVERSE_GRID, axis=0)), axis=0)
+    except np.linalg.LinAlgError:
+        tail = np.full(1, np.nan)
+    if not np.isfinite(tail).all():
+        raise SingularOnTorus(f"f^-1 is not finite on the {INVERSE_GRID}-point grid")
+    norms = np.linalg.norm(tail, axis=(-2, -1))
+    top = norms.max()
+    if (norms[INVERSE_GRID // 4:3 * INVERSE_GRID // 4].max() / top) ** 3 > 1e-12:
+        raise Unstable(f"coefficients of f^-1 have not decayed on the "
+                       f"{INVERSE_GRID}-point grid: a det root at or near the circle")
+    d = {-lo: 0, -lo + 1: 0}
+    for span in range(1, hi - lo + 2):  # m = -lo - span
+        rows = n * (hi - lo) + span
+        hankel = tail[np.arange(1, rows + 1)[:, None] + np.arange(span)]
+        sv = np.linalg.svd(hankel.transpose(0, 2, 1, 3).reshape(rows * n, span * n),
+                           compute_uv=False)
+        d[-lo - span] = n * span - int((sv >= KERNEL_RELTOL * top).sum())
 
     # tails: d must be exactly linear with slope -n at the negative end and
     # identically zero at the positive end, else the window missed an index
-    if d[window + 1] != 0 or d[window] != 0:
+    if d[-lo + 1] != 0 or d[-lo] != 0:
         raise WindowTooSmall("d(m) does not vanish at the positive window end")
-    if d[-window - 1] - d[-window] != n:
+    if d[-hi - 1] - d[-hi] != n:
         raise WindowTooSmall("d(m) is not n-linear at the negative window end")
 
     indices = []
-    for c in range(-window, window + 1):
+    for c in range(hi, lo - 1, -1):
         mult = d[-c - 1] - 2 * d[-c] + d[-c + 1]
         if mult < 0:
             raise Unstable(f"negative multiplicity at index value {c}")
         indices.extend([c] * mult)
     if len(indices) != n:
-        raise Unstable(
-            f"index multiplicities sum to {len(indices)}, expected {n}"
-        )
-    indices.sort(reverse=True)
-    total = sum(indices)
+        raise Unstable(f"index multiplicities sum to {len(indices)}, expected {n}")
     wind = _det_winding(dets)
-    if total != wind:
-        raise Unstable(
-            f"sum of partial indices {total} disagrees with det winding {wind}"
-        )
+    if sum(indices) != wind:
+        raise Unstable(f"sum of partial indices {sum(indices)} disagrees with det winding {wind}")
     return tuple(indices)
 
 
@@ -427,22 +428,21 @@ def _wiener_certificate(symbol, h_stack, factors):
 
 def _open(symbol, m):
     """Opening steps of every slice certificate and factorization:
-    certify_invertible, then (f not constant) the m-block solve, and the
-    kernel-scan certificate if its bound fails.  A trivial T_f kernel forces
-    every index >= 0 (dim ker T_f = sum_i max(-kappa_i, 0)) and winding(det)
-    is their sum, so with winding 0 all are zero.  Returns (m, the solve or
-    None, whether f is proved canonical)."""
-    dets = certify_invertible(symbol)
+    certify_invertible, then (f not constant) the m-block solve, and
+    partial_indices if its bound fails.  Returns (m, the solve or None, the
+    partial indices), all zero when the bound proves f canonical."""
+    certify_invertible(symbol)
     lo, hi = symbol.exponent_range(0)
+    zero = (0,) * symbol.band_dim
     if lo == hi == 0:
-        return m, None, True
+        return m, None, zero
     try:
         solved = _solve_section(symbol, m)
     except np.linalg.LinAlgError:
         solved = None
     if solved is not None and solved[2] is not None:
-        return m, solved, True
-    return m, solved, _det_winding(dets) == 0 and toeplitz_kernel_dim(symbol) == 0
+        return m, solved, zero
+    return m, solved, partial_indices(symbol)
 
 
 def canonical_factorize(symbol, truncation=None):
@@ -459,9 +459,9 @@ def canonical_factorize(symbol, truncation=None):
     doubles until the relative defect is at most DEFECT_TOL, giving up at
     the first doubling that does not lower it rather than solving every
     section up to MAX_TRUNCATION.  Only when the first certificate bound
-    fails does the kernel-scan certificate run, and a slice it rejects
-    raises NotCanonical with its partial indices before any IllConditioned
-    or NonConvergent.
+    fails are the partial indices computed, and a slice with a nonzero one
+    raises NotCanonical with them before any IllConditioned or
+    NonConvergent.
     """
     if truncation is not None and not 0 <= truncation <= MAX_TRUNCATION:
         raise InputError(
@@ -475,7 +475,7 @@ def canonical_factorize(symbol, truncation=None):
 def _factorize(symbol, opened, truncation):
     """canonical_factorize from the ``_open`` result of ``symbol``: its
     doubling loop starts from the opening solve."""
-    m, solved, canonical = opened
+    m, solved, indices = opened
     n = symbol.band_dim
     lo, hi = symbol.exponent_range(0)
     if lo == hi == 0:
@@ -491,8 +491,8 @@ def _factorize(symbol, opened, truncation):
             condition=float(np.linalg.cond(a)),
             defect=0.0,
         )
-    if not canonical:
-        raise NotCanonical(partial_indices(symbol))
+    if any(indices):
+        raise NotCanonical(indices)
     if solved is None:  # none kept, or a singular section, which raises as before
         solved = _solve_section(symbol, m)
     scale = symbol.coeff_norm()
@@ -562,15 +562,15 @@ class _SliceTable:
         return self._entries[key]
 
     def indices(self, direction, angle, t_var, t):
-        """Partial indices of the slice: all zero when its opening proves it
-        canonical, else the partial_indices scan.  A family slice drops its
-        first solve here: the flow factorizes none (keeping 256 raises its
-        peak memory by 9%), the family extension each one as it opens it."""
+        """Partial indices of the slice, as its opening found them.  A family
+        slice drops its first solve here: the flow factorizes none (keeping
+        256 raises its peak memory by 9%), the family extension each one as
+        it opens it."""
         entry = self._entry(direction, angle, t_var, t)
-        sl, (m, _, canonical), _ = entry
+        m, _, indices = entry[1]
         if t_var is not None:
-            entry[1] = (m, None, canonical)
-        return (0,) * sl.band_dim if canonical else partial_indices(sl)
+            entry[1] = (m, None, indices)
+        return indices
 
     def certify(self, direction, angle, t_var, t, detail):
         """NotFredholm, with ``detail``, at a slice with a nonzero partial index."""

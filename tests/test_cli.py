@@ -176,6 +176,21 @@ def test_far_exponent_below_the_cap_factorizes(capsys, tmp_path):
     assert code == 0 and rep["partial_indices"] == [0]
 
 
+@pytest.mark.parametrize("terms, indices", [
+    ([(1, 1 + 0.99**2), (2, -0.99), (0, -0.99)], [1]),  # z (1 - 0.99/z)(1 - 0.99 z)
+    ([(5, 1.0), (6, 0.1)], [5]),                        # z^5 (1 + 0.1 z)
+])
+def test_factorize_names_the_indices_of_slow_and_shifted_symbols(capsys, tmp_path,
+                                                                 terms, indices):
+    path = tmp_path / "shifted.json"
+    doc = {}
+    _scalar(doc, terms)
+    path.write_text(json.dumps(doc))
+    code, rep = run(capsys, ["factorize", str(path)])
+    assert code == 2
+    assert rep["error"] == "NotCanonical" and rep["indices"] == indices
+
+
 def test_missing_params_are_named_briefly(capsys, tmp_path):
     path = tmp_path / "many.json"
     path.write_text(json.dumps({"num_vars": 1000000, "band_dim": 1, "terms": []}))

@@ -12,7 +12,14 @@ from conftest import (
 )
 from test_symbols import _class_symbol
 import qtop.wiener_hopf
-from qtop.errors import InputError, NonConvergent, NotCanonical, SingularOnTorus, Unstable
+from qtop.errors import (
+    InputError,
+    NonConvergent,
+    NotCanonical,
+    NumericalFailure,
+    SingularOnTorus,
+    Unstable,
+)
 from qtop.operators import spectral_flow
 from qtop.symbols import LaurentSymbol, assemble_chiral
 from qtop.wiener_hopf import (
@@ -20,6 +27,7 @@ from qtop.wiener_hopf import (
     EXACT_COND_ROWS,
     FIRST_TRUNCATION,
     _factor_coeffs,
+    _factorize,
     _section_condition,
     _slice_table,
     _solve_section,
@@ -116,6 +124,22 @@ def test_slow_decay_partial_indices():
     assert partial_indices(sym) == (1, -1)
 
 
+def test_partial_indices_refuse_what_the_inverse_grid_cannot_resolve(monkeypatch):
+    ffts = _count_calls(monkeypatch, np.fft, "fft")
+    with pytest.raises(InputError):  # 4096 * 50^2 entries
+        partial_indices(LaurentSymbol(1, 50, [((1,), np.eye(50)), ((0,), 0.1 * np.eye(50))]))
+    with pytest.raises(InputError):  # Hankel coefficients past 4096 / 4
+        partial_indices(scalar([(0, 0.5), (-600, 1.0)]))
+    assert ffts == []
+    with pytest.raises(Unstable, match="have not decayed"):  # det roots 0.995, 1/0.995
+        partial_indices(scalar([(0, 1 + 0.995**2), (1, -0.995), (-1, -0.995)]))
+    # z - c with c the grid's own sample of z at the second point: exactly
+    # singular there, though 1.5e-3 away from the 1024-point det grid
+    c = np.fft.fft([0.0, 1.0], 4096)[1]
+    with pytest.raises(SingularOnTorus, match="not finite"):
+        canonical_factorize(scalar([(0, -c), (1, 1.0)]))
+
+
 def test_kernel_dims_of_shifts():
     assert toeplitz_kernel_dim(scalar([(1, 1.0)])) == 0
     assert toeplitz_kernel_dim(scalar([(-1, 1.0)])) == 1
@@ -140,6 +164,27 @@ def test_nonzero_winding_sums(rng):
         n = int(rng.integers(1, 4))
         g, total = random_nonzero_winding_1d(rng, n)
         assert sum(partial_indices(g)) == total == winding_of_det(g)
+
+
+def test_partial_index_identities(rng):
+    """Criterion-4 symbols: z^k f has every index raised by k, the adjoint
+    the negated indices in reverse order, a direct sum the union of both
+    multisets, and d(0) = sum_i max(-kappa_i, 0) is the tall-section count."""
+    symbols = []
+    for trial in range(12):
+        n = int(rng.integers(1, 4))
+        if trial % 2:
+            symbols.append(random_nonzero_winding_1d(rng, n)[0])
+        else:
+            symbols.append(random_canonical_1d(rng, n, int(rng.integers(1, 3))))
+    for f, g in zip(symbols, symbols[1:] + symbols[:1]):
+        kappa = partial_indices(f)
+        k = int(rng.choice([-6, -3, -1, 1, 3, 6]))
+        assert partial_indices(f.shift((k,))) == tuple(x + k for x in kappa)
+        assert partial_indices(f.adjoint()) == tuple(-x for x in reversed(kappa))
+        both = sorted(kappa + partial_indices(g), reverse=True)
+        assert partial_indices(f.block_diag(g)) == tuple(both)
+        assert toeplitz_kernel_dim(f) == sum(max(-x, 0) for x in kappa)
 
 
 def test_factorization_unique_under_truncation_change(rng):
@@ -272,11 +317,12 @@ def test_certified_paths_run_no_kernel_scan(monkeypatch):
 
 def test_kernel_scan_fallback_factorizes_slow_decay(monkeypatch):
     # (1 - 0.99/z)(1 - 0.99 z): the bound fails on the first solve, the
-    # kernel scan proves the slice canonical, and the loop doubles the
-    # truncation until the relative defect passes
+    # partial indices prove the slice canonical without any tall-section
+    # kernel scan, and the loop doubles the truncation until the relative
+    # defect passes
     calls = _count_calls(monkeypatch, qtop.wiener_hopf, "toeplitz_kernel_dim")
     fact = canonical_factorize(scalar([(0, 1 + 0.99**2), (1, -0.99), (-1, -0.99)]))
-    assert calls
+    assert calls == []
     assert fact.partial_indices == (0,)
     assert fact.residual <= 1e-10
     assert verify_factorization(fact).residual <= 1e-8
@@ -286,8 +332,10 @@ def test_kernel_scan_fallback_factorizes_slow_decay(monkeypatch):
 
 
 def test_doubling_that_raises_the_defect_is_nonconvergent(monkeypatch):
-    # the TD slice at angle 0 of a seeded class-AI band-3 symbol: its
-    # relative defect goes 0.109, 3.64, 0.025, 15.8 at m = 32 ... 256, so
+    # the TD slice at angle 0 of a seeded class-AI band-3 symbol: its det has
+    # a double root on the circle, so the coefficients of f^-1 do not decay
+    # and the slice is Unstable after one section solve.  Taken as canonical,
+    # its relative defect goes 0.109, 3.64, 0.025, 15.8 at m = 32 ... 256, so
     # the doubling loop stops at m = 64 instead of solving up to the cap
     sl = _class_symbol("AI", 3, seed=1).slice(1, (1.0,))
     real = qtop.wiener_hopf._solve_section
@@ -300,6 +348,11 @@ def test_doubling_that_raises_the_defect_is_nonconvergent(monkeypatch):
         return real(symbol, m)
 
     monkeypatch.setattr(qtop.wiener_hopf, "_solve_section", counted)
-    with pytest.raises(NonConvergent, match="doubling does not converge"):
+    with pytest.raises(Unstable, match="have not decayed") as err:
         canonical_factorize(sl)
+    assert isinstance(err.value, NumericalFailure)  # exit 3, as NonConvergent
+    assert calls == [FIRST_TRUNCATION]
+    calls.clear()
+    with pytest.raises(NonConvergent, match="doubling does not converge"):
+        _factorize(sl, (FIRST_TRUNCATION, None, (0, 0, 0)), None)
     assert calls == [FIRST_TRUNCATION, 2 * FIRST_TRUNCATION]
