@@ -34,7 +34,14 @@ from .errors import (
     NumericalFailure,
     Obstruction,
 )
-from .extension import ChartPoint, ExtendedSymbol, build_extended, check_grid_size, check_w3_grid
+from .extension import (
+    ChartPoint,
+    ExtendedSymbol,
+    build_extended,
+    check_grid_size,
+    check_samples,
+    check_w3_grid,
+)
 from .invariants import DEFAULT_GRID, gapped_invariant_report, w3
 from .operators import _write_dump, corner_spectrum, numerical_index, spectral_flow
 from .symbols import az_class, check_symmetry, load_symbol, split_chiral
@@ -63,10 +70,12 @@ def _parse_int_tuple(text, expect=None, name="list"):
     return values
 
 
-def _w3_grid(args, band_dim):
-    """--grid, refused here when W3 could not run on it (before dense work)."""
+def _w3_inputs(args, band_dim):
+    """--grid, refused here with --samples when W3 could not run on them
+    (before dense work or any slice)."""
     grid = _parse_int_tuple(args.grid, expect=3, name="--grid")
     check_w3_grid(grid, band_dim)
+    check_samples(args.samples, band_dim)
     return grid
 
 
@@ -234,7 +243,7 @@ def _cmd_index(args):
     report = {"command": "index", "input": args.file, "mode": args.mode}
     idx = None
     if args.mode in ("w3", "both"):
-        grid = _w3_grid(args, symbol.band_dim)
+        grid = _w3_inputs(args, symbol.band_dim)
         if symbol.num_vars != 2:
             raise InputError("W3 needs a two-variable symbol")
     if args.mode in ("truncation", "both"):
@@ -261,7 +270,7 @@ def _cmd_corner(args):
     spec = az_class(args.az_class) if args.az_class else None
     label = spec.label if spec else args.az_class
     if label == "AIII":
-        grid = _w3_grid(args, symbol.band_dim // 2)
+        grid = _w3_inputs(args, symbol.band_dim // 2)
     result = corner_spectrum(
         symbol,
         args.size,
@@ -400,8 +409,10 @@ def _cmd_symmetry(args):
     }
     if args.report:
         grid = _parse_int_tuple(args.grid, expect=3, name="--grid")
+        band = symbol.band_dim // 2 if spec.chiral else symbol.band_dim
         if spec.chiral:  # only chiral classes run W3, on h of half the band
-            check_w3_grid(grid, symbol.band_dim // 2)
+            check_w3_grid(grid, band)
+        check_samples(args.samples, band)
         full = gapped_invariant_report(
             symbol, spec, grid=grid, samples_per_circle=args.samples
         )

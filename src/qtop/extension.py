@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InputError, OutOfDomain, Unstable
 from .symbols import GRID_CAP, _DEGREE_RELATION, _relation, az_class
-from .wiener_hopf import _slice_table
+from .wiener_hopf import FIRST_TRUNCATION, _slice_table
 
 __all__ = [
     "ChartPoint",
@@ -46,6 +46,7 @@ __all__ = [
     "check_equivariance",
     "check_grid_size",
     "check_w3_grid",
+    "check_samples",
     "bott_generator",
 ]
 
@@ -101,6 +102,20 @@ def check_w3_grid(grid, band_dim):
     check_grid_size(grid, band_dim)
 
 
+def check_samples(samples, band_dim):
+    """Refuse fewer than one slice per circle, or so many that their
+    opening solves, samples * band_dim^2 * (FIRST_TRUNCATION + 1) entries,
+    exceed GRID_CAP, before any slice opens."""
+    if samples < 1:
+        raise InputError(f"samples_per_circle must be >= 1, got {samples}")
+    size = samples * band_dim * band_dim * (FIRST_TRUNCATION + 1)
+    if size > GRID_CAP:
+        raise InputError(
+            f"{samples} slices per circle of band {band_dim} would hold {size} "
+            f"solved entries (cap {GRID_CAP})"
+        )
+
+
 class ExtendedSymbol:
     """Evaluator for f^E built from per-slice canonical factorizations.
 
@@ -119,8 +134,7 @@ class ExtendedSymbol:
             raise InputError(
                 f"family variable {family_var} outside 0..{base.num_vars - 1}"
             )
-        if samples_per_circle < 1:
-            raise InputError(f"samples_per_circle must be >= 1, got {samples_per_circle}")
+        check_samples(samples_per_circle, base.band_dim)
         self.base = base
         self.family_var = family_var
         self.samples_per_circle = int(samples_per_circle)
@@ -200,6 +214,8 @@ def _prebuild(ext, t_values):
         (chart, 2.0 * np.pi * j / samples, t)
         for chart in CHARTS for j in range(samples) for t in t_values
     ]
+    _slice_table(ext.base).open(
+        [(ext._var_disk[chart], angle, ext.family_var, t) for chart, angle, t in jobs])
     facts = [ext.factor_at(*job) for job in jobs]
     scale = max(ext.base.coeff_norm(), 1e-300)
     for t in t_values:

@@ -94,11 +94,16 @@ def kernel_dim(*blocks):
 # ---------------------------------------------------------------- index
 
 
+def _reach_rows(symbol, box):
+    """The box extended by the positive hopping reach of ``symbol``."""
+    return [b + max(0, symbol.exponent_range(a)[1]) for a, b in enumerate(box)]
+
+
 def _reach_compression(symbol, parts, box):
     """Columns on the box, rows on the box extended by the positive hopping
     reach of ``symbol``: one section per reducing block of it in ``parts``,
     refused at the full band_dim before any is allocated."""
-    rows = [b + max(0, symbol.exponent_range(a)[1]) for a, b in enumerate(box)]
+    rows = _reach_rows(symbol, box)
     _check_rows(math.prod(rows) * symbol.band_dim)
     return [part.section(rows, box) for part in parts]
 
@@ -113,9 +118,8 @@ def certify_fredholm(symbol):
     """
     table = _slice_table(symbol)
     for direction in range(symbol.num_vars):
-        for j in range(8):
-            table.certify(direction, 2.0 * np.pi * j / 8, None, None,
-                          "half-plane compression is not invertible")
+        table.certify([(direction, 2.0 * np.pi * j / 8, None, None) for j in range(8)],
+                      "half-plane compression is not invertible")
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,11 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
     """Fredholm index of the quarter-plane (or segment) compression.
 
     dim ker - dim ker of the adjoint, each computed on reach-extended
-    truncations, required to agree across all ``sizes``.  A two-variable
+    truncations.  A one-variable symbol's counts must agree across all
+    ``sizes``.  A two-variable symbol's must agree at the last three sizes:
+    while they do not, the side grows by 4 past the last one, as long as
+    both sections stay within DENSE_CAP rows, and ``sizes`` in the report
+    lists every side tried.  A two-variable
     symbol whose coefficients share reducing subspaces W_i (band_dim <= 16)
     is counted block by block, with the counts of the undivided section:
     one section of W_i* f W_i per block on the rows of the whole symbol's
@@ -165,25 +173,31 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
             parts = [LaurentSymbol(2, w.shape[1], [(k, w.conj().T @ a @ w)
                                                    for k, a in symbol.coeffs.items()])
                      for w in bases]
+    sizes = [int(s) for s in sizes]
     kers, coks, values = [], [], []
-    for size in sizes:
+    while len(values) < len(sizes):
+        size = sizes[len(values)]
         if symbol.num_vars == 1:
-            k = toeplitz_kernel_dim(symbol, start=int(size))
-            c = toeplitz_kernel_dim(adj, start=int(size))
+            k = toeplitz_kernel_dim(symbol, start=size)
+            c = toeplitz_kernel_dim(adj, start=size)
         else:
-            box = [int(size)] * symbol.num_vars
+            box = [size] * symbol.num_vars
             k = kernel_dim(*_reach_compression(symbol, parts, box))
             c = kernel_dim(*_reach_compression(adj, [p.adjoint() for p in parts], box))
         kers.append(k)
         coks.append(c)
         values.append(k - c)
-    if len(set(values)) != 1:
+        if len(values) == len(sizes) and symbol.num_vars == 2 and len(set(values[-3:])) > 1:
+            rows = max(math.prod(_reach_rows(f, [size + 4] * 2)) for f in (symbol, adj))
+            if rows * symbol.band_dim <= DENSE_CAP:
+                sizes.append(size + 4)
+    if len(set(values[-3:] if symbol.num_vars == 2 else values)) != 1:
         raise Unstable(
             f"index disagrees across truncation sizes {tuple(sizes)}: {values}"
         )
     return IndexReport(
-        value=values[0],
-        sizes=tuple(int(s) for s in sizes),
+        value=values[-1],
+        sizes=tuple(sizes),
         kernel_counts=tuple(kers),
         cokernel_counts=tuple(coks),
     )
@@ -524,10 +538,9 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
     t_values = [2.0 * np.pi * j / t_samples for j in range(t_samples)]
     table = _slice_table(family)
     for t in t_values:
-        for direction in (d for d in range(3) if d != t_var):
-            for j in range(4):
-                table.certify(direction, 2.0 * np.pi * j / 4, t_var, t,
-                              "half-plane compression not invertible along the family")
+        table.certify([(direction, 2.0 * np.pi * j / 4, t_var, t)
+                       for direction in range(3) if direction != t_var for j in range(4)],
+                      "half-plane compression not invertible along the family")
 
     windowed = []
     mask = _corner_mask(side, family.band_dim)

@@ -52,6 +52,7 @@ from .errors import (
     NonConvergent,
     NotCanonical,
     NotFredholm,
+    QtopError,
     SingularOnTorus,
     Unstable,
     WindowTooSmall,
@@ -81,6 +82,9 @@ MAX_TRUNCATION = 4096       # cap of the doubling loop and of a given truncation
 DEFECT_TOL = 1e-10          # relative defect at which the doubling loop stops
 DET_SAMPLES = 1024          # circle grid of the determinant check
 DET_TOL = 1e-8              # min |det f| below which f is SingularOnTorus
+ROOT_BAND = 1e-3            # det roots this close to the circle add their angle to the check
+ROOT_DEGREE = 64            # largest det degree read off its roots (companion eigenvalues cost D^3)
+STACK_BYTES = 4 << 20       # largest stack of opening sections, in bytes
 VERIFY_GRID = 512           # circle grid of verify_factorization
 SCAN_SECTION = 64           # Toeplitz section size of radial_scan
 SCAN_GRID = 1024            # Fourier grid of the radially scaled symbols
@@ -102,24 +106,88 @@ def _poly_values(coeff_stack, u):
     return out
 
 
+def _coeff_stack(symbol):
+    """The coefficients a_lo .. a_hi of a one-variable symbol, stacked."""
+    lo, hi = symbol.exponent_range(0)
+    return np.array([symbol.coeff((k,)) for k in range(lo, hi + 1)], dtype=complex)
+
+
+def _unwrap(result):
+    """Raise the error a stacked step kept for one slice, else pass its result on."""
+    if isinstance(result, QtopError):
+        raise result
+    return result
+
+
+def _det_stack(slices):
+    """Certify det f of one-variable slices that share band n and exponent
+    range [lo, hi]; per slice, the winding of det f or the error it raises.
+
+    det p, p = z^{-lo} f, is a polynomial of degree D = n (hi - lo).  Its
+    coefficients come from one batched det at the smallest power of two
+    >= D + 1 circle points and one FFT; a zero-padded FFT of them gives det p
+    on the DET_SAMPLES grid, and its value at the angle of every root within
+    ROOT_BAND of the circle joins those samples (a zero between grid points
+    sits next to a root).  SingularOnTorus when their min |det| is at most
+    DET_TOL, for the zero symbol without sampling it.  The winding is n lo
+    plus the number of roots in the open disk (roots of the companion
+    matrix; Edelman & Murakami, Math. Comp. 64, 1995).  Above ROOT_DEGREE,
+    det f is sampled on the grid and its winding summed from phase steps.
+    """
+    n = slices[0].band_dim
+    lo, hi = slices[0].exponent_range(0)
+    degree = n * (hi - lo)
+    out = [None if sl.coeffs else _singular(0.0, "") for sl in slices]
+    live = [i for i, sl in enumerate(slices) if sl.coeffs]
+    if not live:
+        return out
+    direct = degree > ROOT_DEGREE
+    with np.errstate(invalid="ignore"):
+        if direct:
+            dets = np.stack([det_on_circle(slices[i], DET_SAMPLES) for i in live])
+        else:
+            points = 1 << degree.bit_length()
+            coeffs = np.stack([_coeff_stack(slices[i]) for i in live])
+            samples = np.linalg.det(points * np.fft.ifft(coeffs, points, axis=1))
+            polys = np.fft.fft(samples, axis=1)[:, :degree + 1] / points
+            dets = DET_SAMPLES * np.fft.ifft(polys, DET_SAMPLES, axis=1)
+    for row, i in enumerate(live):
+        dmin = float(np.abs(dets[row]).min())
+        if not dmin > DET_TOL:  # NaN fails this comparison too
+            out[i] = _singular(dmin, "")
+        elif direct:
+            try:
+                out[i] = _det_winding(dets[row])
+            except QtopError as exc:
+                out[i] = exc
+        else:
+            poly = polys[row, ::-1]
+            roots = np.roots(poly)
+            near = roots[np.abs(np.abs(roots) - 1.0) < ROOT_BAND]
+            if near.size:
+                dmin = min(dmin, float(np.abs(np.polyval(poly, near / np.abs(near))).min()))
+            if dmin > DET_TOL:
+                out[i] = n * lo + int((np.abs(roots) < 1.0).sum())
+            else:
+                out[i] = _singular(dmin, f" and {near.size} near-circle root angles")
+    return out
+
+
+def _singular(dmin, where):
+    return SingularOnTorus(
+        f"min |det f| = {dmin:.3e} on a {DET_SAMPLES}-point grid{where} (tol {DET_TOL:.1e})"
+    )
+
+
 def certify_invertible(symbol):
-    """Check min |det f| on a DET_SAMPLES-point circle grid; SingularOnTorus
-    below DET_TOL, for the zero symbol without sampling it."""
-    dets = np.zeros(1)
-    if _as_one_var(symbol).coeffs:
-        with np.errstate(invalid="ignore"):
-            dets = det_on_circle(symbol, DET_SAMPLES)
-    dmin = float(np.abs(dets).min())
-    if not dmin > DET_TOL:  # NaN fails this comparison too
-        raise SingularOnTorus(
-            f"min |det f| = {dmin:.3e} on a {DET_SAMPLES}-point grid (tol {DET_TOL:.1e})"
-        )
-    return dets
+    """SingularOnTorus unless min |det f| on the circle exceeds DET_TOL (see
+    ``_det_stack``); returns the winding number of det f."""
+    return _unwrap(_det_stack([_as_one_var(symbol)])[0])
 
 
 def winding_of_det(symbol):
     """Winding number of det f around the origin (certifies invertibility first)."""
-    return _det_winding(certify_invertible(symbol))
+    return certify_invertible(symbol)
 
 
 def _det_winding(dets):
@@ -203,8 +271,8 @@ def partial_indices(symbol):
     if max(INVERSE_GRID, rows * cols) * n * n > GRID_CAP or rows + cols > INVERSE_GRID // 4:
         raise InputError(f"exponent spread {hi - lo} at band {n} exceeds the "
                          f"{INVERSE_GRID}-point inverse grid or {GRID_CAP} entries")
-    dets = certify_invertible(symbol)
-    p = np.array([symbol.coeff((k,)) for k in range(lo, hi + 1)], dtype=complex)
+    wind = certify_invertible(symbol)
+    p = _coeff_stack(symbol)
     try:  # p sampled at 1/z, so the second FFT reads r_{-k} at index k
         tail = np.fft.fft(np.linalg.inv(np.fft.fft(p, INVERSE_GRID, axis=0)), axis=0)
     except np.linalg.LinAlgError:
@@ -239,7 +307,6 @@ def partial_indices(symbol):
         indices.extend([c] * mult)
     if len(indices) != n:
         raise Unstable(f"index multiplicities sum to {len(indices)}, expected {n}")
-    wind = _det_winding(dets)
     if sum(indices) != wind:
         raise Unstable(f"sum of partial indices {sum(indices)} disagrees with det winding {wind}")
     return tuple(indices)
@@ -302,16 +369,30 @@ class FactorizationResult:
         return np.fft.fft(vals, axis=0) / SCAN_GRID
 
 
+def _solve_stack(slices, m):
+    """Solve the (m+1)-block sections of one-variable slices that share band
+    and exponent range, in one batched solve, for their f_+^{-1}
+    coefficients h; returns per slice h, its ``_factor_coeffs`` factors
+    (c, b, defect) and the certificate's bound on cond(T_f), None when it
+    fails.  A singular section raises."""
+    n, count = slices[0].band_dim, len(slices)
+    lo = slices[0].exponent_range(0)[0]
+    rows = (m + 1) * n
+    sections = np.empty((count, rows, rows), dtype=complex)
+    for section, sl in zip(sections, slices):
+        section[...] = sl.section((m + 1,), (m + 1,))
+    rhs = np.zeros((count, rows, n), dtype=complex)
+    rhs[:, :n] = np.eye(n)
+    h = np.linalg.solve(sections, rhs).reshape(count, m + 1, n, n)
+    coeffs = np.stack([_coeff_stack(sl) for sl in slices])
+    c, b, defect = factors = _factor_coeffs(coeffs, lo, h)
+    bounds = _wiener_certificate(coeffs, lo, h, factors)
+    return [(h[i], (c[i], b[i], defect[i]), bounds[i]) for i in range(count)]
+
+
 def _solve_section(symbol, m):
-    """Solve the (m+1)-block section for the f_+^{-1} coefficients h; returns
-    h, its ``_factor_coeffs`` factors (c, b, defect) and the certificate's
-    bound on cond(T_f), None when it fails.  A singular section raises."""
-    n = symbol.band_dim
-    rhs = np.zeros(((m + 1) * n, n), dtype=complex)
-    rhs[:n] = np.eye(n)
-    h_stack = np.linalg.solve(symbol.section((m + 1,), (m + 1,)), rhs).reshape(m + 1, n, n)
-    factors = _factor_coeffs(symbol, h_stack)
-    return h_stack, factors, _wiener_certificate(symbol, h_stack, factors)
+    """``_solve_stack`` of one slice."""
+    return _solve_stack([symbol], m)[0]
 
 
 def _section_condition(symbol, m):
@@ -331,21 +412,23 @@ def _section_condition(symbol, m):
 
 
 def _poly_mul(p, q):
-    """Coefficient stack of the product of two matrix polynomials, each
-    given as its coefficient stack from degree 0 up."""
-    out = np.zeros((len(p) + len(q) - 1,) + p.shape[1:], dtype=complex)
-    if len(p) <= len(q):
-        for i, a in enumerate(p):
-            out[i:i + len(q)] += a @ q
+    """Coefficient stacks of the products of two stacks of matrix
+    polynomials, each given by its coefficients from degree 0 up on axis 1."""
+    lp, lq = p.shape[1], q.shape[1]
+    out = np.zeros((len(p), lp + lq - 1) + p.shape[2:], dtype=complex)
+    if lp <= lq:
+        for i in range(lp):
+            out[:, i:i + lq] += p[:, i, None] @ q
     else:
-        for j, b in enumerate(q):
-            out[j:j + len(p)] += p @ b
+        for j in range(lq):
+            out[:, j:j + lp] += p @ q[:, j, None]
     return out
 
 
-def _factor_coeffs(symbol, h_stack):
+def _factor_coeffs(coeffs, lo, h):
     """Coefficient stacks of f_-, f_+ and the defect E = f - f_- f_+ from
-    the f_+^{-1} coefficients h of one section solve.
+    the f_+^{-1} coefficients h of one section solve, for a stack of slices
+    with coefficients ``coeffs`` (a_lo .. a_hi on axis 1).
 
     f_- = C(1/z) with c_0 = I and c_k the z^{-k} coefficient of f h;
     f_+ = B(z) of degree hi by back-substitution b_k = a_k - sum_{i>=1}
@@ -353,29 +436,28 @@ def _factor_coeffs(symbol, h_stack):
     supported on negative powers up to roundoff.  Non-finite values pass
     through silently: the certificate rejects them.
     """
-    lo, hi = symbol.exponent_range(0)
+    count, width, n = coeffs.shape[:3]
+    hi = lo + width - 1
     k_minus, k_plus = max(0, -lo), max(0, hi)
-    n = symbol.band_dim
-    f_stack = np.array([symbol.coeff((k,)) for k in range(lo, hi + 1)], dtype=complex)
     with np.errstate(all="ignore"):
-        fh = _poly_mul(f_stack, h_stack)            # degrees lo .. hi + m
-        c = np.empty((k_minus + 1, n, n), dtype=complex)
-        c[0] = np.eye(n)
+        fh = _poly_mul(coeffs, h)                   # degrees lo .. hi + m
+        c = np.empty((count, k_minus + 1, n, n), dtype=complex)
+        c[:, 0] = np.eye(n)
         for k in range(1, k_minus + 1):
-            c[k] = fh[-k - lo]
-        b = np.zeros((k_plus + 1, n, n), dtype=complex)
+            c[:, k] = fh[:, -k - lo]
+        b = np.zeros((count, k_plus + 1, n, n), dtype=complex)
         for k in range(k_plus, -1, -1):
-            b[k] = symbol.coeff((k,)) - sum(
-                c[i] @ b[k + i] for i in range(1, min(k_minus, k_plus - k) + 1)
+            b[:, k] = (coeffs[:, k - lo] if lo <= k <= hi else 0.0) - sum(
+                c[:, i] @ b[:, k + i] for i in range(1, min(k_minus, k_plus - k) + 1)
             )
-        defect = -_poly_mul(c[::-1], b)             # degrees -k_minus .. k_plus
-        defect[lo + k_minus:hi + k_minus + 1] += f_stack
+        defect = -_poly_mul(c[:, ::-1], b)          # degrees -k_minus .. k_plus
+        defect[:, lo + k_minus:hi + k_minus + 1] += coeffs
     return c, b, defect
 
 
-def _wiener_certificate(symbol, h_stack, factors):
-    """Prove f canonical from the f_+^{-1} coefficients of one section solve
-    and bound cond(T_f).
+def _wiener_certificate(coeffs, lo, h, factors):
+    """Prove each slice of a stack canonical from the f_+^{-1} coefficients
+    h of its section solve and bound cond(T_f); per slice the bound or None.
 
     With f_-, f_+ and E = f - f_- f_+ the ``factors`` of ``_factor_coeffs``,
     g the degree-m series of f_-^{-1}, r_+ = ||I - f_+ h||_W and
@@ -385,64 +467,92 @@ def _wiener_certificate(symbol, h_stack, factors):
     T_f = T_{f_-} T_{I+X} T_{f_+} is invertible once q < 1; the test asks
     for 1/2 so that roundoff in the norms cannot decide it.  The same
     factorization gives cond(T_f) <= ||f||_W M_- M_+ / (1 - q), which is
-    returned.  Returns None (not certified, never an error) for a monomial,
-    for h shorter than the negative reach of f, and on any non-finite value:
-    the series g of a non-canonical slice may overflow.
+    returned.  None (not certified, never an error) for a monomial, for h
+    shorter than the negative reach of f, and on any non-finite value: the
+    series g of a non-canonical slice may overflow.
     """
-    lo, hi = symbol.exponent_range(0)
-    m = len(h_stack) - 1
+    count, width, n = coeffs.shape[:3]
+    m = h.shape[1] - 1
     k_minus = max(0, -lo)
-    if lo == hi or k_minus > m:
-        return None
-    n = symbol.band_dim
+    if width == 1 or k_minus > m:
+        return [None] * count
     eye = np.eye(n)
     c, b, defect = factors
-    f_stack = np.array([symbol.coeff((k,)) for k in range(lo, hi + 1)], dtype=complex)
     with np.errstate(all="ignore"):
-        g = np.zeros((m + 1, n, n), dtype=complex)
-        g[0] = eye
+        # g_j = -sum_i c_i g_{j-i}: one matmul per j of the row c_kminus .. c_1
+        # against g_{j-kminus} .. g_{j-1}, with kminus zero blocks ahead of g_0
+        g = np.zeros((count, k_minus + m + 1, n, n), dtype=complex)
+        g[:, k_minus] = eye
+        row = c[:, :0:-1].transpose(0, 2, 1, 3).reshape(count, n, k_minus * n)
         for j in range(1, m + 1):
-            g[j] = -sum(c[i] @ g[j - i] for i in range(1, min(j, k_minus) + 1))
-        rest_plus = -_poly_mul(b, h_stack)
-        rest_plus[0] += eye
+            g[:, k_minus + j] = -row @ g[:, j:j + k_minus].reshape(count, k_minus * n, n)
+        g = g[:, k_minus:]
+        rest_plus = -_poly_mul(b, h)
+        rest_plus[:, 0] += eye
         rest_minus = -_poly_mul(c, g)
-        rest_minus[0] += eye
+        rest_minus[:, 0] += eye
         # Wiener norms sum_k ||P_k||_2: they bound sup |P| on the circle and
-        # are submultiplicative; one batched SVD serves all six
-        stacks = (defect, g, rest_plus, rest_minus, h_stack, f_stack)
-        block = np.concatenate(stacks)
-        if not np.isfinite(block).all():
-            return None
+        # are submultiplicative; one batched SVD serves all six, for every slice
+        stacks = (defect, g, rest_plus, rest_minus, h, coeffs)
+        block = np.concatenate(stacks, axis=1)
+        tops = np.full(block.shape[:2], np.nan)
+        finite = np.isfinite(block).all(axis=(1, 2, 3))
         try:
-            tops = np.linalg.svd(block, compute_uv=False)[:, 0]
-        except np.linalg.LinAlgError:
-            return None
-        ends = np.cumsum([len(x) for x in stacks])[:-1]
-        e, g_norm, r_plus, r_minus, h_norm, f_norm = (float(t.sum()) for t in np.split(tops, ends))
-        if not (r_plus < 1.0 and r_minus < 1.0):
-            return None
+            tops[finite] = np.linalg.svd(block[finite], compute_uv=False)[..., 0]
+        except np.linalg.LinAlgError:  # rare: find the slices it failed on
+            for i in np.flatnonzero(finite):
+                try:
+                    tops[i] = np.linalg.svd(block[i], compute_uv=False)[:, 0]
+                except np.linalg.LinAlgError:
+                    pass
+        ends = np.cumsum([x.shape[1] for x in stacks])[:-1]
+        e, g_norm, r_plus, r_minus, h_norm, f_norm = (
+            t.sum(axis=1) for t in np.split(tops, ends, axis=1))
         m_minus = g_norm / (1.0 - r_minus)
         q = m_minus * e * h_norm / (1.0 - r_plus)
-    return f_norm * m_minus * h_norm / (1.0 - r_plus) / (1.0 - q) if q <= 0.5 else None
+        bound = f_norm * m_minus * h_norm / (1.0 - r_plus) / (1.0 - q)
+    proved = (r_plus < 1.0) & (r_minus < 1.0) & (q <= 0.5)  # NaN fails each
+    return [float(x) if ok else None for x, ok in zip(bound, proved)]
+
+
+def _open_stack(slices, m):
+    """Opening steps of every slice certificate and factorization, for
+    one-variable slices that share band and exponent range: ``_det_stack``,
+    then (f not constant) one batched m-block solve with its certificates,
+    and ``partial_indices`` of each slice whose bound fails (a singular
+    section in the batch sends every slice to its own solve).  Per slice,
+    (m, the solve or None, the partial indices), all zero when the bound
+    proves f canonical, or the error its opening raises."""
+    out = _det_stack(slices)
+    lo, hi = slices[0].exponent_range(0)
+    zero = (0,) * slices[0].band_dim
+    if lo == hi == 0:
+        return [w if isinstance(w, QtopError) else (m, None, zero) for w in out]
+    live = [i for i, w in enumerate(out) if not isinstance(w, QtopError)]
+    if not live:
+        return out
+    group = [slices[i] for i in live]
+    try:
+        solved = _solve_stack(group, m)
+    except np.linalg.LinAlgError:
+        solved = []
+        for sl in group:
+            try:
+                solved.append(_solve_section(sl, m))
+            except np.linalg.LinAlgError:
+                solved.append(None)
+    for i, sl, one in zip(live, group, solved):
+        try:
+            certified = one is not None and one[2] is not None
+            out[i] = (m, one, zero if certified else partial_indices(sl))
+        except QtopError as exc:
+            out[i] = exc
+    return out
 
 
 def _open(symbol, m):
-    """Opening steps of every slice certificate and factorization:
-    certify_invertible, then (f not constant) the m-block solve, and
-    partial_indices if its bound fails.  Returns (m, the solve or None, the
-    partial indices), all zero when the bound proves f canonical."""
-    certify_invertible(symbol)
-    lo, hi = symbol.exponent_range(0)
-    zero = (0,) * symbol.band_dim
-    if lo == hi == 0:
-        return m, None, zero
-    try:
-        solved = _solve_section(symbol, m)
-    except np.linalg.LinAlgError:
-        solved = None
-    if solved is not None and solved[2] is not None:
-        return m, solved, zero
-    return m, solved, partial_indices(symbol)
+    """``_open_stack`` of one slice, raising its error."""
+    return _unwrap(_open_stack([symbol], m)[0])
 
 
 def canonical_factorize(symbol, truncation=None):
@@ -544,21 +654,48 @@ class _SliceTable:
     free, the family variable (None for none) at e^{i t} and the others at
     e^{i angle}; angles count modulo 2 pi to 12 decimals, so a chart grid
     point at a sampled angle reads the sampled slice.  An entry holds the
-    slice, its ``_open`` result and, once asked for, its factorization.
+    slice, its ``_open_stack`` result (or the error its opening raised, raised
+    again whenever the slice is read) and, once asked for, its factorization.
     """
 
     def __init__(self, symbol):
         self.symbol = symbol
         self._entries = {}
 
-    def _entry(self, direction, angle, t_var, t):
-        key = (direction, t_var) + tuple(
+    @staticmethod
+    def _key(direction, angle, t_var, t):
+        return (direction, t_var) + tuple(
             None if a is None else round(float(a) % (2.0 * np.pi), 12) for a in (angle, t))
-        if key not in self._entries:
+
+    def open(self, keys):
+        """Open the slices at ``keys``, (direction, angle, t_var, t) tuples,
+        that the table does not hold yet: in stacks of one exponent range of
+        the slice, whatever its direction (a slice whose edge coefficient
+        cancels joins its own), each split so that its sections stay within
+        STACK_BYTES."""
+        groups = {}
+        for direction, angle, t_var, t in keys:
+            key = self._key(direction, angle, t_var, t)
+            if key in self._entries:
+                continue
             fixed = [np.exp(1j * (t if v == t_var else angle))
                      for v in range(self.symbol.num_vars) if v != direction]
             sl = self.symbol.slice(direction, fixed)
-            self._entries[key] = [sl, _open(sl, FIRST_TRUNCATION), None]
+            groups.setdefault(sl.exponent_range(0), {}).setdefault(key, sl)
+        per_slice = 16 * ((FIRST_TRUNCATION + 1) * self.symbol.band_dim) ** 2
+        for group in groups.values():
+            items = list(group.items())
+            parts = min(len(items), -(-len(items) * per_slice // STACK_BYTES))
+            for j in range(parts):
+                chunk = items[len(items) * j // parts:len(items) * (j + 1) // parts]
+                opened = _open_stack([sl for _, sl in chunk], FIRST_TRUNCATION)
+                for (key, sl), result in zip(chunk, opened):
+                    self._entries[key] = [sl, result, None]
+
+    def _entry(self, direction, angle, t_var, t):
+        key = self._key(direction, angle, t_var, t)
+        if key not in self._entries:
+            self.open([(direction, angle, t_var, t)])
         return self._entries[key]
 
     def indices(self, direction, angle, t_var, t):
@@ -567,17 +704,21 @@ class _SliceTable:
         256 raises its peak memory by 9%), the family extension each one as
         it opens it."""
         entry = self._entry(direction, angle, t_var, t)
-        m, _, indices = entry[1]
+        m, _, indices = _unwrap(entry[1])
         if t_var is not None:
             entry[1] = (m, None, indices)
         return indices
 
-    def certify(self, direction, angle, t_var, t, detail):
-        """NotFredholm, with ``detail``, at a slice with a nonzero partial index."""
-        with self._fredholm(direction, angle, t, detail):
-            indices = self.indices(direction, angle, t_var, t)
-            if any(indices):
-                raise NotCanonical(indices)
+    def certify(self, keys, detail):
+        """Open the slices at ``keys`` together, then NotFredholm, with
+        ``detail``, at the first of them, in order, that fails to open or
+        has a nonzero partial index."""
+        self.open(keys)
+        for direction, angle, t_var, t in keys:
+            with self._fredholm(direction, angle, t, detail):
+                indices = self.indices(direction, angle, t_var, t)
+                if any(indices):
+                    raise NotCanonical(indices)
 
     def factor(self, direction, angle, t_var, t):
         """Canonical factorization of the slice, continued from its opening
@@ -585,7 +726,7 @@ class _SliceTable:
         with self._fredholm(direction, angle, t, None):
             entry = self._entry(direction, angle, t_var, t)
             if entry[2] is None:
-                entry[2] = _factorize(entry[0], entry[1], None)
+                entry[2] = _factorize(entry[0], _unwrap(entry[1]), None)
             return entry[2]
 
     @contextmanager

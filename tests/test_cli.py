@@ -16,6 +16,7 @@ from conftest import (
 import qtop
 from qtop import __version__, cli
 from qtop.errors import NonConvergent
+from qtop.extension import check_samples
 from qtop.operators import IndexReport
 from qtop.symbols import LaurentSymbol, assemble_chiral, save_symbol, symbol_to_dict
 
@@ -179,6 +180,9 @@ def test_far_exponent_below_the_cap_factorizes(capsys, tmp_path):
 @pytest.mark.parametrize("terms, indices", [
     ([(1, 1 + 0.99**2), (2, -0.99), (0, -0.99)], [1]),  # z (1 - 0.99/z)(1 - 0.99 z)
     ([(5, 1.0), (6, 0.1)], [5]),                        # z^5 (1 + 0.1 z)
+    ([(-1, 1.0), (-2, 0.3)], [-1]),                     # z^-2 (z + 0.3)
+    ([(511, 1.0)], [511]),
+    ([(600, 1.0)], [600]),  # det winding past half the 1024-point det grid
 ])
 def test_factorize_names_the_indices_of_slow_and_shifted_symbols(capsys, tmp_path,
                                                                  terms, indices):
@@ -205,11 +209,12 @@ def test_each_slice_is_solved_once_per_command(capsys, tmp_path, golden_file,
     """The Fredholm certificates and the extension read one slice table per
     symbol, and golden's slices all pass on their first solve: 16 slices per
     variable for the extension (the certificates' 8 and 4 angles are among
-    them), 4 angles in each of 2 directions per t for the flow."""
+    them), 4 angles in each of 2 directions per t for the flow.  Slices open
+    in stacks, so the count is of slices over every stacked solve."""
     calls = []
-    real = qtop.wiener_hopf._solve_section
-    monkeypatch.setattr(qtop.wiener_hopf, "_solve_section",
-                        lambda *args: calls.append(args) or real(*args))
+    real = qtop.wiener_hopf._solve_stack
+    monkeypatch.setattr(qtop.wiener_hopf, "_solve_stack",
+                        lambda slices, m: calls.extend(slices) or real(slices, m))
     family = tmp_path / "family.json"
     save_symbol(sin_mass_family(assemble_chiral(golden_symbol())), family)
     for argv in (["index", golden_file, "--mode", "both"],
@@ -426,6 +431,35 @@ def test_corner_class_is_case_insensitive(capsys, golden_H_file):
 
 def _refuse(*args, **kwargs):
     raise AssertionError("dense work ran before the input was checked")
+
+
+def test_zero_of_det_between_grid_points_is_an_obstruction(capsys, tmp_path):
+    """The chiral H of h = z - 2.5 - w^2 - w^-2: its slice at z = 1 vanishes
+    at four points of the circle, none of them on the 1024-point det grid."""
+    h = LaurentSymbol(2, 1, [((1, 0), [[1.0]]), ((0, 0), [[-2.5]]),
+                             ((0, 2), [[-1.0]]), ((0, -2), [[-1.0]])])
+    path = tmp_path / "Hsing.json"
+    save_symbol(assemble_chiral(h), path)
+    code, rep = run(capsys, ["symmetry", str(path), "--class", "AIII", "--report",
+                             "--samples", "3", "--grid", "30,17,30"])
+    assert code == 2
+    assert (rep["error"], rep["direction"], rep["where"]) == ("NotFredholm", 1, [0.0])
+
+
+def test_oversized_samples_exit_before_any_slice_opens(capsys, golden_file, golden_H_file,
+                                                       monkeypatch):
+    monkeypatch.setattr(qtop.wiener_hopf, "_open_stack", _refuse)
+    for name in ("numerical_index", "corner_spectrum", "gapped_invariant_report"):
+        monkeypatch.setattr(cli, name, _refuse)
+    for argv in (["index", golden_file, "--mode", "w3", "--grid", "8,5,8"],
+                 ["index", golden_file],
+                 ["corner", golden_H_file, "--class", "AIII"],
+                 ["symmetry", golden_H_file, "--class", "AIII", "--report"],
+                 ["symmetry", golden_file, "--class", "A", "--report"]):
+        code, rep = run(capsys, argv + ["--samples", "100000000"])
+        assert code == 4 and rep["error"] == "InputError", argv
+        assert "slices per circle" in rep["detail"]
+    check_samples(2000, 4)  # the cap leaves room for 2000 slices per circle at band 4
 
 
 def test_corner_unknown_class_exits_before_the_solve(capsys, golden_H_file, monkeypatch):

@@ -7,6 +7,7 @@ from conftest import (
     gap_closing_family,
     golden_symbol,
     promote_to_family,
+    random_canonical_2d,
     sin_mass_family,
 )
 from qtop import wiener_hopf
@@ -179,6 +180,38 @@ def test_certify_fredholm_reports_direction():
     assert err.value.direction == 0
     assert err.value.indices == (1, -1)
     certify_fredholm(golden_symbol())  # does not raise
+
+
+@pytest.mark.parametrize("sign, angle, indices", [
+    # z - (1 + cos theta): canonical at 0 and pi/4, singular at pi/2, then
+    # z - c with c < 1 (index 1) from 3 pi/4 on: the singular slice is first
+    (1.0, np.pi / 2, None),
+    # z - (1 - cos theta): index 1 at angle 0 comes before the singular pi/2
+    (-1.0, 0.0, (1,)),
+])
+def test_stacked_certificate_names_the_first_failing_slice(sign, angle, indices):
+    sym = LaurentSymbol(2, 1, [((1, 0), [[1.0]]), ((0, 0), [[-1.0]]),
+                               ((0, 1), [[-0.5 * sign]]), ((0, -1), [[-0.5 * sign]])])
+    with pytest.raises(NotFredholm) as err:
+        certify_fredholm(sym)
+    assert (err.value.direction, err.value.where, err.value.indices) == (0, (angle,), indices)
+
+
+def test_truncation_index_escalates_until_the_last_three_sizes_agree():
+    """Products of golden with small canonical products: the corner kernel
+    vector outruns the side-10 section for most of them, so the default
+    sizes read [0, 1, 1] and the side grows to 22."""
+    golden = golden_symbol()
+    for seed in range(5):
+        g = random_canonical_2d(np.random.default_rng(seed))
+        for sym in (golden * g, g * golden):
+            report = numerical_index(sym)
+            assert report.value == 1
+            assert report.sizes[:3] == (10, 14, 18)
+            assert len(set(report.kernel_counts[-3:])) == 1
+            assert len(report.sizes) == len(report.kernel_counts)
+    # counts that agree at the given sizes are not escalated
+    assert numerical_index(golden).sizes == (10, 14, 18)
 
 
 def test_corner_spectrum_golden(golden_H):
@@ -377,7 +410,8 @@ def test_spectral_flow_validation(golden, golden_H, monkeypatch):
     with pytest.raises(TrackingAmbiguous):
         spectral_flow(sin_mass_family(golden_H), t_samples=16, side=6, window=0.2)
     # the row cap is checked before the first of 512 slice certificates
-    monkeypatch.setattr(wiener_hopf, "_open", lambda *a: pytest.fail("a slice certificate ran"))
+    monkeypatch.setattr(wiener_hopf, "_open_stack",
+                        lambda *a: pytest.fail("a slice certificate ran"))
     with pytest.raises(SizeOverflow):
         spectral_flow(sin_mass_family(golden_H), t_samples=64, side=100)
 

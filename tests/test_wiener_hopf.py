@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     golden_symbol,
     random_canonical_1d,
+    random_canonical_2d,
     random_nonzero_winding_1d,
     sin_mass_family,
     small_term,
@@ -16,7 +17,7 @@ from qtop.errors import (
     InputError,
     NonConvergent,
     NotCanonical,
-    NumericalFailure,
+    QtopError,
     SingularOnTorus,
     Unstable,
 )
@@ -26,8 +27,11 @@ from qtop.wiener_hopf import (
     COND_CAP,
     EXACT_COND_ROWS,
     FIRST_TRUNCATION,
+    _coeff_stack,
     _factor_coeffs,
     _factorize,
+    _open,
+    _open_stack,
     _section_condition,
     _slice_table,
     _solve_section,
@@ -56,7 +60,14 @@ class _NaNSymbol:
     """One-variable stand-in whose values are all NaN."""
 
     num_vars = 1
+    band_dim = 1
     coeffs = {(0,): np.full((1, 1), np.nan, dtype=complex)}
+
+    def exponent_range(self, var):
+        return (0, 0)
+
+    def coeff(self, exponents):
+        return self.coeffs[(0,)]
 
     def eval_grid(self, axes):
         return np.full((len(axes[0]), 1, 1), np.nan, dtype=complex)
@@ -67,6 +78,34 @@ def test_certify_invertible_rejects_vanishing_det():
         certify_invertible(scalar([(1, 1.0), (0, -1.0)]))  # z - 1
     with pytest.raises(SingularOnTorus):
         certify_invertible(_NaNSymbol())
+
+
+def test_certify_invertible_finds_zeros_between_grid_points():
+    """det f is a polynomial; a root on the circle between the 1024 grid
+    points is caught by the value at its angle."""
+    # the TD slice at angle 0 of a seeded class-AI band-3 symbol: a double
+    # root of det f on the circle, min |det| 5.7e-6 on the grid
+    with pytest.raises(SingularOnTorus, match="near-circle root"):
+        certify_invertible(_class_symbol("AI", 3, seed=1).slice(1, (1.0,)))
+    # z - c, c the second point of a 4096-point grid: 1.5e-3 off the det grid
+    c = np.exp(2j * np.pi / 4096)
+    with pytest.raises(SingularOnTorus, match="near-circle root"):
+        certify_invertible(scalar([(0, -c), (1, 1.0)]))
+    # -1.5 - w^2 - w^-2 has four simple roots on the circle
+    with pytest.raises(SingularOnTorus, match="near-circle root"):
+        certify_invertible(scalar([(0, -1.5), (2, -1.0), (-2, -1.0)]))
+    # a root 2e-3 off the circle is not a zero: the winding counts it
+    assert certify_invertible(scalar([(0, -0.998), (1, 1.0)])) == 1
+    assert certify_invertible(scalar([(0, -1.002), (1, 1.0)])) == 0
+
+
+def test_winding_is_read_from_the_roots_at_any_degree():
+    """n lo plus the roots of det(z^-lo f) in the disk: a monomial's det
+    winding does not alias on the 1024-point grid."""
+    for k in (511, 512, 600, -1500):
+        assert winding_of_det(scalar([(k, 1.0)])) == k
+    shifted = random_canonical_1d(np.random.default_rng(3), 2, 2).shift((700,))
+    assert winding_of_det(shifted) == 1400
 
 
 def test_large_section_condition_estimate():
@@ -134,9 +173,10 @@ def test_partial_indices_refuse_what_the_inverse_grid_cannot_resolve(monkeypatch
     with pytest.raises(Unstable, match="have not decayed"):  # det roots 0.995, 1/0.995
         partial_indices(scalar([(0, 1 + 0.995**2), (1, -0.995), (-1, -0.995)]))
     # z - c with c the grid's own sample of z at the second point: exactly
-    # singular there, though 1.5e-3 away from the 1024-point det grid
+    # singular there, 1.5e-3 away from the 1024-point det grid; the det
+    # check finds it at its root's angle before any section is solved
     c = np.fft.fft([0.0, 1.0], 4096)[1]
-    with pytest.raises(SingularOnTorus, match="not finite"):
+    with pytest.raises(SingularOnTorus, match="near-circle root"):
         canonical_factorize(scalar([(0, -c), (1, 1.0)]))
 
 
@@ -268,7 +308,9 @@ def test_wiener_certificate_on_canonical_and_twisted_products():
 
 
 def _certificate(symbol, h_stack):
-    return _wiener_certificate(symbol, h_stack, _factor_coeffs(symbol, h_stack))
+    coeffs, lo = _coeff_stack(symbol)[None], symbol.exponent_range(0)[0]
+    factors = _factor_coeffs(coeffs, lo, h_stack[None])
+    return _wiener_certificate(coeffs, lo, h_stack[None], factors)[0]
 
 
 def test_wiener_certificate_rejects_quietly():
@@ -333,10 +375,10 @@ def test_kernel_scan_fallback_factorizes_slow_decay(monkeypatch):
 
 def test_doubling_that_raises_the_defect_is_nonconvergent(monkeypatch):
     # the TD slice at angle 0 of a seeded class-AI band-3 symbol: its det has
-    # a double root on the circle, so the coefficients of f^-1 do not decay
-    # and the slice is Unstable after one section solve.  Taken as canonical,
-    # its relative defect goes 0.109, 3.64, 0.025, 15.8 at m = 32 ... 256, so
-    # the doubling loop stops at m = 64 instead of solving up to the cap
+    # a double root on the circle, so the det check refuses it before any
+    # section solve.  Taken as canonical, its relative defect goes 0.109,
+    # 3.64, 0.025, 15.8 at m = 32 ... 256, so the doubling loop stops at
+    # m = 64 instead of solving up to the cap
     sl = _class_symbol("AI", 3, seed=1).slice(1, (1.0,))
     real = qtop.wiener_hopf._solve_section
     calls = []
@@ -348,11 +390,80 @@ def test_doubling_that_raises_the_defect_is_nonconvergent(monkeypatch):
         return real(symbol, m)
 
     monkeypatch.setattr(qtop.wiener_hopf, "_solve_section", counted)
-    with pytest.raises(Unstable, match="have not decayed") as err:
+    with pytest.raises(SingularOnTorus):
         canonical_factorize(sl)
-    assert isinstance(err.value, NumericalFailure)  # exit 3, as NonConvergent
-    assert calls == [FIRST_TRUNCATION]
-    calls.clear()
+    assert calls == []
     with pytest.raises(NonConvergent, match="doubling does not converge"):
         _factorize(sl, (FIRST_TRUNCATION, None, (0, 0, 0)), None)
     assert calls == [FIRST_TRUNCATION, 2 * FIRST_TRUNCATION]
+
+
+def _single_opening(symbol, m):
+    try:
+        return _open(symbol, m)
+    except QtopError as exc:
+        return exc
+
+
+def _assert_same_opening(stacked, single):
+    if isinstance(single, QtopError):
+        assert (type(stacked), str(stacked)) == (type(single), str(single))
+        return
+    assert stacked[0] == single[0] and stacked[2] == single[2]
+    assert (stacked[1] is None) == (single[1] is None)
+    if single[1] is not None:
+        assert (stacked[1][2] is None) == (single[1][2] is None)
+        np.testing.assert_allclose(stacked[1][0], single[1][0], rtol=0, atol=1e-14)
+
+
+def test_stacked_openings_equal_single_openings():
+    rng = np.random.default_rng(2718)
+    golden = golden_symbol()
+    symbols = (sin_mass_family(assemble_chiral(golden)), golden.block_diag(golden),
+               random_canonical_2d(rng) * golden)
+    for symbol in symbols:
+        for direction in (0, 1):
+            slices = [symbol.slice(direction, np.exp(2j * np.pi * rng.random(symbol.num_vars - 1)))
+                      for _ in range(6)]
+            for stacked, sl in zip(_open_stack(slices, FIRST_TRUNCATION), slices):
+                _assert_same_opening(stacked, _single_opening(sl, FIRST_TRUNCATION))
+
+
+def test_stack_with_cancelled_edge_singular_section_and_singular_det():
+    """diag(1/z, z) + 0.1 (w - 1) has an exactly singular section at w = 1
+    (its first column is zero), and z (1 - w) - 2 w loses its z-coefficient
+    at w = 1 (and is singular at w = -1); 1.5 - z - 0.5 w is singular on the circle at w = 1.  Each
+    stacked opening equals the single one, and the table opens a slice
+    whose edge cancelled in its own stack."""
+    eye = np.eye(2)
+    twisted = LaurentSymbol(2, 2, [((-1, 0), np.diag([1.0, 0.0])), ((1, 0), np.diag([0.0, 1.0])),
+                                   ((0, 1), 0.1 * eye), ((0, 0), -0.1 * eye)])
+    angles = 2 * np.pi * np.arange(4) / 4
+    slices = [twisted.slice(0, (np.exp(1j * a),)) for a in angles]
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_section(slices[0], FIRST_TRUNCATION)
+    for stacked, sl in zip(_open_stack(slices, FIRST_TRUNCATION), slices):
+        _assert_same_opening(stacked, _single_opening(sl, FIRST_TRUNCATION))
+
+    cancels = LaurentSymbol(2, 1, [((1, 0), [[1.0]]), ((1, 1), [[-1.0]]), ((0, 1), [[-2.0]])])
+    assert cancels.slice(0, (1.0,)).exponent_range(0) == (0, 0)
+    table = _slice_table(cancels)
+    opened = []
+    real = qtop.wiener_hopf._open_stack
+    keys = [(0, a, None, None) for a in angles]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qtop.wiener_hopf, "_open_stack",
+                   lambda slices, m: opened.append(len(slices)) or real(slices, m))
+        table.open(keys)
+    assert sorted(opened) == [1, 3]
+    for key in keys:
+        entry = table._entries[table._key(*key)]
+        _assert_same_opening(entry[1], _single_opening(entry[0], FIRST_TRUNCATION))
+
+    # a slice singular on the circle in the middle of a stack keeps its
+    # error in its own place
+    singular = LaurentSymbol(2, 1, [((0, 0), [[1.5]]), ((1, 0), [[-1.0]]), ((0, 1), [[-0.5]])])
+    slices = [singular.slice(0, (np.exp(1j * a),)) for a in (np.pi / 2, 0.0, np.pi)]
+    first, middle, last = _open_stack(slices, FIRST_TRUNCATION)
+    assert isinstance(middle, SingularOnTorus)
+    assert not isinstance(first, QtopError) and not isinstance(last, QtopError)
