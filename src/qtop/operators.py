@@ -51,6 +51,7 @@ CORNER_EXTENT = 4         # corner patch: sites with every coordinate below this
 OVERLAP_FLOOR = 0.7       # smallest eigenvector overlap that continues a flow track
 FLOW_ZERO_FLOOR = 1e-9    # flow track values at or below this count as zero
 FLOW_CORNER_FLOOR = 0.25  # corner participation of a tracked flow state
+ADDED_SIDES = 3           # sides numerical_index may add past a two-variable run's own
 
 
 def _check_rows(size):
@@ -146,9 +147,9 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
     dim ker - dim ker of the adjoint, each computed on reach-extended
     truncations.  A one-variable symbol's counts must agree across all
     ``sizes``.  A two-variable symbol's must agree at the last three sizes:
-    while they do not, the side grows by 4 past the last one, as long as
-    both sections stay within DENSE_CAP rows, and ``sizes`` in the report
-    lists every side tried.  A two-variable
+    while they do not, the side grows by 4 past the last one, at most
+    ADDED_SIDES times and as long as both sections stay within DENSE_CAP
+    rows, and ``sizes`` in the report lists every side tried.  A two-variable
     symbol whose coefficients share reducing subspaces W_i (band_dim <= 16)
     is counted block by block, with the counts of the undivided section:
     one section of W_i* f W_i per block on the rows of the whole symbol's
@@ -174,6 +175,7 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
                                                    for k, a in symbol.coeffs.items()])
                      for w in bases]
     sizes = [int(s) for s in sizes]
+    last = len(sizes) + ADDED_SIDES
     kers, coks, values = [], [], []
     while len(values) < len(sizes):
         size = sizes[len(values)]
@@ -189,7 +191,7 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
         values.append(k - c)
         if len(values) == len(sizes) and symbol.num_vars == 2 and len(set(values[-3:])) > 1:
             rows = max(math.prod(_reach_rows(f, [size + 4] * 2)) for f in (symbol, adj))
-            if rows * symbol.band_dim <= DENSE_CAP:
+            if rows * symbol.band_dim <= DENSE_CAP and len(sizes) < last:
                 sizes.append(size + 4)
     if len(set(values[-3:] if symbol.num_vars == 2 else values)) != 1:
         raise Unstable(

@@ -83,7 +83,6 @@ DEFECT_TOL = 1e-10          # relative defect at which the doubling loop stops
 DET_SAMPLES = 1024          # circle grid of the determinant check
 DET_TOL = 1e-8              # min |det f| below which f is SingularOnTorus
 ROOT_BAND = 1e-3            # det roots this close to the circle add their angle to the check
-ROOT_DEGREE = 64            # largest det degree read off its roots (companion eigenvalues cost D^3)
 STACK_BYTES = 4 << 20       # largest stack of opening sections, in bytes
 VERIFY_GRID = 512           # circle grid of verify_factorization
 SCAN_SECTION = 64           # Toeplitz section size of radial_scan
@@ -131,8 +130,9 @@ def _det_stack(slices):
     sits next to a root).  SingularOnTorus when their min |det| is at most
     DET_TOL, for the zero symbol without sampling it.  The winding is n lo
     plus the number of roots in the open disk (roots of the companion
-    matrix; Edelman & Murakami, Math. Comp. 64, 1995).  Above ROOT_DEGREE,
-    det f is sampled on the grid and its winding summed from phase steps.
+    matrix; Edelman & Murakami, Math. Comp. 64, 1995).  When D + 1 exceeds
+    DET_SAMPLES, det f is sampled on the grid and its winding summed from
+    phase steps.
     """
     n = slices[0].band_dim
     lo, hi = slices[0].exponent_range(0)
@@ -141,7 +141,7 @@ def _det_stack(slices):
     live = [i for i, sl in enumerate(slices) if sl.coeffs]
     if not live:
         return out
-    direct = degree > ROOT_DEGREE
+    direct = degree + 1 > DET_SAMPLES
     with np.errstate(invalid="ignore"):
         if direct:
             dets = np.stack([det_on_circle(slices[i], DET_SAMPLES) for i in live])

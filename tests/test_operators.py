@@ -19,6 +19,7 @@ from qtop.errors import (
     NotHermitian,
     SizeOverflow,
     TrackingAmbiguous,
+    Unstable,
 )
 from qtop.operators import (
     CORNER_EXTENT,
@@ -212,6 +213,17 @@ def test_truncation_index_escalates_until_the_last_three_sizes_agree():
             assert len(report.sizes) == len(report.kernel_counts)
     # counts that agree at the given sizes are not escalated
     assert numerical_index(golden).sizes == (10, 14, 18)
+
+
+def test_truncation_index_adds_at_most_three_sides(monkeypatch):
+    """Counts that never settle exit 3 after three added sides, not at the
+    DENSE_CAP row limit (side 52 for golden)."""
+    counts = iter(range(100))
+    monkeypatch.setattr("qtop.operators.kernel_dim", lambda *blocks: next(counts) ** 2)
+    with pytest.raises(Unstable, match=r"sizes \(10, 14, 18, 22, 26, 30\)"):
+        numerical_index(golden_symbol())
+    with pytest.raises(Unstable, match=r"sizes \(6, 10, 14, 18, 22, 26, 30\)"):
+        numerical_index(golden_symbol(), sizes=(6, 10, 14, 18))
 
 
 def test_corner_spectrum_golden(golden_H):

@@ -97,6 +97,9 @@ def test_certify_invertible_finds_zeros_between_grid_points():
     # a root 2e-3 off the circle is not a zero: the winding counts it
     assert certify_invertible(scalar([(0, -0.998), (1, 1.0)])) == 1
     assert certify_invertible(scalar([(0, -1.002), (1, 1.0)])) == 0
+    # det degree 68: its 68 roots on the circle fall between grid points too
+    with pytest.raises(SingularOnTorus, match="68 near-circle root"):
+        certify_invertible(scalar([(0, -1.5), (34, -1.0), (-34, -1.0)]))
 
 
 def test_winding_is_read_from_the_roots_at_any_degree():
@@ -106,6 +109,17 @@ def test_winding_is_read_from_the_roots_at_any_degree():
         assert winding_of_det(scalar([(k, 1.0)])) == k
     shifted = random_canonical_1d(np.random.default_rng(3), 2, 2).shift((700,))
     assert winding_of_det(shifted) == 1400
+
+
+def test_det_of_degree_past_the_grid_is_sampled_directly(monkeypatch):
+    """Past D + 1 = 1024 coefficients no longer fit the grid: det f is
+    sampled on it and its winding summed from phase steps, with no roots."""
+    roots = _count_calls(monkeypatch, np, "roots")
+    assert winding_of_det(scalar([(0, 1.0), (2000, 0.5)])) == 0
+    assert winding_of_det(scalar([(-1, 1.0), (1999, 0.5)])) == -1
+    with pytest.raises(SingularOnTorus, match="1024-point grid \\(tol"):
+        certify_invertible(scalar([(0, 1.0), (2048, -1.0)]))  # zero at every grid point
+    assert roots == []
 
 
 def test_large_section_condition_estimate():
@@ -178,6 +192,11 @@ def test_partial_indices_refuse_what_the_inverse_grid_cannot_resolve(monkeypatch
     c = np.fft.fft([0.0, 1.0], 4096)[1]
     with pytest.raises(SingularOnTorus, match="near-circle root"):
         canonical_factorize(scalar([(0, -c), (1, 1.0)]))
+    # the inverse grid guards itself: with the det check passed over, the
+    # same zero still makes f^-1 non-finite on the 4096-point grid
+    monkeypatch.setattr(qtop.wiener_hopf, "certify_invertible", lambda symbol: 1)
+    with pytest.raises(SingularOnTorus, match="not finite"):
+        partial_indices(scalar([(0, -c), (1, 1.0)]))
 
 
 def test_kernel_dims_of_shifts():
