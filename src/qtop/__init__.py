@@ -15,7 +15,6 @@ from .symbols import (
     az_class,
     assemble_chiral,
     check_symmetry,
-    det_on_circle,
     load_symbol,
     save_symbol,
     split_chiral,
@@ -65,7 +64,6 @@ __all__ = [
     "az_class",
     "assemble_chiral",
     "check_symmetry",
-    "det_on_circle",
     "load_symbol",
     "save_symbol",
     "split_chiral",

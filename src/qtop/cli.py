@@ -59,14 +59,13 @@ _GRID_HELP = (
 
 
 def _parse_int_tuple(text, expect=None, name="list"):
+    """Comma-separated integers; an empty field is refused, not skipped."""
     try:
-        values = tuple(int(p) for p in text.split(",") if p.strip() != "")
+        values = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InputError(f"{name} must be comma-separated integers: {text!r}") from None
-    if not values or (expect is not None and len(values) != expect):
-        raise InputError(
-            f"{name} needs {expect or 'at least one'} comma-separated integers: {text!r}"
-        )
+    if expect is not None and len(values) != expect:
+        raise InputError(f"{name} needs {expect} comma-separated integers: {text!r}")
     return values
 
 

@@ -7,7 +7,6 @@ az_class        Altland-Zirnbauer class table (degree, relations, block rule)
 check_symmetry  validate the class relations at coefficient level and on grids
 assemble_chiral build H = [[0, h*], [h, 0]] from an arbitrary symbol h
 split_chiral    recover h from a chiral H and verify the block structure
-det_on_circle   det samples on the torus (input to winding counts)
 load_symbol / save_symbol / symbol_to_dict / symbol_from_dict   file format
 
 Coefficients are stored exactly (complex double matrices keyed by integer
@@ -39,7 +38,6 @@ __all__ = [
     "check_symmetry",
     "assemble_chiral",
     "split_chiral",
-    "det_on_circle",
     "load_symbol",
     "save_symbol",
     "symbol_to_dict",
@@ -438,20 +436,6 @@ def _reducing_subspaces(symbol):
     if any(np.linalg.norm((basis.conj().T @ a @ basis)[off]) > 1e-12 for a in coeffs):
         return whole
     return sorted(blocks, key=lambda w: w.shape[1], reverse=True)
-
-
-# ----------------------------------------------------------------- dets
-
-
-def det_on_circle(symbol, samples=256):
-    """det f at ``samples`` uniform points of the unit circle (1D symbols)."""
-    if symbol.num_vars != 1:
-        raise DimensionMismatch("det_on_circle expects a one-variable symbol")
-    if samples < 4:
-        raise InputError("samples must be >= 4")
-    zs = np.exp(2j * np.pi * np.arange(samples) / samples)
-    vals = symbol.eval_grid([zs])
-    return np.linalg.det(vals)
 
 
 # ------------------------------------------------- symmetry class table

@@ -57,7 +57,7 @@ from .errors import (
     Unstable,
     WindowTooSmall,
 )
-from .symbols import GRID_CAP, LaurentSymbol, det_on_circle
+from .symbols import GRID_CAP, LaurentSymbol
 
 __all__ = [
     "FactorizationResult",
@@ -80,9 +80,9 @@ INVERSE_GRID = 4096         # circle grid of the FFT of f^{-1} in partial_indice
 FIRST_TRUNCATION = 32       # block size of the first f_+^{-1} solve
 MAX_TRUNCATION = 4096       # cap of the doubling loop and of a given truncation
 DEFECT_TOL = 1e-10          # relative defect at which the doubling loop stops
-DET_SAMPLES = 1024          # circle grid of the determinant check
-DET_TOL = 1e-8              # min |det f| below which f is SingularOnTorus
-ROOT_BAND = 1e-3            # det roots this close to the circle add their angle to the check
+DET_SAMPLES = 1024          # least circle grid of the determinant check
+DET_TOL = 1e-8              # min |det f| / s^n at or below which f is SingularOnTorus
+DET_HALVINGS = 24           # halvings of a det arc the Lipschitz bound leaves open
 STACK_BYTES = 4 << 20       # largest stack of opening sections, in bytes
 VERIFY_GRID = 512           # circle grid of verify_factorization
 SCAN_SECTION = 64           # Toeplitz section size of radial_scan
@@ -118,86 +118,103 @@ def _unwrap(result):
     return result
 
 
+def _det_points(n, lo, hi):
+    """The smallest power of two above the degree n (hi - lo) of det p."""
+    return 1 << (n * (hi - lo)).bit_length()
+
+
 def _det_stack(slices):
     """Certify det f of one-variable slices that share band n and exponent
     range [lo, hi]; per slice, the winding of det f or the error it raises.
 
-    det p, p = z^{-lo} f, is a polynomial of degree D = n (hi - lo).  Its
-    coefficients come from one batched det at the smallest power of two
-    >= D + 1 circle points and one FFT; a zero-padded FFT of them gives det p
-    on the DET_SAMPLES grid, and its value at the angle of every root within
-    ROOT_BAND of the circle joins those samples (a zero between grid points
-    sits next to a root).  SingularOnTorus when their min |det| is at most
-    DET_TOL, for the zero symbol without sampling it.  The winding is n lo
-    plus the number of roots in the open disk (roots of the companion
-    matrix; Edelman & Murakami, Math. Comp. 64, 1995).  When D + 1 exceeds
-    DET_SAMPLES, det f is sampled on the grid and its winding summed from
-    phase steps.
+    det p, p = z^{-lo} f, has degree D = n (hi - lo): one batched det at
+    ``_det_points`` circle points (InputError past GRID_CAP entries) and one
+    FFT give its coefficients c_k, and a zero-padded FFT det p on at least
+    DET_SAMPLES points.  The cut is DET_TOL s^n, s = max_i sum_k ||row i of
+    a_k||_2, as |det f| <= s^n (Hadamard).  L = sum_k k |c_k| bounds
+    |d det p / d theta|, so an arc between samples whose larger |det p|
+    exceeds L width + cut holds no value at or below the cut, and det p
+    turns by less than pi along it; any other arc is halved, its midpoint
+    by Horner, up to DET_HALVINGS times.  SingularOnTorus at a value at or
+    below the cut (for the zero symbol without sampling it), at arcs still
+    open after the last halving, or at more than GRID_CAP // 16 open at
+    once.  The winding is n lo plus the phase steps over the resolved arcs,
+    an exact integer.
     """
     n = slices[0].band_dim
     lo, hi = slices[0].exponent_range(0)
-    degree = n * (hi - lo)
-    out = [None if sl.coeffs else _singular(0.0, "") for sl in slices]
+    degree, points = n * (hi - lo), _det_points(n, lo, hi)
+    if points * n * n > GRID_CAP:
+        raise InputError(f"det f of degree {degree} at band {n} needs {points} circle "
+                         f"points, over {GRID_CAP} matrix entries")
+    out = [None if sl.coeffs else _singular(0.0, 0.0) for sl in slices]
     live = [i for i, sl in enumerate(slices) if sl.coeffs]
     if not live:
         return out
-    direct = degree + 1 > DET_SAMPLES
-    with np.errstate(invalid="ignore"):
-        if direct:
-            dets = np.stack([det_on_circle(slices[i], DET_SAMPLES) for i in live])
-        else:
-            points = 1 << degree.bit_length()
-            coeffs = np.stack([_coeff_stack(slices[i]) for i in live])
-            samples = np.linalg.det(points * np.fft.ifft(coeffs, points, axis=1))
-            polys = np.fft.fft(samples, axis=1)[:, :degree + 1] / points
-            dets = DET_SAMPLES * np.fft.ifft(polys, DET_SAMPLES, axis=1)
-    for row, i in enumerate(live):
-        dmin = float(np.abs(dets[row]).min())
-        if not dmin > DET_TOL:  # NaN fails this comparison too
-            out[i] = _singular(dmin, "")
-        elif direct:
+    grid = max(points, DET_SAMPLES)
+    with np.errstate(all="ignore"):
+        coeffs = np.stack([_coeff_stack(slices[i]) for i in live])
+        cuts = DET_TOL * np.linalg.norm(coeffs, axis=-1).sum(axis=1).max(axis=-1) ** n
+        samples = np.linalg.det(points * np.fft.ifft(coeffs, points, axis=1))
+        polys = np.fft.fft(samples, axis=1)[:, :degree + 1] / points
+        dets = grid * np.fft.ifft(polys, grid, axis=1)
+        lips = np.abs(polys) @ np.arange(degree + 1)
+        mags = np.abs(dets)
+        resolved = (np.maximum(mags, np.roll(mags, -1, axis=1))
+                    > (lips * (2.0 * np.pi / grid) + cuts)[:, None])
+        steps = np.angle(np.roll(dets, -1, axis=1) / dets)
+        for row, i in enumerate(live):
+            dmin = float(mags[row].min())
             try:
-                out[i] = _det_winding(dets[row])
-            except QtopError as exc:
+                if not dmin > cuts[row]:  # NaN fails this comparison too
+                    raise _singular(dmin, cuts[row])
+                out[i] = n * lo + _arc_winding(polys[row], lips[row], cuts[row],
+                                               dets[row], resolved[row], steps[row])
+            except SingularOnTorus as exc:
                 out[i] = exc
-        else:
-            poly = polys[row, ::-1]
-            roots = np.roots(poly)
-            near = roots[np.abs(np.abs(roots) - 1.0) < ROOT_BAND]
-            if near.size:
-                dmin = min(dmin, float(np.abs(np.polyval(poly, near / np.abs(near))).min()))
-            if dmin > DET_TOL:
-                out[i] = n * lo + int((np.abs(roots) < 1.0).sum())
-            else:
-                out[i] = _singular(dmin, f" and {near.size} near-circle root angles")
     return out
 
 
-def _singular(dmin, where):
-    return SingularOnTorus(
-        f"min |det f| = {dmin:.3e} on a {DET_SAMPLES}-point grid{where} (tol {DET_TOL:.1e})"
-    )
+def _arc_winding(poly, lip, cut, dets, resolved, steps):
+    """Winding of det p from its ``steps`` over the grid arcs ``resolved``
+    passes, each other arc halved (see ``_det_stack``)."""
+    width = 2.0 * np.pi / len(dets)
+    turn = float(steps[resolved].sum())
+    start = np.flatnonzero(~resolved) * width
+    left, right = dets[~resolved], np.roll(dets, -1)[~resolved]
+    for _ in range(DET_HALVINGS):
+        if not start.size or start.size > GRID_CAP // 16:
+            break
+        width /= 2.0
+        mid = _poly_values(poly[:, None, None], np.exp(1j * (start + width)))[:, 0, 0]
+        dmin = float(np.abs(mid).min())
+        if not dmin > cut:
+            raise _singular(dmin, cut)
+        start = np.concatenate([start, start + width])
+        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+        done = np.maximum(np.abs(left), np.abs(right)) > lip * width + cut
+        turn += float(np.angle(right[done] / left[done]).sum())
+        start, left, right = start[~done], left[~done], right[~done]
+    if start.size:
+        raise SingularOnTorus(f"det f is unresolved on {start.size} arcs of width "
+                              f"{width:.1e} (Lipschitz bound {lip:.3e}, cut {cut:.3e})")
+    return round(turn / (2.0 * np.pi))
+
+
+def _singular(dmin, cut):
+    return SingularOnTorus(f"min |det f| = {dmin:.3e} is at or below its cut {cut:.3e} "
+                           f"= {DET_TOL:.0e} s^n")
 
 
 def certify_invertible(symbol):
-    """SingularOnTorus unless min |det f| on the circle exceeds DET_TOL (see
-    ``_det_stack``); returns the winding number of det f."""
+    """SingularOnTorus unless |det f| stays above DET_TOL s^n on the circle
+    (see ``_det_stack``); returns the winding number of det f."""
     return _unwrap(_det_stack([_as_one_var(symbol)])[0])
 
 
 def winding_of_det(symbol):
     """Winding number of det f around the origin (certifies invertibility first)."""
     return certify_invertible(symbol)
-
-
-def _det_winding(dets):
-    """Winding number of the closed loop of certified determinant samples."""
-    steps = np.angle(np.roll(dets, -1) / dets)
-    total = float(steps.sum()) / (2.0 * np.pi)
-    w = int(round(total))
-    if abs(total - w) > 0.25:
-        raise Unstable(f"det winding sum {total:.3f} is not close to an integer")
-    return w
 
 
 # --------------------------------------------------------- tall sections
@@ -671,8 +688,8 @@ class _SliceTable:
         """Open the slices at ``keys``, (direction, angle, t_var, t) tuples,
         that the table does not hold yet: in stacks of one exponent range of
         the slice, whatever its direction (a slice whose edge coefficient
-        cancels joins its own), each split so that its sections stay within
-        STACK_BYTES."""
+        cancels joins its own), each split so that its sections and det grids
+        stay within STACK_BYTES."""
         groups = {}
         for direction, angle, t_var, t in keys:
             key = self._key(direction, angle, t_var, t)
@@ -682,8 +699,9 @@ class _SliceTable:
                      for v in range(self.symbol.num_vars) if v != direction]
             sl = self.symbol.slice(direction, fixed)
             groups.setdefault(sl.exponent_range(0), {}).setdefault(key, sl)
-        per_slice = 16 * ((FIRST_TRUNCATION + 1) * self.symbol.band_dim) ** 2
-        for group in groups.values():
+        n = self.symbol.band_dim
+        for (lo, hi), group in groups.items():
+            per_slice = 16 * n * n * max((FIRST_TRUNCATION + 1) ** 2, _det_points(n, lo, hi))
             items = list(group.items())
             parts = min(len(items), -(-len(items) * per_slice // STACK_BYTES))
             for j in range(parts):

@@ -260,6 +260,70 @@ def test_no_command_is_input_error():
     assert cli.main([]) == 4
 
 
+_BIG = "12345678901234567890"
+# (argv, the exit code it must give, or None for any code of the contract);
+# {g}, {H} and {F} are golden, its chiral H and the sin-mass family of H
+_DAMAGED_ARGV = [
+    (["index", "{g}", "--bogus"], None),
+    (["corner", "{H}", "--sizes", "10"], None),
+    (["frobnicate", "{g}"], None),
+    (["index"], None),
+    (["index", "{tmp}/missing.json"], None),
+    (["index", "{g}", "--mode", "truncation", "--sizes", ""], None),
+    (["index", "{g}", "--mode", "truncation", "--sizes", "0"], None),
+    (["index", "{g}", "--mode", "truncation", "--sizes", "1e3"], None),
+    (["index", "{g}", "--mode", "truncation", "--sizes", _BIG], None),
+    (["index", "{g}", "--mode", "w3", "--grid", ""], None),
+    (["index", "{g}", "--mode", "w3", "--grid", "-8,5,8"], None),
+    (["index", "{g}", "--mode", "w3", "--grid", "1e3,5,8"], None),
+    (["index", "{g}", "--mode", "w3", "--grid", _BIG + ",5,8"], None),
+    (["extend", "{g}", "--dump", "", "--out", "{tmp}/d"], None),
+    (["extend", "{g}", "--dump", "-4,5,4", "--out", "{tmp}/d"], None),
+    (["extend", "{g}", "--dump", "0,5,4", "--out", "{tmp}/d"], None),
+    (["extend", "{g}", "--dump", "1e3,5,4", "--out", "{tmp}/d"], None),
+    (["extend", "{g}", "--dump", "4," + _BIG + ",4", "--out", "{tmp}/d"], None),
+    (["index", "{g}", "--mode", "w3", "--samples", ""], None),
+    (["index", "{g}", "--mode", "w3", "--samples", "1e3"], None),
+    (["index", "{g}", "--mode", "w3", "--samples", _BIG], None),
+    (["corner", "{H}", "--class", "AIII", "--samples", "0"], None),
+    (["corner", "{H}", "--size", "6", "--zero-tol", "inf"], None),
+    (["corner", "{H}", "--size", "6", "--zero-tol", "nan"], None),
+    (["corner", "{H}", "--size", "6", "--floor", "inf"], None),
+    (["corner", "{H}", "--size", "6", "--floor", "nan"], None),
+    (["flow", "{F}", "--size", "2", "--tsamples", "2", "--window", "inf"], None),
+    (["flow", "{F}", "--size", "2", "--tsamples", "2", "--window", "nan"], None),
+    (["flow", "{F}", "--size", "2", "--tsamples", "2", "--tvar", "3"], None),
+    (["extend", "{F}", "--eval", "chart=TD;theta=0;rho=0;phi=0;t=0", "--tvar", "7"], None),
+    (["factorize", "{g}", "--var", "-1", "--param", "1=1"], None),
+    (["factorize", "{g}", "--param", "1="], None),
+    (["factorize", "{g}", "--param", "=1"], None),
+    (["index", "{g}", "--mode", "w3", "--grid", "16,,9,16"], 4),
+    (["index", "{g}", "--mode", "truncation", "--sizes", "10,,14,18"], 4),
+    (["index", "{g}", "--mode", "truncation", "--sizes", "10,14,18,"], 4),
+    (["index", "{g}", "--mode", "truncation", "--sizes", ",10,14,18"], 4),
+    (["extend", "{g}", "--dump", "4,,4,4", "--out", "{tmp}/d"], 4),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _DAMAGED_ARGV,
+                         ids=[" ".join(a) for a, _ in _DAMAGED_ARGV])
+def test_damaged_command_line_ends_in_an_exit_code(capsys, tmp_path, golden_file,
+                                                   golden_H_file, argv, expected):
+    """A damaged command line exits 0, 2, 3, 4 or 5, never with a traceback;
+    an empty field in a list flag is an input error, not dropped."""
+    family = tmp_path / "family.json"
+    save_symbol(sin_mass_family(assemble_chiral(golden_symbol())), family)
+    files = {"g": golden_file, "H": golden_H_file, "F": str(family), "tmp": str(tmp_path)}
+    code = cli.main([a.format(**files) for a in argv])
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in capsys.readouterr().err
+    assert expected is None or code == expected
+
+
+def test_list_flags_accept_spaces_around_a_field():
+    assert cli._parse_int_tuple(" 10, 14 ,18 ", name="--sizes") == (10, 14, 18)
+
+
 def test_factorize_golden_slice(capsys, golden_file, tmp_path):
     out = tmp_path / "report.json"
     code, rep = run(capsys, [
@@ -431,6 +495,26 @@ def test_corner_class_is_case_insensitive(capsys, golden_H_file):
 
 def _refuse(*args, **kwargs):
     raise AssertionError("dense work ran before the input was checked")
+
+
+def test_det_zeros_at_degree_1200_are_obstructions(capsys, tmp_path):
+    """-1.5 - z^600 - z^-600 vanishes at 1200 points of the circle: det f of
+    degree 1200 is SingularOnTorus for the truncation index and factorize."""
+    path = tmp_path / "far_zeros.json"
+    doc = {}
+    _scalar(doc, [(0, -1.5), (600, -1.0), (-600, -1.0)])
+    path.write_text(json.dumps(doc))
+    for argv in (["index", str(path), "--mode", "truncation"], ["factorize", str(path)]):
+        code, rep = run(capsys, argv)
+        assert (code, rep["error"]) == (2, "SingularOnTorus"), argv
+
+
+def test_scaled_symbol_keeps_its_verdict(capsys, tmp_path):
+    """The det cut scales with the symbol: 1e-5 golden has index 1."""
+    path = tmp_path / "small.json"
+    save_symbol(golden_symbol().scale(1e-5), path)
+    code, rep = run(capsys, ["index", str(path), "--mode", "w3", "--grid", "16,9,16"])
+    assert code == 0 and rep["w3"]["rounded"] == 1
 
 
 def test_zero_of_det_between_grid_points_is_an_obstruction(capsys, tmp_path):

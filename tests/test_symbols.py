@@ -22,7 +22,6 @@ from qtop.symbols import (
     az_class,
     check_symmetry,
     chiral_projector,
-    det_on_circle,
     _reducing_subspaces,
     load_symbol,
     save_symbol,
@@ -100,11 +99,6 @@ def test_adjoint_is_pointwise_hermitian_conjugate(rng):
     f = random_symbol(rng)
     z, w = np.exp(0.7j), np.exp(2.3j)
     assert np.allclose(f.adjoint().eval((z, w)), f.eval((z, w)).conj().T)
-
-
-def test_golden_det_is_constant_two():
-    dets = det_on_circle(golden_symbol().slice(0, (np.exp(0.4j),)))
-    assert np.allclose(dets, 2.0)
 
 
 def test_slice_freezes_other_variable():

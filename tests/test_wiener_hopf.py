@@ -82,44 +82,75 @@ def test_certify_invertible_rejects_vanishing_det():
 
 def test_certify_invertible_finds_zeros_between_grid_points():
     """det f is a polynomial; a root on the circle between the 1024 grid
-    points is caught by the value at its angle."""
+    points is caught by halving the arcs its Lipschitz bound leaves open."""
     # the TD slice at angle 0 of a seeded class-AI band-3 symbol: a double
     # root of det f on the circle, min |det| 5.7e-6 on the grid
-    with pytest.raises(SingularOnTorus, match="near-circle root"):
+    with pytest.raises(SingularOnTorus, match="at or below its cut"):
         certify_invertible(_class_symbol("AI", 3, seed=1).slice(1, (1.0,)))
     # z - c, c the second point of a 4096-point grid: 1.5e-3 off the det grid
     c = np.exp(2j * np.pi / 4096)
-    with pytest.raises(SingularOnTorus, match="near-circle root"):
+    with pytest.raises(SingularOnTorus, match="at or below its cut"):
         certify_invertible(scalar([(0, -c), (1, 1.0)]))
     # -1.5 - w^2 - w^-2 has four simple roots on the circle
-    with pytest.raises(SingularOnTorus, match="near-circle root"):
+    with pytest.raises(SingularOnTorus, match="at or below its cut"):
         certify_invertible(scalar([(0, -1.5), (2, -1.0), (-2, -1.0)]))
     # a root 2e-3 off the circle is not a zero: the winding counts it
     assert certify_invertible(scalar([(0, -0.998), (1, 1.0)])) == 1
     assert certify_invertible(scalar([(0, -1.002), (1, 1.0)])) == 0
     # det degree 68: its 68 roots on the circle fall between grid points too
-    with pytest.raises(SingularOnTorus, match="68 near-circle root"):
+    with pytest.raises(SingularOnTorus, match="at or below its cut"):
         certify_invertible(scalar([(0, -1.5), (34, -1.0), (-34, -1.0)]))
 
 
-def test_winding_is_read_from_the_roots_at_any_degree():
-    """n lo plus the roots of det(z^-lo f) in the disk: a monomial's det
-    winding does not alias on the 1024-point grid."""
+def test_det_cut_scales_with_the_symbol():
+    """The cut is DET_TOL s^n with s the largest row sum of coefficient row
+    norms: a scaled symbol keeps its verdict, and the band-16 identity (s = 1,
+    where coeff_norm()^n would be 43) is invertible."""
+    sl = golden_symbol().slice(0, (np.exp(0.4j),))
+    for scale in (1.0, 1e-5, 1e5):
+        assert certify_invertible(sl.scale(scale)) == 0
+        with pytest.raises(SingularOnTorus):
+            certify_invertible(scalar([(0, -scale), (1, scale)]))  # scale (z - 1)
+    assert certify_invertible(LaurentSymbol.identity(1, 16)) == 0
+
+
+def test_winding_is_exact_at_any_degree():
+    """n lo plus the winding of det(z^-lo f) over resolved arcs: a
+    monomial's det winding does not alias on the 1024-point grid."""
     for k in (511, 512, 600, -1500):
         assert winding_of_det(scalar([(k, 1.0)])) == k
     shifted = random_canonical_1d(np.random.default_rng(3), 2, 2).shift((700,))
     assert winding_of_det(shifted) == 1400
 
 
-def test_det_of_degree_past_the_grid_is_sampled_directly(monkeypatch):
-    """Past D + 1 = 1024 coefficients no longer fit the grid: det f is
-    sampled on it and its winding summed from phase steps, with no roots."""
-    roots = _count_calls(monkeypatch, np, "roots")
+def test_det_of_high_degree_is_decided_without_roots(monkeypatch):
+    """Up to degree 3000 det f is certified, and its winding read, by arc
+    halving alone: no polynomial roots and no companion eigenvalues.  Past
+    D + 1 = 1024 it is checked on its own coefficient points."""
+    monkeypatch.setattr(np, "roots", _refuse_call)
+    monkeypatch.setattr(np.linalg, "eigvals", _refuse_call)
+    assert winding_of_det(scalar([(0, 1.0), (1000, 0.5)])) == 0
     assert winding_of_det(scalar([(0, 1.0), (2000, 0.5)])) == 0
     assert winding_of_det(scalar([(-1, 1.0), (1999, 0.5)])) == -1
-    with pytest.raises(SingularOnTorus, match="1024-point grid \\(tol"):
-        certify_invertible(scalar([(0, 1.0), (2048, -1.0)]))  # zero at every grid point
-    assert roots == []
+    assert winding_of_det(scalar([(-1, 1.0), (2998, 0.5)])) == -1  # z^-1 (1 + 0.5 z^2999)
+    with pytest.raises(SingularOnTorus, match="at or below its cut"):
+        certify_invertible(scalar([(0, 1.0), (2048, -1.0)]))  # zero at every other point
+    # 1200 simple roots on the circle, between the points of every grid
+    with pytest.raises(SingularOnTorus):
+        certify_invertible(scalar([(0, -1.5), (600, -1.0), (-600, -1.0)]))
+
+
+def test_det_grid_past_the_cap_is_refused_before_sampling(monkeypatch):
+    """Degree 9,000,000 needs 2^24 det points, over GRID_CAP: InputError
+    before any FFT."""
+    ffts = _count_calls(monkeypatch, np.fft, "ifft")
+    with pytest.raises(InputError):
+        certify_invertible(scalar([(0, 1.0), (9_000_000, 0.5)]))
+    assert ffts == []
+
+
+def _refuse_call(*args, **kwargs):
+    raise AssertionError("the det check computed roots")
 
 
 def test_large_section_condition_estimate():
@@ -188,9 +219,9 @@ def test_partial_indices_refuse_what_the_inverse_grid_cannot_resolve(monkeypatch
         partial_indices(scalar([(0, 1 + 0.995**2), (1, -0.995), (-1, -0.995)]))
     # z - c with c the grid's own sample of z at the second point: exactly
     # singular there, 1.5e-3 away from the 1024-point det grid; the det
-    # check finds it at its root's angle before any section is solved
+    # check finds it by halving arcs before any section is solved
     c = np.fft.fft([0.0, 1.0], 4096)[1]
-    with pytest.raises(SingularOnTorus, match="near-circle root"):
+    with pytest.raises(SingularOnTorus, match="at or below its cut"):
         canonical_factorize(scalar([(0, -c), (1, 1.0)]))
     # the inverse grid guards itself: with the det check passed over, the
     # same zero still makes f^-1 non-finite on the 4096-point grid
