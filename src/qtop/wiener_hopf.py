@@ -81,8 +81,9 @@ FIRST_TRUNCATION = 32       # block size of the first f_+^{-1} solve
 MAX_TRUNCATION = 4096       # cap of the doubling loop and of a given truncation
 DEFECT_TOL = 1e-10          # relative defect at which the doubling loop stops
 DET_SAMPLES = 1024          # least circle grid of the determinant check
-DET_TOL = 1e-8              # min |det f| / s^n at or below which f is SingularOnTorus
-DET_HALVINGS = 24           # halvings of a det arc the Lipschitz bound leaves open
+DET_TOL = 1e-8              # min |det f| / min(s, 1)^n at or below which f is SingularOnTorus
+DET_HALVINGS = 24           # halvings of a det arc its bend bound leaves open
+DET_GRID = 1 << 20          # largest det array: coefficient grid, finer grid or open arcs
 STACK_BYTES = 4 << 20       # largest stack of opening sections, in bytes
 VERIFY_GRID = 512           # circle grid of verify_factorization
 SCAN_SECTION = 64           # Toeplitz section size of radial_scan
@@ -118,35 +119,24 @@ def _unwrap(result):
     return result
 
 
-def _det_points(n, lo, hi):
-    """The smallest power of two above the degree n (hi - lo) of det p."""
-    return 1 << (n * (hi - lo)).bit_length()
-
-
 def _det_stack(slices):
     """Certify det f of one-variable slices that share band n and exponent
     range [lo, hi]; per slice, the winding of det f or the error it raises.
 
-    det p, p = z^{-lo} f, has degree D = n (hi - lo): one batched det at
-    ``_det_points`` circle points (InputError past GRID_CAP entries) and one
-    FFT give its coefficients c_k, and a zero-padded FFT det p on at least
-    DET_SAMPLES points.  The cut is DET_TOL s^n, s = max_i sum_k ||row i of
-    a_k||_2, as |det f| <= s^n (Hadamard).  L = sum_k k |c_k| bounds
-    |d det p / d theta|, so an arc between samples whose larger |det p|
-    exceeds L width + cut holds no value at or below the cut, and det p
-    turns by less than pi along it; any other arc is halved, its midpoint
-    by Horner, up to DET_HALVINGS times.  SingularOnTorus at a value at or
-    below the cut (for the zero symbol without sampling it), at arcs still
-    open after the last halving, or at more than GRID_CAP // 16 open at
-    once.  The winding is n lo plus the phase steps over the resolved arcs,
-    an exact integer.
+    det p, p = z^{-lo} f, has degree D = n (hi - lo).  One batched det at
+    the smallest power of two > D circle points and one FFT give its
+    coefficients, and a zero-padded FFT its values on at least DET_SAMPLES
+    points for ``_arc_winding``; InputError past DET_GRID entries or DET_GRID
+    / 4 points (no room to halve twice).  The cut is DET_TOL min(s, 1)^n,
+    s = max_i sum_k ||row i of a_k||_2, as |det f| <= s^n (Hadamard).
     """
     n = slices[0].band_dim
     lo, hi = slices[0].exponent_range(0)
-    degree, points = n * (hi - lo), _det_points(n, lo, hi)
-    if points * n * n > GRID_CAP:
+    degree = n * (hi - lo)
+    points = 1 << degree.bit_length()
+    if points * max(n * n, 4) > DET_GRID:
         raise InputError(f"det f of degree {degree} at band {n} needs {points} circle "
-                         f"points, over {GRID_CAP} matrix entries")
+                         f"points: over {DET_GRID} matrix entries, or no room to halve twice")
     out = [None if sl.coeffs else _singular(0.0, 0.0) for sl in slices]
     live = [i for i, sl in enumerate(slices) if sl.coeffs]
     if not live:
@@ -154,60 +144,68 @@ def _det_stack(slices):
     grid = max(points, DET_SAMPLES)
     with np.errstate(all="ignore"):
         coeffs = np.stack([_coeff_stack(slices[i]) for i in live])
-        cuts = DET_TOL * np.linalg.norm(coeffs, axis=-1).sum(axis=1).max(axis=-1) ** n
+        scale = np.linalg.norm(coeffs, axis=-1).sum(axis=1).max(axis=-1)
         samples = np.linalg.det(points * np.fft.ifft(coeffs, points, axis=1))
         polys = np.fft.fft(samples, axis=1)[:, :degree + 1] / points
         dets = grid * np.fft.ifft(polys, grid, axis=1)
-        lips = np.abs(polys) @ np.arange(degree + 1)
-        mags = np.abs(dets)
-        resolved = (np.maximum(mags, np.roll(mags, -1, axis=1))
-                    > (lips * (2.0 * np.pi / grid) + cuts)[:, None])
-        steps = np.angle(np.roll(dets, -1, axis=1) / dets)
         for row, i in enumerate(live):
-            dmin = float(mags[row].min())
             try:
-                if not dmin > cuts[row]:  # NaN fails this comparison too
-                    raise _singular(dmin, cuts[row])
-                out[i] = n * lo + _arc_winding(polys[row], lips[row], cuts[row],
-                                               dets[row], resolved[row], steps[row])
-            except SingularOnTorus as exc:
+                cut = DET_TOL * min(scale[row], 1.0) ** n
+                out[i] = n * lo + _arc_winding(polys[row], cut, dets[row])
+            except (SingularOnTorus, Unstable) as exc:
                 out[i] = exc
     return out
 
 
-def _arc_winding(poly, lip, cut, dets, resolved, steps):
-    """Winding of det p from its ``steps`` over the grid arcs ``resolved``
-    passes, each other arc halved (see ``_det_stack``)."""
-    width = 2.0 * np.pi / len(dets)
-    turn = float(steps[resolved].sum())
-    start = np.flatnonzero(~resolved) * width
-    left, right = dets[~resolved], np.roll(dets, -1)[~resolved]
-    for _ in range(DET_HALVINGS):
-        if not start.size or start.size > GRID_CAP // 16:
-            break
-        width /= 2.0
-        mid = _poly_values(poly[:, None, None], np.exp(1j * (start + width)))[:, 0, 0]
-        dmin = float(np.abs(mid).min())
-        if not dmin > cut:
+def _arc_winding(poly, cut, dets):
+    """Winding of ``poly`` from its values ``dets`` on a circle grid.  On an
+    arc of width w it stays within C w^2 / 8, C = sum_k k^2 |c_k|, of the chord
+    of its end values: a chord farther than that plus ``cut`` from 0 gives the
+    turn, one nearer than ``cut`` minus that SingularOnTorus.  Other arcs are
+    halved, DET_HALVINGS times at most, by a finer FFT or ``_circle_values``,
+    whichever costs less within DET_GRID; what stays open is Unstable."""
+    bend = float(np.abs(poly) @ np.arange(len(poly)) ** 2) / 8.0
+    grid, arcs, left, right, turn = len(dets), np.arange(len(dets)), dets, np.roll(dets, -1), 0.0
+    for depth in range(DET_HALVINGS + 1):
+        chord = right - left
+        t = np.clip(-(np.conj(chord) * left).real / np.maximum(abs(chord) ** 2, 1e-300), 0, 1)
+        near, gap = np.abs(left + t * chord), bend * (2.0 * np.pi / grid) ** 2
+        dmin = float(np.minimum(abs(left), near + gap).min())
+        if not dmin > cut:  # NaN fails this comparison too
             raise _singular(dmin, cut)
-        start = np.concatenate([start, start + width])
-        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
-        done = np.maximum(np.abs(left), np.abs(right)) > lip * width + cut
+        done = near > gap + cut
         turn += float(np.angle(right[done] / left[done]).sum())
-        start, left, right = start[~done], left[~done], right[~done]
-    if start.size:
-        raise SingularOnTorus(f"det f is unresolved on {start.size} arcs of width "
-                              f"{width:.1e} (Lipschitz bound {lip:.3e}, cut {cut:.3e})")
-    return round(turn / (2.0 * np.pi))
+        arcs, left, right = arcs[~done], left[~done], right[~done]
+        if not arcs.size:
+            return round(turn / (2.0 * np.pi))
+        finer, odd = 2 * grid, 2 * arcs + 1
+        fits = odd.size * 2 * (int(len(poly) ** 0.5) + 1) <= DET_GRID
+        if depth == DET_HALVINGS or not (fits or finer <= DET_GRID):
+            break
+        if fits and (finer > DET_GRID or odd.size * len(poly) <= finer * finer.bit_length()):
+            mid = _circle_values(poly, odd, finer)
+        else:
+            mid = finer * np.fft.ifft(poly, finer)[odd]
+        grid, arcs = finer, np.concatenate([2 * arcs, odd])
+        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+    raise Unstable(f"det f is unresolved on {arcs.size} arcs of width {2 * np.pi / grid:.1e}")
+
+
+def _circle_values(poly, num, den):
+    """``poly`` at the angles 2 pi num / den, by baby and giant steps."""
+    step = int(len(poly) ** 0.5) + 1
+    table = np.pad(poly, (0, -len(poly) % step)).reshape(-1, step)
+    baby = np.exp(2j * np.pi / den * (np.outer(num, np.arange(step)) % den))
+    giant = np.exp(2j * np.pi / den * (np.outer(num, step * np.arange(len(table))) % den))
+    return ((baby @ table.T) * giant).sum(axis=1)
 
 
 def _singular(dmin, cut):
-    return SingularOnTorus(f"min |det f| = {dmin:.3e} is at or below its cut {cut:.3e} "
-                           f"= {DET_TOL:.0e} s^n")
+    return SingularOnTorus(f"min |det f| <= {dmin:.3e} is at or below its cut {cut:.3e}")
 
 
 def certify_invertible(symbol):
-    """SingularOnTorus unless |det f| stays above DET_TOL s^n on the circle
+    """SingularOnTorus unless |det f| stays above DET_TOL min(s, 1)^n on the circle
     (see ``_det_stack``); returns the winding number of det f."""
     return _unwrap(_det_stack([_as_one_var(symbol)])[0])
 
@@ -701,7 +699,8 @@ class _SliceTable:
             groups.setdefault(sl.exponent_range(0), {}).setdefault(key, sl)
         n = self.symbol.band_dim
         for (lo, hi), group in groups.items():
-            per_slice = 16 * n * n * max((FIRST_TRUNCATION + 1) ** 2, _det_points(n, lo, hi))
+            points = 1 << (n * (hi - lo)).bit_length()  # the det grid of _det_stack
+            per_slice = 16 * n * n * max((FIRST_TRUNCATION + 1) ** 2, points)
             items = list(group.items())
             parts = min(len(items), -(-len(items) * per_slice // STACK_BYTES))
             for j in range(parts):

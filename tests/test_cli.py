@@ -509,6 +509,18 @@ def test_det_zeros_at_degree_1200_are_obstructions(capsys, tmp_path):
         assert (code, rep["error"]) == (2, "SingularOnTorus"), argv
 
 
+def test_det_past_the_grid_cap_is_an_input_error(capsys, tmp_path):
+    """1 + 0.5 z^600000 has winding 0, but its det grid leaves no room to
+    halve twice under DET_GRID: exit 4 before any sampling, never exit 2."""
+    path = tmp_path / "far_degree.json"
+    doc = {}
+    _scalar(doc, [(0, 1.0), (600_000, 0.5)])
+    path.write_text(json.dumps(doc))
+    for argv in (["index", str(path), "--mode", "truncation"], ["factorize", str(path)]):
+        code, rep = run(capsys, argv)
+        assert (code, rep["error"]) == (4, "InputError"), argv
+
+
 def test_scaled_symbol_keeps_its_verdict(capsys, tmp_path):
     """The det cut scales with the symbol: 1e-5 golden has index 1."""
     path = tmp_path / "small.json"

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -82,7 +83,7 @@ def test_certify_invertible_rejects_vanishing_det():
 
 def test_certify_invertible_finds_zeros_between_grid_points():
     """det f is a polynomial; a root on the circle between the 1024 grid
-    points is caught by halving the arcs its Lipschitz bound leaves open."""
+    points is caught by halving the arcs its chord test leaves open."""
     # the TD slice at angle 0 of a seeded class-AI band-3 symbol: a double
     # root of det f on the circle, min |det| 5.7e-6 on the grid
     with pytest.raises(SingularOnTorus, match="at or below its cut"):
@@ -103,7 +104,7 @@ def test_certify_invertible_finds_zeros_between_grid_points():
 
 
 def test_det_cut_scales_with_the_symbol():
-    """The cut is DET_TOL s^n with s the largest row sum of coefficient row
+    """The cut is DET_TOL min(s, 1)^n with s the largest row sum of coefficient row
     norms: a scaled symbol keeps its verdict, and the band-16 identity (s = 1,
     where coeff_norm()^n would be 43) is invertible."""
     sl = golden_symbol().slice(0, (np.exp(0.4j),))
@@ -112,6 +113,11 @@ def test_det_cut_scales_with_the_symbol():
         with pytest.raises(SingularOnTorus):
             certify_invertible(scalar([(0, -scale), (1, scale)]))  # scale (z - 1)
     assert certify_invertible(LaurentSymbol.identity(1, 16)) == 0
+    # well conditioned, s > 1: min |det f| is 0.4^16 = 4.3e-7 and 0.15^8 =
+    # 2.6e-7 at z = -1, a grid point, below DET_TOL s^n but above DET_TOL
+    for n, c in ((16, 0.6), (8, 0.85)):
+        one = LaurentSymbol(1, n, [((0,), np.eye(n)), ((1,), c * np.eye(n))])
+        assert certify_invertible(one) == 0
 
 
 def test_winding_is_exact_at_any_degree():
@@ -141,12 +147,32 @@ def test_det_of_high_degree_is_decided_without_roots(monkeypatch):
 
 
 def test_det_grid_past_the_cap_is_refused_before_sampling(monkeypatch):
-    """Degree 9,000,000 needs 2^24 det points, over GRID_CAP: InputError
-    before any FFT."""
+    """Degrees 9,000,000 and 600,000 need 2^24 and 2^20 det points, past
+    DET_GRID / 4, which leaves no room for two halvings: InputError before
+    any FFT.  Degree 100,000 fits and is certified."""
     ffts = _count_calls(monkeypatch, np.fft, "ifft")
-    with pytest.raises(InputError):
-        certify_invertible(scalar([(0, 1.0), (9_000_000, 0.5)]))
+    for far in (9_000_000, 600_000):
+        with pytest.raises(InputError, match="no room to halve twice"):
+            certify_invertible(scalar([(0, 1.0), (far, 0.5)]))
     assert ffts == []
+    assert certify_invertible(scalar([(0, 1.0), (100_000, 0.5)])) == 0
+
+
+def test_det_small_against_its_coefficients_is_resolved():
+    """(1 + z)^60 / 2^60 + 1e-7: |det f| is near 1e-7 on an arc of about
+    three radians, yet every root is 0.02 off the circle.  The chord test
+    resolves it with winding 14 (the roots in the disk)."""
+    poly = [(k, math.comb(60, k) / 2.0**60 + (1e-7 if k == 0 else 0.0)) for k in range(61)]
+    assert winding_of_det(scalar(poly)) == 14
+
+
+def test_det_check_past_its_caps_is_unstable(monkeypatch):
+    """Arcs still open when the next halving would pass DET_GRID leave the
+    check inconclusive: Unstable (exit 3), not an obstruction."""
+    monkeypatch.setattr(qtop.wiener_hopf, "DET_GRID", 1 << 14)
+    poly = [(k, math.comb(60, k) / 2.0**60 + (1e-7 if k == 0 else 0.0)) for k in range(61)]
+    with pytest.raises(Unstable, match="unresolved on"):
+        certify_invertible(scalar(poly))
 
 
 def _refuse_call(*args, **kwargs):
