@@ -477,7 +477,7 @@ def _corner_attached_states(vals, vecs, keep, mask):
     return vals[keep][on], basis[:, on], parts[on]
 
 
-def _section_eigh(symbol, side):
+def _section_eigh(symbol, side, svds):
     """Ascending eigenpairs of the hermitian section ``assemble(symbol, side)``.
 
     A symbol H + m Pi, with H = [[0, h*], [h, 0]] chiral and m a scalar, is
@@ -487,12 +487,22 @@ def _section_eigh(symbol, side):
     eigenvectors (-sin(phi/2) v_i, cos(phi/2) u_i) and (cos(phi/2) v_i,
     sin(phi/2) u_i).  The values come out ascending because s descends.
     Any other symbol is solved by a dense eigh.
+
+    The SVD is looked up in the dict ``svds`` by ``side`` and the
+    coefficient bytes of h, and computed only on a miss, which replaces
+    what ``svds`` held: a family whose h does not move with t takes one
+    SVD, and one whose h does keeps one at a time (near DENSE_CAP rows a
+    single SVD holds hundreds of megabytes).
     """
     try:
         m, h = _split_mass(symbol)
     except ChiralViolation:
         return np.linalg.eigh(assemble(symbol, side))
-    u, s, vh = np.linalg.svd(assemble(h, side))
+    key = (side, tuple(sorted((k, a.tobytes()) for k, a in h.coeffs.items())))
+    if key not in svds:
+        svds.clear()
+        svds[key] = np.linalg.svd(assemble(h, side))
+    u, s, vh = svds[key]
     v = vh.conj().T
     half_phi = 0.5 * np.arctan2(s, m)
     cos, sin = np.cos(half_phi), np.sin(half_phi)
@@ -522,9 +532,13 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
     ``closed`` when it was matched at the closing step; its last sample is
     then the first sample of the track it links to.
 
+    The slice certificates of every t are opened in one batch, in t-major
+    order, so the first failing slice is the one a t-by-t check would meet.
     Each frozen section is solved by ``_section_eigh``: when the frozen
     symbol less m Pi (m read from its constant term) splits chirally, by
-    one SVD of the section of h, half the rows; otherwise by a dense eigh.
+    one SVD of the section of h, half the rows, taken once per distinct h
+    (a mass-driven family H + m(t) Pi takes one for the whole circle);
+    otherwise by a dense eigh.
     """
     if family.num_vars != 3:
         raise DimensionMismatch("spectral flow needs a three-variable family")
@@ -538,16 +552,16 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
         raise NotHermitian("family is not hermitian at coefficient level")
     _check_rows(side * side * family.band_dim)
     t_values = [2.0 * np.pi * j / t_samples for j in range(t_samples)]
-    table = _slice_table(family)
-    for t in t_values:
-        table.certify([(direction, 2.0 * np.pi * j / 4, t_var, t)
-                       for direction in range(3) if direction != t_var for j in range(4)],
-                      "half-plane compression not invertible along the family")
+    _slice_table(family).certify(
+        [(direction, 2.0 * np.pi * j / 4, t_var, t)
+         for t in t_values for direction in range(3) if direction != t_var for j in range(4)],
+        "half-plane compression not invertible along the family")
 
     windowed = []
     mask = _corner_mask(side, family.band_dim)
+    svds = {}
     for t in t_values:
-        vals, vecs = _section_eigh(family.freeze({t_var: np.exp(1j * t)}), side)
+        vals, vecs = _section_eigh(family.freeze({t_var: np.exp(1j * t)}), side, svds)
         keep = np.nonzero(np.abs(vals) < window)[0]
         windowed.append(_corner_attached_states(vals, vecs, keep, mask))
 

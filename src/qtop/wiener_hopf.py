@@ -84,6 +84,7 @@ DET_SAMPLES = 1024          # least circle grid of the determinant check
 DET_TOL = 1e-8              # min |det f| / min(s, 1)^n at or below which f is SingularOnTorus
 DET_HALVINGS = 24           # halvings of a det arc its bend bound leaves open
 DET_GRID = 1 << 20          # largest det array: coefficient grid, finer grid or open arcs
+NEWTON_STEPS = 4            # Newton steps toward a det root before an open arc is Unstable
 STACK_BYTES = 4 << 20       # largest stack of opening sections, in bytes
 VERIFY_GRID = 512           # circle grid of verify_factorization
 SCAN_SECTION = 64           # Toeplitz section size of radial_scan
@@ -163,7 +164,9 @@ def _arc_winding(poly, cut, dets):
     of its end values: a chord farther than that plus ``cut`` from 0 gives the
     turn, one nearer than ``cut`` minus that SingularOnTorus.  Other arcs are
     halved, DET_HALVINGS times at most, by a finer FFT or ``_circle_values``,
-    whichever costs less within DET_GRID; what stays open is Unstable."""
+    whichever costs less within DET_GRID.  What stays open is Unstable,
+    unless ``_newton_on_circle`` from the smallest sample of an open arc
+    meets a value at or below ``cut``: SingularOnTorus."""
     bend = float(np.abs(poly) @ np.arange(len(poly)) ** 2) / 8.0
     grid, arcs, left, right, turn = len(dets), np.arange(len(dets)), dets, np.roll(dets, -1), 0.0
     for depth in range(DET_HALVINGS + 1):
@@ -188,7 +191,23 @@ def _arc_winding(poly, cut, dets):
             mid = finer * np.fft.ifft(poly, finer)[odd]
         grid, arcs = finer, np.concatenate([2 * arcs, odd])
         left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+    low = int(np.argmin(np.minimum(abs(left), abs(right))))
+    start = arcs[low] + (abs(right[low]) < abs(left[low]))
+    _newton_on_circle(poly, cut, 2.0 * np.pi * start / grid)
     raise Unstable(f"det f is unresolved on {arcs.size} arcs of width {2 * np.pi / grid:.1e}")
+
+
+def _newton_on_circle(poly, cut, theta):
+    """SingularOnTorus when ``poly`` is at or below ``cut`` at e^{i theta} or
+    after one of NEWTON_STEPS Newton steps toward a root, each projected back
+    onto the circle; ``poly`` and z poly' are evaluated by direct sums."""
+    k = np.arange(len(poly))
+    for _ in range(NEWTON_STEPS + 1):
+        powers = np.exp(1j * k * (theta % (2.0 * np.pi)))
+        value = poly @ powers
+        if abs(value) <= cut:
+            raise _singular(abs(value), cut)
+        theta += np.angle(1.0 - value / ((k * poly) @ powers))
 
 
 def _circle_values(poly, num, den):
@@ -507,19 +526,26 @@ def _wiener_certificate(coeffs, lo, h, factors):
         rest_minus = -_poly_mul(c, g)
         rest_minus[:, 0] += eye
         # Wiener norms sum_k ||P_k||_2: they bound sup |P| on the circle and
-        # are submultiplicative; one batched SVD serves all six, for every slice
+        # are submultiplicative.  One batched eigvalsh of Gram blocks serves
+        # all six, for every slice: ||P||_2 = p sqrt(lambda_max(Q* Q)) with
+        # Q = P / p and p the largest entry modulus, so that the Gram product
+        # neither overflows nor underflows; a non-finite P leaves NaN norms.
         stacks = (defect, g, rest_plus, rest_minus, h, coeffs)
         block = np.concatenate(stacks, axis=1)
+        peak = np.abs(block).max(axis=(-2, -1))
+        unit = block / np.where(peak > 0, peak, 1.0)[..., None, None]
+        gram = np.swapaxes(unit, -1, -2).conj() @ unit
         tops = np.full(block.shape[:2], np.nan)
-        finite = np.isfinite(block).all(axis=(1, 2, 3))
+        finite = np.isfinite(gram).all(axis=(1, 2, 3))
         try:
-            tops[finite] = np.linalg.svd(block[finite], compute_uv=False)[..., 0]
+            tops[finite] = np.linalg.eigvalsh(gram[finite])[..., -1]
         except np.linalg.LinAlgError:  # rare: find the slices it failed on
             for i in np.flatnonzero(finite):
                 try:
-                    tops[i] = np.linalg.svd(block[i], compute_uv=False)[:, 0]
+                    tops[i] = np.linalg.eigvalsh(gram[i])[:, -1]
                 except np.linalg.LinAlgError:
                     pass
+        tops = peak * np.sqrt(tops)
         ends = np.cumsum([x.shape[1] for x in stacks])[:-1]
         e, g_norm, r_plus, r_minus, h_norm, f_norm = (
             t.sum(axis=1) for t in np.split(tops, ends, axis=1))

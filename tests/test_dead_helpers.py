@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 
@@ -188,3 +189,24 @@ def test_every_error_class_is_named_outside_errors():
     named = set().union(*(_names(tree) for tree in _trees(directory, skip="errors.py")))
     unnamed = [c for c in classes if c not in named]
     assert unnamed == [], unnamed
+
+
+def test_every_trace_target_resolves():
+    """perfbench/spans.py wraps qtop functions by module and attribute name;
+    one that no longer resolves would only show as a missing trace target
+    in a benchmark run.  TARGETS is read by AST, without importing perfbench."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "spans.py")) as fh:
+        tree = ast.parse(fh.read())
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    targets = [tuple(e.value for e in row.elts[1:3]) for row in table.elts]
+    assert targets
+    missing = []
+    for module_name, attribute in targets:
+        owner = importlib.import_module(module_name)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module_name}.{attribute}")
+    assert missing == [], missing

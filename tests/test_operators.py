@@ -373,7 +373,7 @@ def test_section_eigh_matches_dense_eigh(golden_H, family, t, mass):
     for side in (4, 5, 6, 7):
         a = assemble(frozen, side)
         scale = np.linalg.norm(a, 2)
-        vals, vecs = _section_eigh(frozen, side)
+        vals, vecs = _section_eigh(frozen, side, {})
         assert np.max(np.abs(vals - np.linalg.eigh(a)[0])) <= 1e-12 * scale
         assert np.linalg.norm(a @ vecs - vecs * vals) <= 1e-12 * scale
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(a.shape[0])) <= 1e-12
@@ -410,6 +410,28 @@ def test_spectral_flow_falls_back_to_dense_eigh(golden_H, monkeypatch):
     assert [s for _, s in res.crossings] == [1, -1]
     for (t, _), want in zip(res.crossings, (np.pi / 16, 15 * np.pi / 16)):
         assert abs(t - want) <= 1e-12
+
+
+def test_spectral_flow_takes_one_svd_per_distinct_h(golden_H, monkeypatch):
+    calls = []  # SVDs of full 6 x 6 sections of h, 72 rows at half band 2
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if a.shape[0] == 6 * 6 * 2:
+            calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    spectral_flow(sin_mass_family(golden_H), t_samples=16, side=6)
+    assert len(calls) == 1
+    # the chiral hop scaled by 1 + 0.1 cos t: h moves with t, one SVD per t
+    hop = sin_mass_family(golden_H) + LaurentSymbol(3, 4, [
+        ((e[0], e[1], s), 0.05 * a) for e, a in golden_H.coeffs.items() if e != (0, 0)
+        for s in (1, -1)])
+    calls.clear()
+    res = spectral_flow(hop, t_samples=16, side=6)
+    assert len(calls) == 16
+    assert res.flow == 0
 
 
 def test_spectral_flow_validation(golden, golden_H, monkeypatch):

@@ -175,6 +175,14 @@ def test_det_check_past_its_caps_is_unstable(monkeypatch):
         certify_invertible(scalar(poly))
 
 
+def test_det_zero_past_the_halving_caps_is_found_by_newton():
+    """-1.5 - z^60000 - z^-60000 has 120,000 simple zeros on the circle; its
+    open arcs outgrow DET_GRID before a chord passes within the cut, and a
+    Newton step from the smallest open sample reaches one: SingularOnTorus."""
+    with pytest.raises(SingularOnTorus, match="at or below its cut"):
+        certify_invertible(scalar([(0, -1.5), (60_000, -1.0), (-60_000, -1.0)]))
+
+
 def _refuse_call(*args, **kwargs):
     raise AssertionError("the det check computed roots")
 
@@ -402,6 +410,18 @@ def test_wiener_certificate_rejects_quietly():
                 assert _certificate(sym, h_stack) is None
         assert _certificate(golden_symbol().slice(0, (1.0,)),
                             h_any[:1]) is None  # h shorter than the 1/z reach
+
+
+def test_wiener_certificate_bound_is_scale_free():
+    """The bound on cond(T_f) does not change when f is scaled, also at
+    1e-160, where the Gram products of h (about 1e320) would overflow and
+    those of f underflow if the blocks were not scaled first."""
+    sl = golden_symbol().slice(0, (np.exp(0.4j),))
+    ref = _solve_section(sl, FIRST_TRUNCATION)[2]
+    assert ref is not None
+    for scale in (1e-160, 1e150):
+        bound = _solve_section(sl.scale(scale), FIRST_TRUNCATION)[2]
+        assert bound is not None and abs(bound - ref) <= 1e-13 * ref
 
 
 def _count_calls(monkeypatch, module, name):
