@@ -79,9 +79,24 @@ class ChartPoint:
             raise OutOfDomain(f"chart angles theta, phi, t must be finite: {self}")
 
     def coordinates(self):
-        if self.chart == "TD":
-            return (np.exp(1j * self.theta), self.rho * np.exp(1j * self.phi))
-        return (self.rho * np.exp(1j * self.theta), np.exp(1j * self.phi))
+        z, w = _chart_coordinates(self.chart, [self.theta], [self.rho], [self.phi])
+        return z.item(), w.item()
+
+
+def _chart_coordinates(chart, thetas, rhos, phis):
+    """The points (z, w) of a chart grid, broadcast to (n_theta, n_rho, n_phi):
+    TD puts z on the torus and w in the disk, DT the other way round; any
+    other chart, or a radius outside [0, 1], is OutOfDomain."""
+    th = np.asarray(thetas, dtype=float)[:, None, None]
+    rh = np.asarray(rhos, dtype=float)[None, :, None]
+    ph = np.asarray(phis, dtype=float)[None, None, :]
+    if rh.min() < 0.0 or rh.max() > 1.0:
+        raise OutOfDomain("rho grid must lie in [0, 1]")
+    if chart == "TD":
+        return np.broadcast_arrays(np.exp(1j * th), rh * np.exp(1j * ph))
+    if chart == "DT":
+        return np.broadcast_arrays(rh * np.exp(1j * th), np.exp(1j * ph))
+    raise OutOfDomain(f"unknown chart {chart!r}")
 
 
 def check_grid_size(grid, band_dim):
@@ -163,39 +178,24 @@ class ExtendedSymbol:
     # --------------------------------------------------------- evaluation
 
     def value(self, point):
-        """f^E at a ChartPoint."""
-        fact = self.factor_at(point.chart, self._torus_angle(point), point.t)
-        u = point.rho * np.exp(1j * self._disk_angle(point))
-        return fact.minus_conj_values(np.conj(u)) @ fact.plus_values(u)
+        """f^E at a ChartPoint: its one-point chart grid."""
+        return self.chart_grid(point.chart, [point.theta], [point.rho], [point.phi],
+                               point.t)[0, 0, 0]
 
-    def _torus_angle(self, point):
-        return point.theta if point.chart == "TD" else point.phi
-
-    def _disk_angle(self, point):
-        return point.phi if point.chart == "TD" else point.theta
-
-    def chart_grid(self, chart, thetas, rhos, phis):
-        """f^E on a tensor grid of one chart; shape (n_theta, n_rho, n_phi, N, N).
+    def chart_grid(self, chart, thetas, rhos, phis, t=None):
+        """f^E at family angle ``t`` on a tensor grid of one chart; shape
+        (n_theta, n_rho, n_phi, N, N).
 
         One factorization per torus angle; the disk subgrid is evaluated
         vectorized from the factor polynomials.
         """
-        thetas = np.asarray(thetas, dtype=float)
-        rhos = np.asarray(rhos, dtype=float)
-        phis = np.asarray(phis, dtype=float)
-        if rhos.min() < 0.0 or rhos.max() > 1.0:
-            raise OutOfDomain("rho grid must lie in [0, 1]")
-        n = self.band_dim
-        out = np.empty((thetas.size, rhos.size, phis.size, n, n), dtype=complex)
-        torus_angles = thetas if chart == "TD" else phis
-        u = rhos[:, None] * np.exp(1j * (phis if chart == "TD" else thetas))
-        for i, angle in enumerate(torus_angles):
-            fact = self.factor_at(chart, angle)
-            vals = fact.minus_conj_values(np.conj(u)) @ fact.plus_values(u)
-            if chart == "TD":
-                out[i] = vals  # axes (rho, phi)
-            else:
-                out[:, :, i] = np.swapaxes(vals, 0, 1)  # axes (rho, theta) -> (theta, rho)
+        z, w = _chart_coordinates(chart, thetas, rhos, phis)
+        out = np.empty(z.shape + (self.band_dim,) * 2, dtype=complex)
+        for i, angle in enumerate(thetas if chart == "TD" else phis):
+            fact = self.factor_at(chart, angle, t)
+            at = (i,) if chart == "TD" else (slice(None), slice(None), i)
+            u = (w if chart == "TD" else z)[at]
+            out[at] = fact.minus_conj_values(np.conj(u)) @ fact.plus_values(u)
         return out
 
 
@@ -270,25 +270,10 @@ class ClosedFormExtension:
         self.has_family = False
 
     def value(self, point):
-        z, w = point.coordinates()
-        return self.fn(np.asarray(z), np.asarray(w))
+        return self.chart_grid(point.chart, [point.theta], [point.rho], [point.phi])[0, 0, 0]
 
     def chart_grid(self, chart, thetas, rhos, phis):
-        thetas = np.asarray(thetas, dtype=float)
-        rhos = np.asarray(rhos, dtype=float)
-        phis = np.asarray(phis, dtype=float)
-        th = thetas[:, None, None]
-        rh = rhos[None, :, None]
-        ph = phis[None, None, :]
-        if chart == "TD":
-            z = np.exp(1j * th) * np.ones_like(rh) * np.ones_like(ph)
-            w = rh * np.exp(1j * ph) * np.ones_like(th)
-        elif chart == "DT":
-            z = rh * np.exp(1j * th) * np.ones_like(ph)
-            w = np.exp(1j * ph) * np.ones_like(th) * np.ones_like(rh)
-        else:
-            raise OutOfDomain(f"unknown chart {chart!r}")
-        return self.fn(z, w)
+        return self.fn(*_chart_coordinates(chart, thetas, rhos, phis))
 
 
 def bott_generator(reversed_orientation=False):

@@ -289,19 +289,18 @@ class GappedInvariantReport:
 
 
 def _direction_certificates(symbol):
-    """Partial indices of coordinate slices at four angles, per direction.
-
-    All-zero tuples certify that each sampled half-plane compression is
-    invertible; any other value would have aborted the extension build.
-    """
+    """Partial indices of coordinate slices at four angles, per direction,
+    each certified first: all zero, so each sampled half-plane compression
+    is invertible, or NotFredholm at the first slice that is not."""
     table = _slice_table(symbol)
-    return {
-        f"direction_{direction}": [
-            {"angle": angle, "partial_indices": list(table.indices(direction, angle, None, None))}
-            for angle in (2.0 * np.pi * j / 4 for j in range(4))
-        ]
-        for direction in range(symbol.num_vars)
-    }
+    angles = [2.0 * np.pi * j / 4 for j in range(4)]
+    table.certify([(direction, angle, None, None)
+                   for direction in range(symbol.num_vars) for angle in angles],
+                  "half-plane compression is not invertible")
+    zero = [0] * symbol.band_dim
+    return {f"direction_{direction}": [{"angle": angle, "partial_indices": zero}
+                                       for angle in angles]
+            for direction in range(symbol.num_vars)}
 
 
 def gapped_invariant_report(symbol, spec, grid=DEFAULT_GRID, samples_per_circle=16):

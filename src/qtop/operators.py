@@ -28,8 +28,14 @@ from .errors import (
     TrackingAmbiguous,
     Unstable,
 )
-from .symbols import LaurentSymbol, _reducing_subspaces, _relation_violation, _split_mass
-from .wiener_hopf import _kernel_count, _slice_table, certify_invertible, toeplitz_kernel_dim
+from .symbols import GRID_CAP, LaurentSymbol, _reducing_subspaces, _relation_violation, _split_mass
+from .wiener_hopf import (
+    FIRST_TRUNCATION,
+    _kernel_count,
+    _slice_table,
+    certify_invertible,
+    toeplitz_kernel_dim,
+)
 
 __all__ = [
     "assemble",
@@ -533,7 +539,9 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
     then the first sample of the track it links to.
 
     The slice certificates of every t are opened in one batch, in t-major
-    order, so the first failing slice is the one a t-by-t check would meet.
+    order, so the first failing slice is the one a t-by-t check would meet;
+    InputError before any opens when the opening solves of their 8 slices
+    per t would exceed GRID_CAP entries, the bound of ``check_samples``.
     Each frozen section is solved by ``_section_eigh``: when the frozen
     symbol less m Pi (m read from its constant term) splits chirally, by
     one SVD of the section of h, half the rows, taken once per distinct h
@@ -551,6 +559,10 @@ def spectral_flow(family, t_var=2, t_samples=16, side=6, window=0.5):
     if _relation_violation(family, "hermitian") > HERMITIAN_TOL:
         raise NotHermitian("family is not hermitian at coefficient level")
     _check_rows(side * side * family.band_dim)
+    size = t_samples * 8 * family.band_dim ** 2 * (FIRST_TRUNCATION + 1)
+    if size > GRID_CAP:
+        raise InputError(f"{t_samples} t-samples of band {family.band_dim} would hold {size} "
+                         f"solved entries in their 8 slices each (cap {GRID_CAP})")
     t_values = [2.0 * np.pi * j / t_samples for j in range(t_samples)]
     _slice_table(family).certify(
         [(direction, 2.0 * np.pi * j / 4, t_var, t)

@@ -298,14 +298,20 @@ def partial_indices(symbol):
     and aliasing moves those by about the cube of the largest ||r_k|| / max
     over the middle half of the grid: Unstable when it exceeds 1e-12.
     """
-    symbol = _as_one_var(symbol)
+    return _partial_indices(_as_one_var(symbol))
+
+
+def _partial_indices(symbol, wind=None):
+    """``partial_indices``, given the winding ``wind`` of det f when the
+    caller has certified it already, else certifying it after the size check."""
     n = symbol.band_dim
     lo, hi = symbol.exponent_range(0)
     rows, cols = (n + 1) * (hi - lo) + 1, hi - lo + 1  # blocks of the widest Hankel
     if max(INVERSE_GRID, rows * cols) * n * n > GRID_CAP or rows + cols > INVERSE_GRID // 4:
         raise InputError(f"exponent spread {hi - lo} at band {n} exceeds the "
                          f"{INVERSE_GRID}-point inverse grid or {GRID_CAP} entries")
-    wind = certify_invertible(symbol)
+    if wind is None:
+        wind = certify_invertible(symbol)
     p = _coeff_stack(symbol)
     try:  # p sampled at 1/z, so the second FFT reads r_{-k} at index k
         tail = np.fft.fft(np.linalg.inv(np.fft.fft(p, INVERSE_GRID, axis=0)), axis=0)
@@ -560,10 +566,11 @@ def _open_stack(slices, m):
     """Opening steps of every slice certificate and factorization, for
     one-variable slices that share band and exponent range: ``_det_stack``,
     then (f not constant) one batched m-block solve with its certificates,
-    and ``partial_indices`` of each slice whose bound fails (a singular
-    section in the batch sends every slice to its own solve).  Per slice,
-    (m, the solve or None, the partial indices), all zero when the bound
-    proves f canonical, or the error its opening raises."""
+    and the partial indices of each slice whose bound fails, from the winding
+    ``_det_stack`` found (a singular section in the batch sends every slice
+    to its own solve).  Per slice, (m, the solve or None, the partial
+    indices), all zero when the bound proves f canonical, or the error its
+    opening raises."""
     out = _det_stack(slices)
     lo, hi = slices[0].exponent_range(0)
     zero = (0,) * slices[0].band_dim
@@ -585,7 +592,7 @@ def _open_stack(slices, m):
     for i, sl, one in zip(live, group, solved):
         try:
             certified = one is not None and one[2] is not None
-            out[i] = (m, one, zero if certified else partial_indices(sl))
+            out[i] = (m, one, zero if certified else _partial_indices(sl, out[i]))
         except QtopError as exc:
             out[i] = exc
     return out
@@ -741,25 +748,19 @@ class _SliceTable:
             self.open([(direction, angle, t_var, t)])
         return self._entries[key]
 
-    def indices(self, direction, angle, t_var, t):
-        """Partial indices of the slice, as its opening found them.  A family
-        slice drops its first solve here: the flow factorizes none (keeping
-        256 raises its peak memory by 9%), the family extension each one as
-        it opens it."""
-        entry = self._entry(direction, angle, t_var, t)
-        m, _, indices = _unwrap(entry[1])
-        if t_var is not None:
-            entry[1] = (m, None, indices)
-        return indices
-
     def certify(self, keys, detail):
         """Open the slices at ``keys`` together, then NotFredholm, with
         ``detail``, at the first of them, in order, that fails to open or
-        has a nonzero partial index."""
+        has a nonzero partial index.  A family slice drops its first solve
+        here: the flow factorizes none (keeping 256 raises its peak memory
+        by 9%), the family extension each one as it opens it."""
         self.open(keys)
         for direction, angle, t_var, t in keys:
             with self._fredholm(direction, angle, t, detail):
-                indices = self.indices(direction, angle, t_var, t)
+                entry = self._entry(direction, angle, t_var, t)
+                m, _, indices = _unwrap(entry[1])
+                if t_var is not None:
+                    entry[1] = (m, None, indices)
                 if any(indices):
                     raise NotCanonical(indices)
 
@@ -781,7 +782,7 @@ class _SliceTable:
             indices = getattr(exc, "indices", None)
             raise NotFredholm(
                 direction=direction,
-                where=(angle,) if t is None else (angle, t),
+                where=(float(angle),) if t is None else (float(angle), float(t)),
                 indices=indices,
                 detail=detail if detail and indices is not None else str(exc),
             ) from exc

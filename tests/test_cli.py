@@ -226,6 +226,53 @@ def test_each_slice_is_solved_once_per_command(capsys, tmp_path, golden_file,
         assert (code, len(calls)) == (0, 32), argv
 
 
+def test_an_obstruction_certifies_each_det_once(capsys, tmp_path, monkeypatch):
+    """diag(z, 1/z): the 8 slices in z open in one stack, and each one's
+    partial indices reuse the winding of that stack's determinant check."""
+    path = tmp_path / "obstruction.json"
+    save_symbol(LaurentSymbol(2, 2, [((1, 0), np.diag([1.0, 0.0])),
+                                     ((-1, 0), np.diag([0.0, 1.0]))]), path)
+    calls = []
+    real = qtop.wiener_hopf._det_stack
+    monkeypatch.setattr(qtop.wiener_hopf, "_det_stack",
+                        lambda slices: calls.append(len(slices)) or real(slices))
+    code, rep = run(capsys, ["index", str(path), "--mode", "both"])
+    assert (code, rep["error"], rep["indices"]) == (2, "NotFredholm", [1, -1])
+    assert calls == [8]
+
+
+def _skew_h():
+    """h = z - (0.3 + i) - 0.2 w^3: its slice in z at w = e^{ia} has the
+    root 0.3 + i + 0.2 e^{3ia}, outside the disk at a = 0, 2 pi / 3 and
+    4 pi / 3 (partial index 0), inside at a = pi / 2 (partial index 1)."""
+    return LaurentSymbol(2, 1, [((1, 0), [[1.0]]), ((0, 0), [[-(0.3 + 1j)]]),
+                                ((0, 3), [[-0.2]])])
+
+
+def test_symmetry_report_certifies_its_four_angles(capsys, tmp_path):
+    """With 3 samples per circle the extension of h builds, but the report's
+    slices at four angles are not among its slices: the one at pi / 2 is
+    NotFredholm, not a listed partial index."""
+    path = tmp_path / "H.json"
+    save_symbol(assemble_chiral(_skew_h()), path)
+    code, rep = run(capsys, ["symmetry", str(path), "--class", "AIII", "--report",
+                             "--samples", "3", "--grid", "6,5,6"])
+    assert code == 2
+    assert (rep["error"], rep["direction"], rep["where"], rep["indices"]) == (
+        "NotFredholm", 0, [np.pi / 2], [1])
+
+
+def test_not_fredholm_detail_prints_plain_angles(capsys, tmp_path):
+    """A failing slice met at a W3 chart-grid angle names it as a plain float."""
+    path = tmp_path / "h.json"
+    save_symbol(_skew_h(), path)
+    code, rep = run(capsys, ["index", str(path), "--mode", "w3", "--samples", "3"])
+    assert code == 2
+    assert rep["detail"] == (
+        "slice in variable 0 at (1.5707963267948966,) is not canonically factorable: "
+        "partial indices [1] (partial indices [1] are not all zero)")
+
+
 def test_each_reader_names_its_own_failing_slice(capsys, tmp_path):
     """diag(zw, 1/(zw)) is non-canonical in both directions.  The Fredholm
     certificate (modes both and truncation) reads direction 0 first, the
@@ -302,18 +349,24 @@ _DAMAGED_ARGV = [
     (["index", "{g}", "--mode", "truncation", "--sizes", "10,14,18,"], 4),
     (["index", "{g}", "--mode", "truncation", "--sizes", ",10,14,18"], 4),
     (["extend", "{g}", "--dump", "4,,4,4", "--out", "{tmp}/d"], 4),
+    (["flow", "{F}", "--tsamples", "5000"], 4),
 ]
 
 
 @pytest.mark.parametrize("argv, expected", _DAMAGED_ARGV,
                          ids=[" ".join(a) for a, _ in _DAMAGED_ARGV])
-def test_damaged_command_line_ends_in_an_exit_code(capsys, tmp_path, golden_file,
+def test_damaged_command_line_ends_in_an_exit_code(capsys, tmp_path, monkeypatch, golden_file,
                                                    golden_H_file, argv, expected):
     """A damaged command line exits 0, 2, 3, 4 or 5, never with a traceback;
-    an empty field in a list flag is an input error, not dropped."""
+    an empty field in a list flag is an input error, not dropped.  An input
+    error is refused before any slice opens (a flow of 5000 t-samples would
+    open 40,000)."""
     family = tmp_path / "family.json"
     save_symbol(sin_mass_family(assemble_chiral(golden_symbol())), family)
     files = {"g": golden_file, "H": golden_H_file, "F": str(family), "tmp": str(tmp_path)}
+    if expected == 4:
+        monkeypatch.setattr(qtop.wiener_hopf._SliceTable, "open",
+                            lambda self, keys: pytest.fail("a slice opened"))
     code = cli.main([a.format(**files) for a in argv])
     assert code in (0, 2, 3, 4, 5)
     assert "Traceback" not in capsys.readouterr().err

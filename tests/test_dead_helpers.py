@@ -191,6 +191,18 @@ def test_every_error_class_is_named_outside_errors():
     assert unnamed == [], unnamed
 
 
+def test_slice_table_has_one_reader_per_use():
+    """A slice verdict leaves the slice table only through ``certify``, which
+    turns a failing slice into NotFredholm; a second public reader would hand
+    out raw partial indices past that check."""
+    with open(os.path.join(os.path.dirname(qtop.__file__), "wiener_hopf.py")) as fh:
+        tree = ast.parse(fh.read())
+    (table,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_SliceTable"]
+    public = sorted(n.name for n in table.body
+                    if isinstance(n, ast.FunctionDef) and not n.name.startswith("_"))
+    assert public == ["certify", "factor", "open"]
+
+
 def test_every_trace_target_resolves():
     """perfbench/spans.py wraps qtop functions by module and attribute name;
     one that no longer resolves would only show as a missing trace target

@@ -60,6 +60,21 @@ def test_golden_extension_point_values():
         assert np.max(np.abs(val - want)) <= 1e-8
 
 
+def test_point_value_is_the_one_point_chart_grid():
+    """``value`` reads the chart convention through ``chart_grid``: at a TD,
+    a DT and a family point it equals that grid entry bit for bit."""
+    golden = golden_symbol()
+    family = build_extended_family(promote_to_family(golden), t_samples=4, samples_per_circle=8)
+    thetas, rhos, phis = [0.4, 1.9], [0.0, 0.35, 1.0], [0.6, 2.5]
+    for ext, t in ((build_extended(golden, samples_per_circle=8), None),
+                   (golden_closed_form(), None), (family, np.pi / 2), (family, 0.7)):
+        for chart in ("TD", "DT"):
+            grid = ext.chart_grid(chart, thetas, rhos, phis, *([] if t is None else [t]))
+            for i, j, k in ((1, 1, 0), (0, 2, 1)):
+                point = ChartPoint(chart, thetas[i], rhos[j], phis[k], t=t)
+                assert np.array_equal(ext.value(point), grid[i, j, k]), (ext, chart, t)
+
+
 def test_seam_agreement_for_golden():
     golden = golden_symbol()
     ext = build_extended(golden)

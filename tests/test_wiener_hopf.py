@@ -18,6 +18,7 @@ from qtop.errors import (
     InputError,
     NonConvergent,
     NotCanonical,
+    NotFredholm,
     QtopError,
     SingularOnTorus,
     Unstable,
@@ -358,10 +359,15 @@ def _bound_holds(symbol):
 
 
 def _table_indices(symbol):
-    """Partial indices the slice table reads for ``symbol``, the slice of its
-    lift to two variables at any angle."""
+    """Partial indices the slice table certifies for ``symbol``, the slice of
+    its lift to two variables at any angle: all zero, or those of the
+    NotFredholm it raises."""
     lift = LaurentSymbol(2, symbol.band_dim, [((k, 0), a) for (k,), a in symbol.coeffs.items()])
-    return _slice_table(lift).indices(0, 0.0, None, None)
+    try:
+        _slice_table(lift).certify([(0, 0.0, None, None)], None)
+    except NotFredholm as exc:
+        return exc.indices
+    return (0,) * symbol.band_dim
 
 
 def _diag_monomial(ks):
