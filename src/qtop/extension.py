@@ -78,10 +78,6 @@ class ChartPoint:
         if not np.isfinite([self.theta, self.phi, 0.0 if self.t is None else self.t]).all():
             raise OutOfDomain(f"chart angles theta, phi, t must be finite: {self}")
 
-    def coordinates(self):
-        z, w = _chart_coordinates(self.chart, [self.theta], [self.rho], [self.phi])
-        return z.item(), w.item()
-
 
 def _chart_coordinates(chart, thetas, rhos, phis):
     """The points (z, w) of a chart grid, broadcast to (n_theta, n_rho, n_phi):

@@ -85,7 +85,7 @@ DET_TOL = 1e-8              # min |det f| / min(s, 1)^n at or below which f is S
 DET_HALVINGS = 24           # halvings of a det arc its bend bound leaves open
 DET_GRID = 1 << 20          # largest det array: coefficient grid, finer grid or open arcs
 NEWTON_STEPS = 4            # Newton steps toward a det root before an open arc is Unstable
-STACK_BYTES = 4 << 20       # largest stack of opening sections, in bytes
+STACK_BYTES = 12 << 20      # largest allocation of one stack of openings, in bytes
 VERIFY_GRID = 512           # circle grid of verify_factorization
 SCAN_SECTION = 64           # Toeplitz section size of radial_scan
 SCAN_GRID = 1024            # Fourier grid of the radially scaled symbols
@@ -411,28 +411,96 @@ class FactorizationResult:
 
 def _solve_stack(slices, m):
     """Solve the (m+1)-block sections of one-variable slices that share band
-    and exponent range, in one batched solve, for their f_+^{-1}
-    coefficients h; returns per slice h, its ``_factor_coeffs`` factors
-    (c, b, defect) and the certificate's bound on cond(T_f), None when it
-    fails.  A singular section raises."""
-    n, count = slices[0].band_dim, len(slices)
+    and exponent range for their f_+^{-1} coefficients h: all at once in
+    band storage (``_band_solve``), then, each on its own dense section with
+    ``np.linalg.solve``, every slice whose band result the certificate does
+    not prove (non-finite, or a bound that fails), so that the unpivoted LU
+    only ever proves a slice canonical.  Per slice h, its ``_factor_coeffs``
+    factors (c, b, defect) and the certificate's bound on cond(T_f), None
+    when it fails; None in place of all three for a singular section."""
+    n = slices[0].band_dim
     lo = slices[0].exponent_range(0)[0]
-    rows = (m + 1) * n
-    sections = np.empty((count, rows, rows), dtype=complex)
-    for section, sl in zip(sections, slices):
-        section[...] = sl.section((m + 1,), (m + 1,))
-    rhs = np.zeros((count, rows, n), dtype=complex)
-    rhs[:, :n] = np.eye(n)
-    h = np.linalg.solve(sections, rhs).reshape(count, m + 1, n, n)
     coeffs = np.stack([_coeff_stack(sl) for sl in slices])
+    out = _certified(coeffs, lo, _band_solve(coeffs, lo, m))
+    for i, sl in enumerate(slices):
+        if out[i][2] is None:
+            try:
+                h = np.linalg.solve(sl.section((m + 1,), (m + 1,)), np.eye((m + 1) * n, n))
+            except np.linalg.LinAlgError:
+                out[i] = None
+                continue
+            out[i] = _certified(coeffs[i:i + 1], lo, h.reshape(1, m + 1, n, n))[0]
+    return out
+
+
+def _certified(coeffs, lo, h):
+    """Per slice of a stack h, its ``_factor_coeffs`` factors and its
+    ``_wiener_certificate`` bound."""
     c, b, defect = factors = _factor_coeffs(coeffs, lo, h)
     bounds = _wiener_certificate(coeffs, lo, h, factors)
-    return [(h[i], (c[i], b[i], defect[i]), bounds[i]) for i in range(count)]
+    return [(h[i], (c[i], b[i], defect[i]), bounds[i]) for i in range(len(h))]
+
+
+def _band_solve(coeffs, lo, m):
+    """The f_+^{-1} coefficients h of the (m+1)-block sections of a stack
+    of slices with coefficients ``coeffs`` (a_lo .. a_hi on axis 1), by
+    block LU without pivoting in band storage.
+
+    Row i holds the blocks a_{i-j} of columns j = i - p .. i + q, with
+    p = max(hi, 0) and q = max(-lo, 0), and then its block of the
+    right-hand side, I_n in row 0; no fill-in leaves the band.  Column j
+    takes one batched solve, which scales pivot row j by its pivot, and one
+    broadcast matmul that updates rows j+1 .. j+p; back substitution takes
+    one matmul per row.  A singular pivot leaves NaN in its slice only, and
+    tiny ones may leave an inaccurate h; neither proves a slice wrongly, as
+    the certificate checks whatever h it is given.
+    """
+    count, width, n = coeffs.shape[:3]
+    hi = lo + width - 1
+    p, q = max(hi, 0), max(-lo, 0)
+    diagonals = np.zeros((count, p + q + 1, n, n), dtype=complex)  # a_p .. a_{-q}
+    diagonals[:, p - hi:p - lo + 1] = coeffs[:, ::-1]
+    rows, slots = np.arange(m + 1 + p)[:, None], np.arange(p + q + 1)
+    inside = (rows <= m) & (rows + slots - p >= 0) & (rows + slots - p <= m)
+    band = np.zeros((count, m + 1 + p, p + q + 2, n, n), dtype=complex)
+    band[:, :, :-1] = np.where(inside[..., None, None], diagonals[:, None], 0.0)
+    band[:, 0, -1] = np.eye(n)
+    below = np.arange(1, p + 1)[:, None]
+    # row j+s of column j+t sits in slot p - s + t; t = q + 1 is the rhs
+    updated = p - below + np.arange(1, q + 2)
+    updated[:, -1] = p + q + 1
+    with np.errstate(all="ignore"):
+        for j in range(m + 1):
+            band[:, j, p + 1:] = _solve_each(band[:, j, p], band[:, j, p + 1:])
+            band[:, j + below, updated] -= band[:, j + below, p - below] @ band[:, j, None, p + 1:]
+        h = np.zeros((count, m + 1 + q, n, n), dtype=complex)
+        for j in range(m, -1, -1):
+            h[:, j] = band[:, j, -1] - (band[:, j, p + 1:-1] @ h[:, j + 1:j + q + 1]).sum(axis=1)
+    return h[:, :m + 1]
+
+
+def _solve_each(pivots, blocks):
+    """pivots[k]^{-1} blocks[k, t] for every k and t, in one batched solve;
+    NaN for the k whose pivot is singular."""
+    count, width, n = blocks.shape[:3]
+    flat = blocks.transpose(0, 2, 1, 3).reshape(count, n, width * n)
+    try:
+        flat = np.linalg.solve(pivots, flat)
+    except np.linalg.LinAlgError:  # rare: solve one by one
+        for k in range(count):
+            try:
+                flat[k] = np.linalg.solve(pivots[k], flat[k])
+            except np.linalg.LinAlgError:
+                flat[k] = np.nan
+    return flat.reshape(count, n, width, n).transpose(0, 2, 1, 3)
 
 
 def _solve_section(symbol, m):
-    """``_solve_stack`` of one slice."""
-    return _solve_stack([symbol], m)[0]
+    """``_solve_stack`` of one slice; LinAlgError for a singular section."""
+    solved = _solve_stack([symbol], m)[0]
+    if solved is None:
+        raise np.linalg.LinAlgError("singular section")
+    return solved
 
 
 def _section_condition(symbol, m):
@@ -565,12 +633,11 @@ def _wiener_certificate(coeffs, lo, h, factors):
 def _open_stack(slices, m):
     """Opening steps of every slice certificate and factorization, for
     one-variable slices that share band and exponent range: ``_det_stack``,
-    then (f not constant) one batched m-block solve with its certificates,
-    and the partial indices of each slice whose bound fails, from the winding
-    ``_det_stack`` found (a singular section in the batch sends every slice
-    to its own solve).  Per slice, (m, the solve or None, the partial
-    indices), all zero when the bound proves f canonical, or the error its
-    opening raises."""
+    then (f not constant) ``_solve_stack`` at m blocks with its
+    certificates, and the partial indices of each slice whose bound fails,
+    from the winding ``_det_stack`` found.  Per slice, (m, the solve or None
+    for a singular section, the partial indices), all zero when the bound
+    proves f canonical, or the error its opening raises."""
     out = _det_stack(slices)
     lo, hi = slices[0].exponent_range(0)
     zero = (0,) * slices[0].band_dim
@@ -580,16 +647,7 @@ def _open_stack(slices, m):
     if not live:
         return out
     group = [slices[i] for i in live]
-    try:
-        solved = _solve_stack(group, m)
-    except np.linalg.LinAlgError:
-        solved = []
-        for sl in group:
-            try:
-                solved.append(_solve_section(sl, m))
-            except np.linalg.LinAlgError:
-                solved.append(None)
-    for i, sl, one in zip(live, group, solved):
+    for i, sl, one in zip(live, group, _solve_stack(group, m)):
         try:
             certified = one is not None and one[2] is not None
             out[i] = (m, one, zero if certified else _partial_indices(sl, out[i]))
@@ -719,8 +777,12 @@ class _SliceTable:
         """Open the slices at ``keys``, (direction, angle, t_var, t) tuples,
         that the table does not hold yet: in stacks of one exponent range of
         the slice, whatever its direction (a slice whose edge coefficient
-        cancels joins its own), each split so that its sections and det grids
-        stay within STACK_BYTES."""
+        cancels joins its own), each split so that what its opening allocates
+        stays within STACK_BYTES.  Per slice that is, in n x n blocks of 16 n^2
+        bytes, at most (m + 1 + hi - lo)(hi - lo + 24) at m = FIRST_TRUNCATION
+        for the band storage of ``_band_solve`` with its update products and
+        for the certificate's block stacks (about 22 (m + 1) at hi - lo <= 2,
+        by tracemalloc), or the ``points`` blocks of the det grid."""
         groups = {}
         for direction, angle, t_var, t in keys:
             key = self._key(direction, angle, t_var, t)
@@ -733,7 +795,8 @@ class _SliceTable:
         n = self.symbol.band_dim
         for (lo, hi), group in groups.items():
             points = 1 << (n * (hi - lo)).bit_length()  # the det grid of _det_stack
-            per_slice = 16 * n * n * max((FIRST_TRUNCATION + 1) ** 2, points)
+            spread = hi - lo
+            per_slice = 16 * n * n * max((FIRST_TRUNCATION + 1 + spread) * (spread + 24), points)
             items = list(group.items())
             parts = min(len(items), -(-len(items) * per_slice // STACK_BYTES))
             for j in range(parts):

@@ -226,6 +226,19 @@ def test_each_slice_is_solved_once_per_command(capsys, tmp_path, golden_file,
         assert (code, len(calls)) == (0, 32), argv
 
 
+def test_flow_builds_no_dense_slice_section(capsys, tmp_path, monkeypatch):
+    """The flow's slices are solved in band storage and all pass their
+    certificate there, so no slice is solved again on a dense section."""
+    built = []
+    real = LaurentSymbol.section
+    monkeypatch.setattr(LaurentSymbol, "section", lambda self, rows, cols: (
+        self.num_vars == 1 and built.append(self)) or real(self, rows, cols))
+    family = tmp_path / "family.json"
+    save_symbol(sin_mass_family(assemble_chiral(golden_symbol())), family)
+    code, _ = run(capsys, ["flow", str(family), "--tsamples", "4", "--size", "4"])
+    assert (code, len(built)) == (0, 0)
+
+
 def test_an_obstruction_certifies_each_det_once(capsys, tmp_path, monkeypatch):
     """diag(z, 1/z): the 8 slices in z open in one stack, and each one's
     partial indices reuse the winding of that stack's determinant check."""
@@ -333,12 +346,12 @@ _DAMAGED_ARGV = [
     (["index", "{g}", "--mode", "w3", "--samples", "1e3"], None),
     (["index", "{g}", "--mode", "w3", "--samples", _BIG], None),
     (["corner", "{H}", "--class", "AIII", "--samples", "0"], None),
-    (["corner", "{H}", "--size", "6", "--zero-tol", "inf"], None),
-    (["corner", "{H}", "--size", "6", "--zero-tol", "nan"], None),
-    (["corner", "{H}", "--size", "6", "--floor", "inf"], None),
-    (["corner", "{H}", "--size", "6", "--floor", "nan"], None),
-    (["flow", "{F}", "--size", "2", "--tsamples", "2", "--window", "inf"], None),
-    (["flow", "{F}", "--size", "2", "--tsamples", "2", "--window", "nan"], None),
+    (["corner", "{H}", "--size", "6", "--zero-tol", "inf"], 4),
+    (["corner", "{H}", "--size", "6", "--zero-tol", "nan"], 4),
+    (["corner", "{H}", "--size", "6", "--floor", "inf"], 4),
+    (["corner", "{H}", "--size", "6", "--floor", "nan"], 4),
+    (["flow", "{F}", "--size", "2", "--tsamples", "2", "--window", "inf"], 4),
+    (["flow", "{F}", "--size", "2", "--tsamples", "2", "--window", "nan"], 4),
     (["flow", "{F}", "--size", "2", "--tsamples", "2", "--tvar", "3"], None),
     (["extend", "{F}", "--eval", "chart=TD;theta=0;rho=0;phi=0;t=0", "--tvar", "7"], None),
     (["factorize", "{g}", "--var", "-1", "--param", "1=1"], None),
@@ -350,7 +363,26 @@ _DAMAGED_ARGV = [
     (["index", "{g}", "--mode", "truncation", "--sizes", ",10,14,18"], 4),
     (["extend", "{g}", "--dump", "4,,4,4", "--out", "{tmp}/d"], 4),
     (["flow", "{F}", "--tsamples", "5000"], 4),
+    (["corner", "{H}", "--size", "6", "--zero-tol", "1e308"], 0),
+    (["corner", "{H}", "--size", "6", "--floor", "1e308"], 4),
+    (["flow", "{F}", "--size", "2", "--tsamples", "2", "--window", "1e308"], 0),
 ]
+# each integer flag at 0, -1 and 10^12: (argv up to the value, the exit codes)
+_INT_FLAG_ARGV = [
+    (["corner", "{H}", "--size"], (4, 4, 3)),
+    (["flow", "{F}", "--tsamples", "2", "--size"], (4, 4, 3)),
+    (["index", "{g}", "--mode", "w3", "--samples"], (4, 4, 4)),
+    (["corner", "{H}", "--class", "AIII", "--size", "6", "--samples"], (4, 4, 4)),
+    (["symmetry", "{H}", "--class", "AIII", "--report", "--samples"], (4, 4, 4)),
+    (["extend", "{g}", "--eval", "chart=TD;theta=0;rho=0;phi=0", "--samples"], (4, 4, 4)),
+    (["flow", "{F}", "--size", "2", "--tsamples"], (4, 4, 4)),
+    (["factorize", "{g}", "--param", "1=1", "--trunc"], (0, 4, 4)),
+    (["factorize", "{g}", "--param", "1=1", "--var"], (0, 4, 4)),
+    (["flow", "{F}", "--size", "2", "--tsamples", "2", "--tvar"], (0, 4, 4)),
+    (["extend", "{F}", "--eval", "chart=TD;theta=0;rho=0;phi=0;t=0", "--tvar"], (0, 4, 4)),
+]
+_DAMAGED_ARGV += [(argv + [value], code) for argv, codes in _INT_FLAG_ARGV
+                  for value, code in zip(("0", "-1", str(10 ** 12)), codes)]
 
 
 @pytest.mark.parametrize("argv, expected", _DAMAGED_ARGV,

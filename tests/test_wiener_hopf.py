@@ -29,6 +29,7 @@ from qtop.wiener_hopf import (
     COND_CAP,
     EXACT_COND_ROWS,
     FIRST_TRUNCATION,
+    _band_solve,
     _coeff_stack,
     _factor_coeffs,
     _factorize,
@@ -37,6 +38,7 @@ from qtop.wiener_hopf import (
     _section_condition,
     _slice_table,
     _solve_section,
+    _solve_stack,
     _wiener_certificate,
     canonical_factorize,
     certify_invertible,
@@ -569,3 +571,86 @@ def test_stack_with_cancelled_edge_singular_section_and_singular_det():
     first, middle, last = _open_stack(slices, FIRST_TRUNCATION)
     assert isinstance(middle, SingularOnTorus)
     assert not isinstance(first, QtopError) and not isinstance(last, QtopError)
+
+
+def _dense_h(symbol, m):
+    n = symbol.band_dim
+    section = symbol.section((m + 1,), (m + 1,))
+    return np.linalg.solve(section, np.eye((m + 1) * n, n)).reshape(m + 1, n, n)
+
+
+def test_band_solve_equals_the_dense_solve():
+    rng = np.random.default_rng(4242)
+    for n in (1, 2, 4):
+        for lo, hi in ((-1, 1), (-3, 2), (0, 2), (-2, 0)):
+            slices = []
+            for _ in range(3):
+                terms = {(k,): small_term(rng, n, 0.5 / (hi - lo)) for k in range(lo, hi + 1)}
+                terms[(0,)] = terms[(0,)] + 2.0 * np.eye(n)
+                slices.append(LaurentSymbol(1, n, list(terms.items())))
+            coeffs = np.stack([_coeff_stack(sl) for sl in slices])
+            for m in (0, 1, 5, 32):
+                for h, sl in zip(_band_solve(coeffs, lo, m), slices):
+                    dense = _dense_h(sl, m)
+                    assert np.abs(h - dense).max() <= 1e-12 * np.abs(dense).max(), (n, lo, hi, m)
+
+
+def _count_sections(monkeypatch):
+    """The one-variable symbols whose dense Toeplitz section is built."""
+    built = []
+    real = LaurentSymbol.section
+
+    def counted(self, rows, cols):
+        if self.num_vars == 1:
+            built.append(self)
+        return real(self, rows, cols)
+
+    monkeypatch.setattr(LaurentSymbol, "section", counted)
+    return built
+
+
+def test_singular_pivot_falls_back_to_the_dense_section(monkeypatch):
+    """f = (I + C/z)(I + B z), B and C triangular with spectral radius 1/2,
+    is canonical, but its constant term I + CB = [[1.25, 1.25], [-0.3125,
+    -0.3125]], the first pivot of the band LU, is exactly singular.  That
+    slice alone is solved densely, keeps the dense h bit for bit and is
+    certified; its stack mate is not solved again."""
+    b = np.array([[0.5, 2.5], [0.0, 0.5]])
+    c = np.array([[0.5, 0.0], [-0.625, 0.5]])
+    pivotless = LaurentSymbol(1, 2, [((0,), np.eye(2) + c @ b), ((-1,), c), ((1,), b)])
+    regular = LaurentSymbol(1, 2, [((0,), 4.0 * np.eye(2)), ((-1,), c), ((1,), b)])
+    h_band = _band_solve(np.stack([_coeff_stack(regular), _coeff_stack(pivotless)]),
+                         -1, FIRST_TRUNCATION)
+    assert np.isfinite(h_band[0]).all() and not np.isfinite(h_band[1]).all()
+    built = _count_sections(monkeypatch)
+    first, second = _solve_stack([regular, pivotless], FIRST_TRUNCATION)
+    assert built == [pivotless]
+    assert first[2] is not None and second[2] is not None
+    assert np.array_equal(second[0], _dense_h(pivotless, FIRST_TRUNCATION))
+
+
+def test_slice_whose_bound_fails_is_solved_again_densely(monkeypatch):
+    rng = np.random.default_rng(77)
+    eye = ((0,), np.eye(2))
+    minus, plus = ([eye] + [((s * k,), small_term(rng, 2, 0.2)) for k in (1, 2)]
+                   for s in (-1, 1))
+    canonical = LaurentSymbol(1, 2, minus) * LaurentSymbol(1, 2, plus)
+    twisted = LaurentSymbol(1, 2, minus[:2]) * _diag_monomial((1, -1)) * LaurentSymbol(1, 2, plus[:2])
+    assert canonical.exponent_range(0) == twisted.exponent_range(0) == (-2, 2)
+    built = _count_sections(monkeypatch)
+    solved = _solve_stack([canonical, twisted, canonical], FIRST_TRUNCATION)
+    assert built == [twisted]
+    assert [s[2] is None for s in solved] == [False, True, False]
+    assert np.array_equal(solved[1][0], _dense_h(twisted, FIRST_TRUNCATION))
+
+
+def test_flow_slices_open_in_few_stacks(monkeypatch):
+    """The 256 slices of a 32-sample flow (2 directions, 4 angles) open in
+    at most 5 stacks, sized by what an opening allocates."""
+    family = sin_mass_family(assemble_chiral(golden_symbol()))
+    calls = _count_calls(monkeypatch, qtop.wiener_hopf, "_open_stack")
+    keys = [(direction, 2.0 * np.pi * j / 4, 2, 2.0 * np.pi * k / 32)
+            for k in range(32) for direction in (0, 1) for j in range(4)]
+    _slice_table(family).certify(keys, None)
+    assert sum(len(args[0]) for args in calls) == 256
+    assert len(calls) <= 5
