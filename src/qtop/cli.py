@@ -406,12 +406,12 @@ def _cmd_symmetry(args):
         "class": spec.label,
         "degree": spec.degree,
     }
+    grid = _parse_int_tuple(args.grid, expect=3, name="--grid")
+    band = symbol.band_dim // 2 if spec.chiral else symbol.band_dim
+    if spec.chiral:  # only chiral classes run W3, on h of half the band
+        check_w3_grid(grid, band)
+    check_samples(args.samples, band)
     if args.report:
-        grid = _parse_int_tuple(args.grid, expect=3, name="--grid")
-        band = symbol.band_dim // 2 if spec.chiral else symbol.band_dim
-        if spec.chiral:  # only chiral classes run W3, on h of half the band
-            check_w3_grid(grid, band)
-        check_samples(args.samples, band)
         full = gapped_invariant_report(
             symbol, spec, grid=grid, samples_per_circle=args.samples
         )

@@ -110,10 +110,6 @@ class IllConditioned(NumericalFailure):
     """A linear solve exceeded the condition-number bound."""
 
 
-class CalibrationFailed(NumericalFailure):
-    """Orientation calibration did not land near an integer of modulus 1."""
-
-
 class Unstable(NumericalFailure):
     """A quantity required to stabilize across truncation sizes did not."""
 

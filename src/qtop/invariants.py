@@ -8,10 +8,10 @@ glued bidisk boundary is the degree integral
 
 with A_a = g^{-1} d_a g, integrated over each solid-torus chart in the
 coordinate order (theta, rho, phi).  The charts are glued along rho = 1
-with opposite boundary orientations, hence the relative minus sign; the
-global sign s is fixed once by requiring the degree-one reference map
-[[z, -conj w], [w, conj z]] to evaluate to +1 on a (16, 9, 16) grid, and
-is cached.
+with opposite boundary orientations, hence the relative minus sign.  The
+global sign s is +1: the chart orientations make the degree-one reference
+map [[z, -conj w], [w, conj z]] integrate to +1, a property of the
+formula, not of the input.
 
 Derivatives are spectral (FFT) in the two angles, and the angular sums
 are rectangle rules (exact for trigonometric polynomials).  In the radius
@@ -38,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import CalibrationFailed, InputError
+from .errors import InputError
 from .extension import (
-    bott_generator,
     build_extended,
     check_equivariance,
     check_hermitian,
@@ -116,28 +115,17 @@ def _raw_w3(ext, grid):
     return parts["TD"] + parts["DT"], parts
 
 
-# ------------------------------------------------------------ calibration
-
-_ORIENTATION_SIGN = None
+# ------------------------------------------------------------ orientation
 
 
-def calibrate_orientation(grid=(16, 9, 16)):
-    """Global sign s of the two-chart degree integral, fixed once.
+def calibrate_orientation():
+    """Global sign s of the two-chart degree integral: +1.
 
-    Runs the integrator on the degree-one reference map and snaps the sign
-    so that its value is +1.  The result is cached for the process; every
-    w3 call applies it.
+    The (theta, rho, phi) chart orientations already give the degree-one
+    reference map bott_generator() the value +1 under _raw_w3, so the sign
+    is a constant of the formula; every w3 call applies it.
     """
-    global _ORIENTATION_SIGN
-    if _ORIENTATION_SIGN is not None:
-        return _ORIENTATION_SIGN
-    raw, _ = _raw_w3(bott_generator(), grid)
-    if abs(abs(raw) - 1.0) > 0.1:
-        raise CalibrationFailed(
-            f"reference degree-one map integrates to {raw:.6f}, expected magnitude 1"
-        )
-    _ORIENTATION_SIGN = 1 if raw.real > 0 else -1
-    return _ORIENTATION_SIGN
+    return 1
 
 
 @dataclass(frozen=True)
@@ -320,14 +308,11 @@ def gapped_invariant_report(symbol, spec, grid=DEFAULT_GRID, samples_per_circle=
     sym_report = check_symmetry(symbol, spec, tol=REPORT_SYMMETRY_TOL)
     sym_report.require()
 
+    target = split_chiral(symbol) if spec.chiral else symbol
+    ext = build_extended(target, samples_per_circle=samples_per_circle)
+    certificates = _direction_certificates(target)
     extension_checks = {}
-    if spec.chiral:
-        block = split_chiral(symbol)
-        ext = build_extended(block, samples_per_circle=samples_per_circle)
-        certificates = _direction_certificates(block)
-    else:
-        ext = build_extended(symbol, samples_per_circle=samples_per_circle)
-        certificates = _direction_certificates(symbol)
+    if not spec.chiral:
         extension_checks["hermiticity"] = check_hermitian(ext)
     extension_checks["seam"] = ext.seam_residuals.get(None)
     if spec.antiunitary != "none":

@@ -195,6 +195,22 @@ def test_factorize_names_the_indices_of_slow_and_shifted_symbols(capsys, tmp_pat
     assert rep["error"] == "NotCanonical" and rep["indices"] == indices
 
 
+def test_singular_finite_sections_exit_3(capsys, tmp_path):
+    """f = [[z, 1], [0, 1/z]] is canonical (partial indices (0, 0), det f = 1)
+    but every finite section of T_f is singular: numerical non-convergence,
+    exit 3 with Unstable, in one variable and as g(z, w) = f(z) in two."""
+    terms = [((1,), np.diag([1.0, 0.0])), ((0,), np.array([[0.0, 1.0], [0.0, 0.0]])),
+             ((-1,), np.diag([0.0, 1.0]))]
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    save_symbol(LaurentSymbol(1, 2, terms), f)
+    save_symbol(LaurentSymbol(2, 2, [((k, 0), a) for (k,), a in terms]), g)
+    for argv in (["factorize", str(f)], ["factorize", str(f), "--trunc", "5"],
+                 ["index", str(g), "--mode", "both"], ["index", str(g), "--mode", "w3"]):
+        code, rep = run(capsys, argv)
+        assert (code, rep["error"]) == (3, "Unstable"), argv
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_missing_params_are_named_briefly(capsys, tmp_path):
     path = tmp_path / "many.json"
     path.write_text(json.dumps({"num_vars": 1000000, "band_dim": 1, "terms": []}))
@@ -358,6 +374,7 @@ _DAMAGED_ARGV = [
     (["factorize", "{g}", "--param", "1="], None),
     (["factorize", "{g}", "--param", "=1"], None),
     (["index", "{g}", "--mode", "w3", "--grid", "16,,9,16"], 4),
+    (["symmetry", "{H}", "--class", "AIII", "--grid", "16,,9,16"], 4),
     (["index", "{g}", "--mode", "truncation", "--sizes", "10,,14,18"], 4),
     (["index", "{g}", "--mode", "truncation", "--sizes", "10,14,18,"], 4),
     (["index", "{g}", "--mode", "truncation", "--sizes", ",10,14,18"], 4),
@@ -374,6 +391,7 @@ _INT_FLAG_ARGV = [
     (["index", "{g}", "--mode", "w3", "--samples"], (4, 4, 4)),
     (["corner", "{H}", "--class", "AIII", "--size", "6", "--samples"], (4, 4, 4)),
     (["symmetry", "{H}", "--class", "AIII", "--report", "--samples"], (4, 4, 4)),
+    (["symmetry", "{H}", "--class", "AIII", "--samples"], (4, 4, 4)),
     (["extend", "{g}", "--eval", "chart=TD;theta=0;rho=0;phi=0", "--samples"], (4, 4, 4)),
     (["flow", "{F}", "--size", "2", "--tsamples"], (4, 4, 4)),
     (["factorize", "{g}", "--param", "1=1", "--trunc"], (0, 4, 4)),

@@ -6,10 +6,8 @@ from conftest import (
     golden_closed_form,
     golden_symbol,
     promote_to_family,
-    random_canonical_2d,
 )
-import qtop.wiener_hopf
-from qtop.errors import InputError, NotFredholm, OutOfDomain, Unstable
+from qtop.errors import InputError, NotFredholm, OutOfDomain
 from qtop.extension import (
     ChartPoint,
     ClosedFormExtension,
@@ -87,17 +85,6 @@ def test_seam_agreement_for_golden():
     for chart in ("TD", "DT"):
         vals = ext.chart_grid(chart, angles, np.array([1.0]), angles)[:, 0]
         assert np.max(np.linalg.norm(vals - fvals, axis=(-2, -1))) <= 1e-8
-
-
-def test_slice_defect_above_seam_tolerance_is_unstable(monkeypatch, rng):
-    # a one-term f_+^{-1} series leaves a defect of order cap^2 on every
-    # slice of a canonical product; every slice table factorization below is
-    # canonical_factorize(sl, truncation=1)
-    real = qtop.wiener_hopf._factorize
-    monkeypatch.setattr(qtop.wiener_hopf, "_factorize",
-                        lambda sl, opened, truncation: real(sl, qtop.wiener_hopf._open(sl, 1), 1))
-    with pytest.raises(Unstable):
-        build_extended(random_canonical_2d(rng), samples_per_circle=4)
 
 
 def test_bott_generator_values():

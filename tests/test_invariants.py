@@ -6,7 +6,7 @@ import pytest
 import qtop.invariants
 import qtop.wiener_hopf
 from conftest import golden_symbol, promote_to_family, random_canonical_2d
-from qtop.errors import CalibrationFailed, InputError, SymmetryViolation
+from qtop.errors import InputError, SymmetryViolation
 from qtop.extension import bott_generator, build_extended, build_extended_family
 from qtop.invariants import (
     DEFAULT_GRID,
@@ -23,7 +23,21 @@ GRID = (32, 17, 32)
 
 
 def test_orientation_calibration_is_plus_one():
-    assert calibrate_orientation(grid=(16, 9, 16)) == 1
+    # the sign is a constant because the chart orientations already
+    # integrate the degree-one generator to +1
+    assert calibrate_orientation() == 1
+    raw, _ = _raw_w3(bott_generator(), (16, 9, 16))
+    assert abs(raw - 1.0) <= 1e-6
+
+
+def test_w3_integrates_only_its_own_grids(monkeypatch):
+    ext = build_extended(golden_symbol())
+    calls = []
+    real = qtop.invariants._raw_w3
+    monkeypatch.setattr(qtop.invariants, "_raw_w3",
+                        lambda ext, grid: calls.append(grid) or real(ext, grid))
+    res = w3(ext)
+    assert calls == [h[0] for h in res.history]
 
 
 def test_w3_of_golden_is_one():
@@ -164,13 +178,6 @@ def test_w3_chain_skips_grids_that_alias_the_symbol():
     assert res.rounded == 8
     raw, _ = _raw_w3(ext, DEFAULT_GRID)
     assert res.raw_value == float((res.sign * raw).real)
-
-
-def test_calibration_check_still_fires(monkeypatch):
-    monkeypatch.setattr(qtop.invariants, "_ORIENTATION_SIGN", None)
-    monkeypatch.setattr(qtop.invariants, "_raw_w3", lambda ext, grid: (0.5, {}))
-    with pytest.raises(CalibrationFailed):
-        calibrate_orientation()
 
 
 def test_w3_rejects_family_extension():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -356,7 +357,7 @@ def test_radial_scan_bounded_below_for_golden_slice():
 def _bound_holds(symbol):
     try:
         return _solve_section(symbol, FIRST_TRUNCATION)[2] is not None
-    except np.linalg.LinAlgError:
+    except Unstable:
         return False
 
 
@@ -430,6 +431,31 @@ def test_wiener_certificate_bound_is_scale_free():
     for scale in (1e-160, 1e150):
         bound = _solve_section(sl.scale(scale), FIRST_TRUNCATION)[2]
         assert bound is not None and abs(bound - ref) <= 1e-13 * ref
+
+
+def test_wiener_certificate_holds_its_block_stack_few_times():
+    """The certificate scales its concatenated block stack in place and
+    hands the Gram stack itself to eigvalsh: on 51 sin-mass slices at
+    FIRST_TRUNCATION its peak stays within 4 times that block stack."""
+    family = sin_mass_family(assemble_chiral(golden_symbol()))
+    rng = np.random.default_rng(0)
+    slices = [family.slice(0, np.exp(2j * np.pi * rng.random(2))) for _ in range(51)]
+    coeffs, lo, m = np.stack([_coeff_stack(sl) for sl in slices]), -1, FIRST_TRUNCATION
+    assert slices[0].exponent_range(0)[0] == lo
+    h = _band_solve(coeffs, lo, m)
+    c, b, defect = factors = _factor_coeffs(coeffs, lo, h)
+    # defect, g, rest_plus, rest_minus, h and f, in n x n blocks per slice
+    blocks = (defect.shape[1] + (m + 1) + (b.shape[1] + m) + (c.shape[1] + m)
+              + (m + 1) + coeffs.shape[1])
+    stack_bytes = len(slices) * blocks * coeffs[0, 0].nbytes
+    tracemalloc.start()
+    try:
+        bounds = _wiener_certificate(coeffs, lo, h, factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(bound is not None for bound in bounds)
+    assert peak <= 4 * stack_bytes, peak / stack_bytes
 
 
 def _count_calls(monkeypatch, module, name):
@@ -544,7 +570,7 @@ def test_stack_with_cancelled_edge_singular_section_and_singular_det():
                                    ((0, 1), 0.1 * eye), ((0, 0), -0.1 * eye)])
     angles = 2 * np.pi * np.arange(4) / 4
     slices = [twisted.slice(0, (np.exp(1j * a),)) for a in angles]
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(Unstable, match="33-block section is singular"):
         _solve_section(slices[0], FIRST_TRUNCATION)
     for stacked, sl in zip(_open_stack(slices, FIRST_TRUNCATION), slices):
         _assert_same_opening(stacked, _single_opening(sl, FIRST_TRUNCATION))
