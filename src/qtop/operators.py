@@ -94,7 +94,8 @@ def dump_operator(matrix, band_dim, path):
 def kernel_dim(*blocks):
     """Numerical kernel count of diag(blocks): singular values of the
     matrices ``blocks`` below KERNEL_RELTOL * sigma_max (see wiener_hopf),
-    sigma_max the largest over all of them; one block is the plain count."""
+    sigma_max the largest over all of them; one block is the plain count.
+    An array passed more than once is decomposed once."""
     return _kernel_count(*blocks)[0]
 
 
@@ -106,13 +107,15 @@ def _reach_rows(symbol, box):
     return [b + max(0, symbol.exponent_range(a)[1]) for a, b in enumerate(box)]
 
 
-def _reach_compression(symbol, parts, box):
+def _reach_compression(symbol, classes, box):
     """Columns on the box, rows on the box extended by the positive hopping
-    reach of ``symbol``: one section per reducing block of it in ``parts``,
-    refused at the full band_dim before any is allocated."""
+    reach of ``symbol``, refused at the full band_dim before any section is
+    allocated.  ``classes`` pairs the symbol of each class of unitarily
+    equivalent reducing blocks with its number of members; each class gets
+    one section, listed once per member as the same array."""
     rows = _reach_rows(symbol, box)
     _check_rows(math.prod(rows) * symbol.band_dim)
-    return [part.section(rows, box) for part in parts]
+    return [s for part, members in classes for s in [part.section(rows, box)] * members]
 
 
 def certify_fredholm(symbol):
@@ -158,8 +161,10 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
     rows, and ``sizes`` in the report lists every side tried.  A two-variable
     symbol whose coefficients share reducing subspaces W_i (band_dim <= 16)
     is counted block by block, with the counts of the undivided section:
-    one section of W_i* f W_i per block on the rows of the whole symbol's
-    reach, and one kernel_dim over all of them.  A one-variable symbol is
+    the blocks W_i* f W_i fall into classes of unitarily equivalent ones,
+    found once per symbol (f* has the same), and each class gets one
+    section on the rows of the whole symbol's reach, passed to one
+    kernel_dim once per member.  A one-variable symbol is
     counted with the escalating section criterion: a kernel vector decaying
     like r^x keeps its section residual above any fixed cutoff until the
     section outruns the decay, so a fixed size list can undercount.
@@ -173,13 +178,15 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
     else:
         certify_invertible(symbol)
     adj = symbol.adjoint()
-    parts = [symbol]
+    classes = [(symbol, 1)]
     if symbol.num_vars == 2:
-        bases = _reducing_subspaces(symbol)  # the adjoint has the same ones
-        if len(bases) > 1:
-            parts = [LaurentSymbol(2, w.shape[1], [(k, w.conj().T @ a @ w)
-                                                   for k, a in symbol.coeffs.items()])
-                     for w in bases]
+        found = _reducing_subspaces(symbol)  # the adjoint has the same ones
+        if sum(map(len, found)) > 1:
+            classes = [(LaurentSymbol(2, c[0].shape[1], [(k, c[0].conj().T @ a @ c[0])
+                                                         for k, a in symbol.coeffs.items()]),
+                        len(c))
+                       for c in found]
+    adj_classes = [(part.adjoint(), members) for part, members in classes]
     sizes = [int(s) for s in sizes]
     last = len(sizes) + ADDED_SIDES
     kers, coks, values = [], [], []
@@ -190,8 +197,8 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
             c = toeplitz_kernel_dim(adj, start=size)
         else:
             box = [size] * symbol.num_vars
-            k = kernel_dim(*_reach_compression(symbol, parts, box))
-            c = kernel_dim(*_reach_compression(adj, [p.adjoint() for p in parts], box))
+            k = kernel_dim(*_reach_compression(symbol, classes, box))
+            c = kernel_dim(*_reach_compression(adj, adj_classes, box))
         kers.append(k)
         coks.append(c)
         values.append(k - c)

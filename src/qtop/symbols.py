@@ -398,7 +398,8 @@ COMMUTANT_MAX_BAND = 16  # largest band whose default index sections fit DENSE_C
 
 
 def _reducing_subspaces(symbol):
-    """Orthonormal bases W_i of subspaces that reduce every coefficient a_k.
+    """Orthonormal bases W_i of subspaces that reduce every coefficient a_k,
+    grouped in classes of unitarily equivalent blocks.
 
     W_i* a_k W_j = 0 for i != j, so f is unitarily the direct sum of the
     W_i* f W_i, and so is each of its sections.  The X with X b = b X for
@@ -407,10 +408,19 @@ def _reducing_subspaces(symbol):
     X there are the blocks (Murota, Kanno, Kojima & Kojima, Japan J.
     Indust. Appl. Math. 27, 2010).  One block, and no Gram, above
     COMMUTANT_MAX_BAND; one block too unless every ||W_i* a_k W_j|| is at
-    most 1e-12 * coeff_norm().  Largest block first.
+    most 1e-12 * coeff_norm().
+
+    By Schur's lemma two such blocks are unitarily equivalent exactly when
+    some X of the null space has W_i* X W_j != 0, and its polar factor U
+    links them.  Block j joins the class of the first earlier block i of
+    its size with such an X, as W_j U*, if every ||U W_j* a_k W_j U* -
+    W_i* a_k W_i|| is at most 1e-12 * coeff_norm(); otherwise it starts a
+    class of its own.  So every basis of a class compresses f (and f*) to
+    its first one's symbol, up to that bound.  Returns a list of classes,
+    each a list of bases, the class of the largest block first.
     """
     n = symbol.band_dim
-    whole = [np.eye(n)]
+    whole = [[np.eye(n)]]
     if n == 1 or n > COMMUTANT_MAX_BAND or not symbol.coeffs:
         return whole
     scale = symbol.coeff_norm()
@@ -435,7 +445,29 @@ def _reducing_subspaces(symbol):
     off = label[:, None] != label[None, :]
     if any(np.linalg.norm((basis.conj().T @ a @ basis)[off]) > 1e-12 for a in coeffs):
         return whole
-    return sorted(blocks, key=lambda w: w.shape[1], reverse=True)
+    # the null space has orthonormal columns, so some column links two
+    # equivalent blocks with norm at least 1/sqrt(d) >= 1/16; the links of
+    # inequivalent ones are round-off
+    commutant = null.T.reshape(d, n, n)
+    classes = []
+    for w in sorted(blocks, key=lambda w: w.shape[1], reverse=True):
+        for members in (c for c in classes if c[0].shape == w.shape):
+            links = members[0].conj().T @ commutant @ w
+            norms = np.linalg.norm(links, axis=(1, 2))
+            if norms.max() > 1e-3:
+                break
+        else:
+            classes.append([w])
+            continue
+        p, _, qh = np.linalg.svd(links[np.argmax(norms)])
+        v = w @ (p @ qh).conj().T  # W_j U*, U the polar factor of the link
+        head = members[0]
+        if all(np.linalg.norm(v.conj().T @ a @ v - head.conj().T @ a @ head) <= 1e-12
+               for a in coeffs):
+            members.append(v)
+        else:
+            classes.append([w])
+    return classes
 
 
 # ------------------------------------------------- symmetry class table

@@ -240,8 +240,12 @@ def winding_of_det(symbol):
 def _kernel_count(*mats):
     """Kernel count of the section diag(mats), with the relative size of the
     smallest retained singular value (the margin separating kernel from bulk).
-    Columns minus retained values, so a wide block counts its unreachable columns."""
-    sv = np.sort(np.concatenate([np.linalg.svd(m, compute_uv=False) for m in mats]))[::-1]
+    Columns minus retained values, so a wide block counts its unreachable columns.
+    An array passed more than once (one section per class of unitarily
+    equivalent blocks) is decomposed once; its values count once per pass."""
+    distinct = {id(m): m for m in mats}
+    values = {key: np.linalg.svd(m, compute_uv=False) for key, m in distinct.items()}
+    sv = np.sort(np.concatenate([values[id(m)] for m in mats]))[::-1]
     cols = sum(m.shape[1] for m in mats)
     if sv.size == 0 or sv[0] == 0.0:
         return cols, float("inf")

@@ -95,6 +95,39 @@ def sin_mass_family(H, mu=0.3):
     return LaurentSymbol(3, H.band_dim, terms)
 
 
+def pump_family(u, m, shift=0.0):
+    """H = H_x(z, s) (x) tau_z + I_2 (x) H_y(w), with z = e^{ik}, w = e^{iq} and
+    s = e^{it} (t is variable 2).
+
+    H_x = sin k sigma_x + sin t sigma_y + (u + cos k + cos t) sigma_z is a
+    Qi-Wu-Zhang pump in (k, t) and H_y = (m + cos q) tau_x + sin q tau_y an
+    SSH chain.  H^2 = H_x^2 (x) I + I (x) H_y^2, so the bulk and both
+    half-planes stay gapped for every t.  ``shift`` moves the family along
+    t: each s^k coefficient is multiplied by e^{i k shift}.
+    """
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    eye = np.eye(2)
+
+    def x_part(a):  # a sigma-matrix coefficient of H_x, times tau_z
+        return np.kron(a, sz)
+
+    def y_part(a):  # a tau-matrix coefficient of H_y, on the sigma identity
+        return np.kron(eye, a)
+
+    up_t = np.exp(1j * shift) * (sy / 2j + sz / 2)
+    return LaurentSymbol(3, 4, [
+        ((1, 0, 0), x_part(sx / 2j + sz / 2)),
+        ((-1, 0, 0), x_part(-sx / 2j + sz / 2)),
+        ((0, 0, 1), x_part(up_t)),
+        ((0, 0, -1), x_part(up_t.conj().T)),
+        ((0, 0, 0), x_part(u * sz) + y_part(m * sx)),
+        ((0, 1, 0), y_part(sx / 2 + sy / 2j)),
+        ((0, -1, 0), y_part(sx / 2 - sy / 2j)),
+    ])
+
+
 def gap_closing_family():
     """Chiral family from h(z, w, t) = z - (1.5 + cos t).
 

@@ -7,6 +7,7 @@ from conftest import (
     gap_closing_family,
     golden_symbol,
     promote_to_family,
+    pump_family,
     random_canonical_2d,
     sin_mass_family,
 )
@@ -113,7 +114,7 @@ def _direct_sum(parts):
 
 
 @pytest.mark.parametrize("k, l", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2)])
-def test_numerical_index_of_hidden_direct_sums(golden, k, l):
+def test_numerical_index_of_hidden_direct_sums(golden, k, l, monkeypatch):
     """golden^k + adjoint^l, conjugated by a seeded unitary, is counted block
     by block; index and per-size counts are the sums over the summands."""
     rng = np.random.default_rng(7 + 3 * k + l)
@@ -121,9 +122,14 @@ def test_numerical_index_of_hidden_direct_sums(golden, k, l):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     summands = [golden] * k + [golden.adjoint()] * l
     sym = _direct_sum(summands).conjugate_by(q)
-    assert [w.shape[1] for w in _reducing_subspaces(sym)] == [2] * (k + l)
+    classes = _reducing_subspaces(sym)
+    assert [w.shape[1] for c in classes for w in c] == [2] * (k + l)
+    assert sorted(map(len, classes)) == sorted(m for m in (k, l) if m)
     sizes = (4, 6)
+    rows = _recorded_sections(monkeypatch)
     rep = numerical_index(sym, sizes=sizes)
+    # one section per class for f and for f* at each side
+    assert len(rows) == 2 * len(rep.sizes) * ((k > 0) + (l > 0))
     assert rep.value == k - l
     reps = [numerical_index(f, sizes=sizes) for f in summands]
     assert rep.kernel_counts == tuple(map(sum, zip(*(r.kernel_counts for r in reps))))
@@ -357,6 +363,19 @@ def test_spectral_flow_stable_under_refinement(golden_H):
     b = spectral_flow(sin_mass_family(golden_H), t_samples=32, side=6)
     assert a.flow == b.flow == 0
     assert len(a.crossings) == len(b.crossings) == 2
+
+
+@pytest.mark.parametrize("u, m, shift, signs, where", [
+    (1.0, 0.5, 0.0, [-1], [np.pi]),           # Ch(H_x) = +1, W(H_y) = 1
+    (1.0, 2.0, 0.0, [], []),                  # W(H_y) = 0
+    (-1.0, 0.5, 0.1, [1], [2 * np.pi - 0.1]),  # Ch(H_x) = -1, moved off t = 0
+])
+def test_spectral_flow_of_a_pump_is_minus_chern_times_winding(u, m, shift, signs, where):
+    res = spectral_flow(pump_family(u, m, shift), t_samples=33, side=8)
+    assert res.flow == sum(signs)
+    assert [s for _, s in res.crossings] == signs
+    for (t, _), want in zip(res.crossings, where):
+        assert abs(t - want) <= 2 * np.pi / 33
 
 
 @pytest.mark.parametrize("family, t, mass", [

@@ -308,15 +308,23 @@ def test_block_diag_eval(golden):
 def test_irreducible_symbols_are_one_block(rng, golden):
     for sym in (golden, random_canonical_2d(rng), assemble_chiral(golden),
                 random_canonical_2d(rng, n=4)):
-        assert [w.shape[1] for w in _reducing_subspaces(sym)] == [sym.band_dim]
+        assert [[w.shape[1] for w in c] for c in _reducing_subspaces(sym)] == [[sym.band_dim]]
 
 
 def test_reducing_subspaces_split_a_hidden_sum(rng, golden):
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     sym = golden.block_diag(golden.adjoint()).block_diag(golden).conjugate_by(q)
-    bases = _reducing_subspaces(sym)
-    assert [w.shape[1] for w in bases] == [2, 2, 2]
-    basis = np.hstack(bases)
+    classes = sorted(_reducing_subspaces(sym), key=len, reverse=True)
+    # the two golden blocks are one class, the adjoint (index -1) its own
+    assert [[w.shape[1] for w in c] for c in classes] == [[2, 2], [2]]
+    pair = np.hstack(classes[0])
+    golden_cols = q[:, [0, 1, 4, 5]]
+    assert np.allclose(pair @ pair.conj().T, golden_cols @ golden_cols.conj().T, atol=1e-12)
+    head = classes[0][0]
+    for a in sym.coeffs.values():  # both members compress a_k alike
+        member = classes[0][1].conj().T @ a @ classes[0][1]
+        assert np.linalg.norm(member - head.conj().T @ a @ head) <= 1e-12 * sym.coeff_norm()
+    basis = np.hstack([w for c in classes for w in c])
     assert np.allclose(basis.conj().T @ basis, np.eye(6), atol=1e-12)
     for a in sym.coeffs.values():
         rotated = basis.conj().T @ a @ basis
@@ -332,4 +340,4 @@ def test_reducing_subspaces_form_no_gram_above_the_band_cap(monkeypatch):
     monkeypatch.setattr(np, "kron", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     sym = LaurentSymbol(2, 17, [((1, 0), np.eye(17)), ((0, 1), np.diag(np.arange(17.0)))])
-    assert [w.shape[1] for w in _reducing_subspaces(sym)] == [17]
+    assert [[w.shape[1] for w in c] for c in _reducing_subspaces(sym)] == [[17]]

@@ -34,6 +34,7 @@ from qtop.wiener_hopf import (
     _coeff_stack,
     _factor_coeffs,
     _factorize,
+    _kernel_count,
     _open,
     _open_stack,
     _section_condition,
@@ -274,6 +275,26 @@ def test_kernel_dims_of_shifts():
     assert toeplitz_kernel_dim(scalar([(-3, 1.0)])) == 3
     with pytest.raises(InputError):
         toeplitz_kernel_dim(scalar([(-1, 1.0)]), start=0)
+
+
+def test_kernel_count_decomposes_a_repeated_block_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    s = rng.standard_normal((7, 4)) @ rng.standard_normal((4, 5))  # rank 4 of 5 columns
+    t = np.linalg.qr(rng.standard_normal((4, 3)))[0] @ np.diag([2.0, 1.0, 1e-3])
+    dense = np.zeros((18, 13))
+    dense[:7, :5], dense[7:14, 5:10], dense[14:, 10:] = s, s, t
+    count, margin = _kernel_count(dense)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert _kernel_count(s, s, t) == (count, pytest.approx(margin, rel=1e-12))
+    assert count == 2
+    assert calls == [(7, 5), (4, 3)]
 
 
 def test_random_products_factor_with_small_residual(rng):
