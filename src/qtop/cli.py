@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -48,11 +49,6 @@ from .symbols import az_class, check_symmetry, load_symbol, split_chiral
 from .wiener_hopf import canonical_factorize, verify_factorization
 
 _PARAM_NAMES = 8  # missing --param variables named in the message
-
-_GRID_HELP = (
-    "finest W3 grid n_theta,n_rho,n_phi; W3 stops at the first two of its "
-    "halvings that agree"
-)
 
 
 # ------------------------------------------------------------ small parsers
@@ -249,18 +245,9 @@ def _cmd_index(args):
         sizes = _parse_int_tuple(args.sizes, name="--sizes")
         idx = numerical_index(symbol, sizes=sizes)
         report["truncation"] = idx.to_dict()
-    w3_res = None
     if args.mode in ("w3", "both"):
-        ext = build_extended(symbol, samples_per_circle=args.samples)
-        w3_res = w3(ext, grid=grid)
-        report["w3"] = w3_res.to_dict()
-    if args.mode == "both":
-        report["agreement"] = bool(w3_res.rounded == idx.value)
-        if w3_res.rounded != idx.value:
-            _emit(report, args.out)
-            raise CrossCheckFailed(
-                f"W3 {w3_res.rounded} != truncation index {idx.value}"
-            )
+        _run_w3(args, report, "w3", symbol, grid, None if idx is None else idx.value,
+                "W3 {w3} != truncation index {other}")
     return report
 
 
@@ -288,30 +275,39 @@ def _cmd_corner(args):
         report["symmetry_violations"] = sym_report.violations
         sym_report.require()
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["eigenvalue_index", "lambda", "chirality", "participation_near_corner"]
-            )
-            chis = result.eigen_chirality
-            for k, lam in enumerate(result.eigenvalues):
-                chi = "" if chis is None else f"{chis[k]:.12g}"
-                writer.writerow(
-                    [k, f"{lam:.12g}", chi, f"{result.eigen_participation[k]:.12g}"]
-                )
-        report["csv"] = args.csv
+        chis = result.eigen_chirality
+        rows = ([k, f"{lam:.12g}", "" if chis is None else f"{chis[k]:.12g}",
+                 f"{result.eigen_participation[k]:.12g}"]
+                for k, lam in enumerate(result.eigenvalues))
+        _write_csv(report, args.csv,
+                   ["eigenvalue_index", "lambda", "chirality", "participation_near_corner"], rows)
     if label == "AIII":
-        h = split_chiral(symbol)
-        ext = build_extended(h, samples_per_circle=args.samples)
-        w3_res = w3(ext, grid=grid)
-        report["w3_of_h"] = w3_res.to_dict()
-        report["agreement"] = bool(w3_res.rounded == result.signed_count)
-        if w3_res.rounded != result.signed_count:
-            _emit(report, args.out)
-            raise CrossCheckFailed(
-                f"signed corner count {result.signed_count} != W3 {w3_res.rounded}"
-            )
+        _run_w3(args, report, "w3_of_h", split_chiral(symbol), grid, result.signed_count,
+                "signed corner count {other} != W3 {w3}")
     return report
+
+
+def _run_w3(args, report, key, symbol, grid, other, mismatch):
+    """Store W3 of the extension of ``symbol`` (--samples slices per circle)
+    on ``grid`` as ``report[key]``.  With an integer ``other``, also store
+    ``report["agreement"]``; on disagreement emit the report and raise
+    CrossCheckFailed with ``mismatch`` formatted with fields w3 and other."""
+    result = w3(build_extended(symbol, samples_per_circle=args.samples), grid=grid)
+    report[key] = result.to_dict()
+    if other is not None:
+        report["agreement"] = bool(result.rounded == other)
+        if result.rounded != other:
+            _emit(report, args.out)
+            raise CrossCheckFailed(mismatch.format(w3=result.rounded, other=other))
+
+
+def _write_csv(report, path, header, rows):
+    """Write ``header`` and ``rows`` as CSV to ``path`` and name it in the report."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    report["csv"] = path
 
 
 def _cmd_flow(args):
@@ -330,22 +326,16 @@ def _cmd_flow(args):
     }
     if args.csv:
         t_values = result.t_values
-        n = len(t_values)
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t", "eigenvalue_index", "lambda", "participation_near_corner"]
-            )
-            for track_id, track in enumerate(result.tracks):
-                values = track["values"]
-                parts = track["participation"]
-                steps = len(values) - 1 if track["closed"] else len(values)
-                for i in range(steps):
-                    t = t_values[(track["start_index"] + i) % n]
-                    writer.writerow(
-                        [f"{t:.12g}", track_id, f"{values[i]:.12g}", f"{parts[i]:.12g}"]
-                    )
-        report["csv"] = args.csv
+        rows = []
+        for track_id, track in enumerate(result.tracks):
+            values = track["values"]
+            parts = track["participation"]
+            steps = len(values) - 1 if track["closed"] else len(values)
+            for i in range(steps):
+                t = t_values[(track["start_index"] + i) % len(t_values)]
+                rows.append([f"{t:.12g}", track_id, f"{values[i]:.12g}", f"{parts[i]:.12g}"])
+        _write_csv(report, args.csv,
+                   ["t", "eigenvalue_index", "lambda", "participation_near_corner"], rows)
     return report
 
 
@@ -359,13 +349,7 @@ def _cmd_extend(args):
         return {
             "command": "extend",
             "input": args.file,
-            "point": {
-                "chart": point.chart,
-                "theta": point.theta,
-                "rho": point.rho,
-                "phi": point.phi,
-                "t": point.t,
-            },
+            "point": dataclasses.asdict(point),
             "value": _matrix_json(value),
             "value_display": _matrix_display(value),
         }
@@ -438,6 +422,14 @@ def _add_common(sub):
     )
 
 
+def _add_w3_flags(sub, grid_note=""):
+    """--grid and --samples, the inputs of W3 (and of the extension)."""
+    sub.add_argument("--grid", default=",".join(str(n) for n in DEFAULT_GRID),
+                     help="finest W3 grid n_theta,n_rho,n_phi; W3 stops at the first two "
+                     "of its halvings that agree" + grid_note)
+    sub.add_argument("--samples", type=int, default=16, help="slices per circle")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qtop",
@@ -465,8 +457,7 @@ def _build_parser():
     _add_common(p)
     p.add_argument("--mode", choices=("w3", "truncation", "both"), default="both")
     p.add_argument("--sizes", default="10,14,18", help="truncation sizes")
-    p.add_argument("--grid", default=_grid_text(), help=_GRID_HELP)
-    p.add_argument("--samples", type=int, default=16, help="slices per circle")
+    _add_w3_flags(p)
     p.set_defaults(func=_cmd_index)
 
     p = subs.add_parser("corner", help="corner spectrum of a quarter truncation")
@@ -476,10 +467,7 @@ def _build_parser():
     p.add_argument("--zero-tol", type=float, default=1e-6)
     p.add_argument("--floor", type=float, default=0.5, help="corner participation floor")
     p.add_argument("--csv", default=None, help="write the spectrum as CSV here")
-    p.add_argument(
-        "--grid", default=_grid_text(), help=_GRID_HELP + " (AIII cross-check)"
-    )
-    p.add_argument("--samples", type=int, default=16, help="slices per circle")
+    _add_w3_flags(p, " (AIII cross-check)")
     p.set_defaults(func=_cmd_corner)
 
     p = subs.add_parser("flow", help="spectral flow of a hermitian family")
@@ -519,15 +507,10 @@ def _build_parser():
         action="store_true",
         help="full invariant report (extension checks, W3 shadow)",
     )
-    p.add_argument("--grid", default=_grid_text(), help=_GRID_HELP)
-    p.add_argument("--samples", type=int, default=16, help="slices per circle")
+    _add_w3_flags(p)
     p.set_defaults(func=_cmd_symmetry)
 
     return parser
-
-
-def _grid_text():
-    return ",".join(str(n) for n in DEFAULT_GRID)
 
 
 def _error_report(command, exc):

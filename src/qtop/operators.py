@@ -24,11 +24,11 @@ from .errors import (
     DimensionMismatch,
     InputError,
     NotHermitian,
-    SizeOverflow,
     TrackingAmbiguous,
     Unstable,
 )
-from .symbols import GRID_CAP, LaurentSymbol, _reducing_subspaces, _relation_violation, _split_mass
+from .symbols import (DENSE_CAP, GRID_CAP, LaurentSymbol, _check_rows, _reducing_subspaces,
+                      _relation_violation, _split_mass)
 from .wiener_hopf import (
     FIRST_TRUNCATION,
     _kernel_count,
@@ -50,7 +50,6 @@ __all__ = [
     "SpectralFlowResult",
 ]
 
-DENSE_CAP = 6000
 HERMITIAN_TOL = 1e-10     # coefficient-level hermiticity and chirality, relative to the scale
 GAP_FACTOR = 10.0         # separation_ok: spectral gap above this times zero_tol
 CORNER_EXTENT = 4         # corner patch: sites with every coordinate below this
@@ -58,12 +57,6 @@ OVERLAP_FLOOR = 0.7       # smallest eigenvector overlap that continues a flow t
 FLOW_ZERO_FLOOR = 1e-9    # flow track values at or below this count as zero
 FLOW_CORNER_FLOOR = 0.25  # corner participation of a tracked flow state
 ADDED_SIDES = 3           # sides numerical_index may add past a two-variable run's own
-
-
-def _check_rows(size):
-    """Refuse a dense matrix of more than DENSE_CAP rows before allocating it."""
-    if size > DENSE_CAP:
-        raise SizeOverflow(f"dense compression would be {size} rows (cap {DENSE_CAP})")
 
 
 def assemble(symbol, side):
@@ -167,7 +160,10 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
     kernel_dim once per member.  A one-variable symbol is
     counted with the escalating section criterion: a kernel vector decaying
     like r^x keeps its section residual above any fixed cutoff until the
-    section outruns the decay, so a fixed size list can undercount.
+    section outruns the decay, so a fixed size list can undercount.  Its
+    index must then be minus the winding of det f, which its certificate
+    gives, else Unstable; its tall sections stay within DENSE_CAP rows,
+    else SizeOverflow before one is built.
     """
     if symbol.num_vars not in (1, 2):
         raise DimensionMismatch("index needs a one- or two-variable symbol")
@@ -176,7 +172,7 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
     if symbol.num_vars == 2:
         certify_fredholm(symbol)
     else:
-        certify_invertible(symbol)
+        wind = certify_invertible(symbol)
     adj = symbol.adjoint()
     classes = [(symbol, 1)]
     if symbol.num_vars == 2:
@@ -210,6 +206,9 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
         raise Unstable(
             f"index disagrees across truncation sizes {tuple(sizes)}: {values}"
         )
+    if symbol.num_vars == 1 and values[-1] != -wind:
+        raise Unstable(f"truncation index {values[-1]} is not minus the winding {wind} of det f: "
+                       "the kernel counts missed a slowly decaying vector")
     return IndexReport(
         value=values[-1],
         sizes=tuple(sizes),

@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateExponent,
     InputError,
+    SizeOverflow,
     SymmetryViolation,
     ZeroCoordinate,
 )
@@ -46,6 +47,13 @@ __all__ = [
 
 
 GRID_CAP = 10_000_000  # matrix entries of one evaluation grid (torus or chart)
+DENSE_CAP = 6000       # rows of one dense section (truncation, corner, kernel scan)
+
+
+def _check_rows(size):
+    """Refuse a dense matrix of more than DENSE_CAP rows before allocating it."""
+    if size > DENSE_CAP:
+        raise SizeOverflow(f"dense compression would be {size} rows (cap {DENSE_CAP})")
 
 
 def _as_coeff(matrix, band_dim):
@@ -183,28 +191,14 @@ class LaurentSymbol:
     # -------------------------------------------------------- evaluation
 
     def eval(self, point):
-        """Evaluate at a point with nonzero complex coordinates.
+        """Evaluate at a point with nonzero complex coordinates: ``eval_grid``
+        on the grid of that one point.
 
-        Negative exponents are honest inverse powers, so any zero coordinate
-        they touch raises ZeroCoordinate.
+        Negative exponents are honest inverse powers, so a zero coordinate
+        under a nonzero exponent raises ZeroCoordinate; a point of the wrong
+        length raises DimensionMismatch.
         """
-        pt = tuple(complex(p) for p in point)
-        if len(pt) != self.num_vars:
-            raise DimensionMismatch(
-                f"point has {len(pt)} coordinates, expected {self.num_vars}"
-            )
-        out = np.zeros((self.band_dim, self.band_dim), dtype=complex)
-        for key, a in self._coeffs.items():
-            factor = 1.0 + 0.0j
-            for e, p in zip(key, pt):
-                if e != 0 and p == 0:
-                    raise ZeroCoordinate(
-                        f"exponent {e} at zero coordinate (exponent vector {key})"
-                    )
-                if e != 0:
-                    factor *= p**e
-            out += factor * a
-        return out
+        return self.eval_grid([[p] for p in point])[(0,) * self.num_vars]
 
     def eval_grid(self, axes):
         """Evaluate on a tensor grid of points.

@@ -57,7 +57,7 @@ from .errors import (
     Unstable,
     WindowTooSmall,
 )
-from .symbols import GRID_CAP, LaurentSymbol
+from .symbols import GRID_CAP, LaurentSymbol, _check_rows
 
 __all__ = [
     "FactorizationResult",
@@ -88,7 +88,6 @@ NEWTON_STEPS = 4            # Newton steps toward a det root before an open arc 
 STACK_BYTES = 12 << 20      # largest allocation of one stack of openings, in bytes
 VERIFY_GRID = 512           # circle grid of verify_factorization
 SCAN_SECTION = 64           # Toeplitz section size of radial_scan
-SCAN_GRID = 1024            # Fourier grid of the radially scaled symbols
 
 
 def _as_one_var(symbol):
@@ -264,7 +263,8 @@ def toeplitz_kernel_dim(symbol, start=None):
     accepted only when the margin is not collapsing geometrically; a margin
     shrinking by more than a factor of 3 per doubling signals a direction
     heading under the cutoff, so the doubling continues until it crosses
-    (the count increments) or levels off.
+    (the count increments) or levels off.  A section of more than DENSE_CAP
+    rows is refused with SizeOverflow before it is built.
     """
     symbol = _as_one_var(symbol)
     if not symbol.coeffs:
@@ -276,6 +276,7 @@ def toeplitz_kernel_dim(symbol, start=None):
     reach = max(0, hi)
     prev = None
     while length <= SECTION_CAP:
+        _check_rows((length + reach) * symbol.band_dim)
         count, margin = _kernel_count(symbol.section((length + reach,), (length,)))
         if prev is not None and count == prev[0] and margin >= 0.3 * prev[1]:
             return count
@@ -396,19 +397,6 @@ class FactorizationResult:
     def minus_values(self, z):
         z = np.asarray(z, dtype=complex)
         return _poly_values(self.minus_coeffs, 1.0 / z)
-
-    def scaled_symbol_coeffs(self, t):
-        """Fourier coefficients of z -> f_-(z/t) f_+(t z) for 0 <= t <= 1,
-        on a SCAN_GRID-point circle.
-
-        The series form kills the apparent 1/t: f_-(z/t) = sum_k c_k t^k z^{-k},
-        so t = 0 degenerates smoothly to the constant f_+(0).
-        """
-        zs = np.exp(2j * np.pi * np.arange(SCAN_GRID) / SCAN_GRID)
-        c_scaled = self.minus_coeffs * (t ** np.arange(len(self.minus_coeffs)))[:, None, None]
-        b_scaled = self.plus_coeffs * (t ** np.arange(len(self.plus_coeffs)))[:, None, None]
-        vals = _poly_values(c_scaled, np.conj(zs)) @ _poly_values(b_scaled, zs)
-        return np.fft.fft(vals, axis=0) / SCAN_GRID
 
 
 def _solve_stack(slices, m):
@@ -908,17 +896,23 @@ def radial_scan(fact, radii=None):
 
     These interpolate between T_f at t = 1 and the invertible constant
     f_+(0) at t = 0; uniformly positive values certify the whole family.
+    The symbol is sum_k c_k t^k z^{-k} sum_j b_j t^j z^j, so its
+    coefficients, at exponents -k_minus .. k_plus, are one ``_poly_mul``
+    of the scaled factor coefficients, and t = 0 leaves f_+(0) with no 1/t.
     """
     if radii is None:
         radii = np.linspace(0.0, 1.0, 9)
+    c, b = fact.minus_coeffs, fact.plus_coeffs
     sigmas = []
     for t in radii:
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise InputError(f"radius {t} outside [0, 1]")
-        fourier = fact.scaled_symbol_coeffs(t)
+        c_t = c * (t ** np.arange(len(c)))[:, None, None]
+        b_t = b * (t ** np.arange(len(b)))[:, None, None]
+        product = _poly_mul(c_t[None, ::-1], b_t[None])[0]  # degrees -k_minus .. k_plus
         scaled = LaurentSymbol(1, fact.band_dim, [
-            ((k,), fourier[k % SCAN_GRID]) for k in range(1 - SCAN_SECTION, SCAN_SECTION)
+            ((k + 1 - len(c),), a) for k, a in enumerate(product)
         ])
         sv = np.linalg.svd(scaled.section((SCAN_SECTION,), (SCAN_SECTION,)), compute_uv=False)
         sigmas.append(float(sv[-1]))

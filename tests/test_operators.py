@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from qtop.operators import (
     numerical_index,
     spectral_flow,
 )
-from qtop.symbols import LaurentSymbol, _reducing_subspaces, _split_mass, assemble_chiral
+from qtop.symbols import (DENSE_CAP, LaurentSymbol, _reducing_subspaces, _split_mass,
+                          assemble_chiral)
 
 
 def scalar_1d(terms):
@@ -175,6 +177,35 @@ def test_segment_index_is_minus_winding():
     assert numerical_index(scalar_1d([(1, 1.0), (0, -0.5)])).value == -1
     assert numerical_index(scalar_1d([(-1, 1.0), (0, -0.5)])).value == 1
     assert numerical_index(scalar_1d([(1, 0.3), (0, 1.0)])).value == 0
+
+
+def test_segment_index_refuses_counts_that_miss_the_winding():
+    """det f winds once for z - 0.95 and diag(z - 0.999, I_7), but the
+    cokernel margin 0.95^L (0.999^L) of the tall sections never falls 3x
+    per doubling, so both counts settle on 0."""
+    edge = np.zeros((8, 8))
+    edge[0, 0] = 1.0
+    slow = LaurentSymbol(1, 8, [((1,), edge), ((0,), np.diag([-0.999] + [1.0] * 7))])
+    for sym in (scalar_1d([(1, 1.0), (0, -0.95)]), slow):
+        with pytest.raises(Unstable, match="truncation index 0 is not minus the winding 1"):
+            numerical_index(sym)
+
+
+def test_segment_index_refuses_a_tall_section_past_the_row_cap(monkeypatch):
+    """2 I + 0.5 z I at band 6 and size 1000 would need 6006 rows."""
+    built = []
+    real = LaurentSymbol.section
+
+    def section(self, rows, cols):
+        built.append(math.prod(rows) * self.band_dim)
+        assert built[-1] <= DENSE_CAP, f"a section of {built[-1]} rows was built"
+        return real(self, rows, cols)
+
+    monkeypatch.setattr(LaurentSymbol, "section", section)
+    sym = LaurentSymbol(1, 6, [((0,), 2.0 * np.eye(6)), ((1,), 0.5 * np.eye(6))])
+    with pytest.raises(SizeOverflow, match="6006 rows"):
+        numerical_index(sym, sizes=(1000,))
+    assert built == []
 
 
 def test_certify_fredholm_reports_direction():

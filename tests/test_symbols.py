@@ -83,7 +83,13 @@ def test_eval_matches_eval_grid(rng):
     assert grid.shape == (4, 3, 2, 2)
     for i, z in enumerate(zs):
         for j, w in enumerate(ws):
-            assert np.allclose(grid[i, j], f.eval((z, w)))
+            want = sum(a * z**k * w**l for (k, l), a in f.coeffs.items())
+            assert np.allclose(grid[i, j], want)
+            assert np.allclose(f.eval((z, w)), want)
+    with pytest.raises(DimensionMismatch):
+        f.eval((zs[0],))
+    with pytest.raises(ZeroCoordinate):
+        LaurentSymbol(2, 1, [((0, -1), np.eye(1))]).eval((1.0, 0.0))
 
 
 def test_product_and_sum_are_pointwise(rng):

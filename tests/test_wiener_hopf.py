@@ -16,6 +16,7 @@ from conftest import (
 from test_symbols import _class_symbol
 import qtop.wiener_hopf
 from qtop.errors import (
+    IllConditioned,
     InputError,
     NonConvergent,
     NotCanonical,
@@ -618,6 +619,29 @@ def test_stack_with_cancelled_edge_singular_section_and_singular_det():
     first, middle, last = _open_stack(slices, FIRST_TRUNCATION)
     assert isinstance(middle, SingularOnTorus)
     assert not isinstance(first, QtopError) and not isinstance(last, QtopError)
+
+
+def test_stack_keeps_a_partial_index_error_with_its_slice():
+    """h = z - 0.5 - 0.499 w: at w = 1 the slice z - 0.999 passes the det cut,
+    but f^-1 decays like 0.999^k, so its partial indices are Unstable; the
+    other slices of the stack still open, each with partial index 1."""
+    h = LaurentSymbol(2, 1, [((1, 0), [[1.0]]), ((0, 0), [[-0.5]]), ((0, 1), [[-0.499]])])
+    slices = [h.slice(0, (np.exp(2j * np.pi * j / 8),)) for j in range(8)]
+    first, *rest = _open_stack(slices, FIRST_TRUNCATION)
+    assert isinstance(first, Unstable)
+    assert [opened[2] for opened in rest] == [(1,)] * 7
+
+
+def test_condition_above_the_cap_is_ill_conditioned():
+    """diag(1000, 1e-10 (1 + 0.1 z)) passes the det cut of 1e-8, as
+    |det f| >= 9e-8, but its condition is near 1e13; a well-conditioned
+    slice of the same stack still factors."""
+    bad = LaurentSymbol(1, 2, [((0,), np.diag([1000.0, 1e-10])), ((1,), np.diag([0.0, 1e-11]))])
+    good = LaurentSymbol(1, 2, [((0,), np.eye(2)), ((1,), 0.1 * np.eye(2))])
+    opened_bad, opened_good = _open_stack([bad, good], FIRST_TRUNCATION)
+    with pytest.raises(IllConditioned, match="exceeds"):
+        _factorize(bad, opened_bad, None)
+    assert _factorize(good, opened_good, None).residual <= 1e-10
 
 
 def _dense_h(symbol, m):
