@@ -263,6 +263,7 @@ def _cmd_corner(args):
         chiral=spec.chiral if spec else True,
         zero_tol=args.zero_tol,
         corner_floor=args.floor,
+        participation=bool(args.csv),
     )
     report = {
         "command": "corner",

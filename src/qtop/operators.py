@@ -57,6 +57,8 @@ OVERLAP_FLOOR = 0.7       # smallest eigenvector overlap that continues a flow t
 FLOW_ZERO_FLOOR = 1e-9    # flow track values at or below this count as zero
 FLOW_CORNER_FLOOR = 0.25  # corner participation of a tracked flow state
 ADDED_SIDES = 3           # sides numerical_index may add past a two-variable run's own
+NULL_NOISE = 1e-14        # norm of _null_basis's perturbation, relative to sigma_max
+NULL_RITZ_TOL = 1e-12     # Ritz values accepted within this times sigma_max
 
 
 def assemble(symbol, side):
@@ -241,10 +243,11 @@ class CornerSpectrumResult:
     the modes that live there.
 
     ``eigenvalues`` ascend.  ``eigen_participation`` is the corner weight of
-    each eigenvector.  ``eigen_chirality`` (chiral input only) is 0 for the
-    eigenvectors (v, +-u)/sqrt(2) of a pair +-sigma above the zero
-    tolerance, and +1 or -1 for the pure-chirality states (v, 0) and (0, u)
-    that stand at +sigma and -sigma of a pair below it.
+    each eigenvector, None unless asked for.  ``eigen_chirality`` (chiral
+    input only) is 0 for the eigenvectors (v, +-u)/sqrt(2) of a pair
+    +-sigma above the zero tolerance, and +1 or -1 for the pure-chirality
+    states (v, 0) and (0, u) that stand at +sigma and -sigma of a pair
+    below it.
     """
 
     eigenvalues: np.ndarray
@@ -312,8 +315,59 @@ def _refined_cluster_basis(block, corner_mask):
     return block @ rot[:, np.argsort(weights)[::-1]]
 
 
-def _hermitian_corner(symbol, side, zero_tol):
-    """Eigenvalues, participations and zero modes from one dense eigh."""
+def _null_basis(mat, sing, k):
+    """Orthonormal bases of the k null vectors of ``mat`` and of ``mat*``
+    by seeded randomized inverse iteration, or None when a basis fails its
+    check (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011).
+
+    ``sing`` holds the singular values of ``mat``, descending.  A seeded
+    real Gaussian of norm about NULL_NOISE * sing[0] is added to ``mat`` in
+    place, so that an exactly singular section still solves.  Each side
+    solves against k + 2 seeded columns, orthonormalizes by QR and keeps
+    the k Ritz vectors of the small SVD of ``mat`` times that basis; the
+    adjoint side solves against ``mat.T`` and conjugates, so ``mat*`` is
+    never formed.  A basis is accepted when its k Ritz values lie within
+    delta = NULL_RITZ_TOL * sing[0] of the k smallest of ``sing``; a side
+    solves again from its last basis at most 3 times, since a further step
+    can also lose the null space (golden + golden).  A raising solve or no
+    accepted basis returns None, and the caller decomposes in full.
+
+    The check reads values, not vectors: an accepted basis lies within a
+    subspace angle of about sqrt(2 k sing[-k] delta) / sing[-k-1] of the
+    true one, tight for exact null vectors and looser for a near-zero
+    cluster, so the caller uses it only for a cluster well separated from
+    the rest of the spectrum.
+    """
+    n = mat.shape[0]
+    if k == 0:
+        return (np.zeros((n, 0), dtype=mat.dtype),) * 2
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal(mat.shape)
+    noise *= NULL_NOISE * sing[0] / (2.0 * math.sqrt(n))  # 2 sqrt(n): norm of a Gaussian square
+    mat += noise
+    del noise
+    start = rng.standard_normal((n, min(k + 2, n)))
+    bases = []
+    for a in (mat, mat.T):
+        x = start
+        for _ in range(3):
+            try:
+                q = np.linalg.qr(np.linalg.solve(a, x))[0]
+                _, ritz, wh = np.linalg.svd(a @ q, full_matrices=False)
+            except np.linalg.LinAlgError:
+                return None
+            if np.all(np.abs(ritz[-k:] - sing[-k:]) <= NULL_RITZ_TOL * sing[0]):
+                bases.append(q @ wh[-k:].conj().T)
+                break
+            x = q
+        else:
+            return None
+    return bases[0], bases[1].conj()
+
+
+def _hermitian_corner(symbol, side, zero_tol, participation):
+    """Eigenvalues, participations (with ``participation``) and zero modes
+    from one dense eigh."""
     mat = assemble(symbol, side)
     vals, vecs = np.linalg.eigh(mat)
     mask = _corner_mask(side, symbol.band_dim)
@@ -326,40 +380,61 @@ def _hermitian_corner(symbol, side, zero_tol):
         )
         for psi, part in zip(basis.T, _participation(basis, mask))
     ]
-    return vals, None, _participation(vecs, mask), modes
+    return vals, None, _participation(vecs, mask) if participation else None, modes
 
 
-def _chiral_corner(symbol, side, zero_tol):
+def _chiral_corner(symbol, side, zero_tol, participation):
     """Eigenvalues, chiralities, participations and zero modes of the
-    truncated H = [[0, T*], [T, 0]] from one SVD of T = P h P.
+    truncated H = [[0, T*], [T, 0]] from the singular values of T = P h P.
 
     The grading acts site by site, so the spectrum is +-sigma(T); ker T
-    carries chirality +1 and ker T* chirality -1, exactly.
+    carries chirality +1 and ker T* chirality -1, exactly.  With
+    ``participation``, one full SVD of T gives every vector and its corner
+    weight.  Without it, a values-only SVD gives sigma and ``_null_basis``
+    the null vectors alone, and the participations are None.  The full SVD
+    is taken instead when the zero cluster is not separated from the rest
+    by more than GAP_FACTOR * zero_tol, or when ``_null_basis`` returns
+    None.
     """
     half = symbol.band_dim // 2
     h = LaurentSymbol(2, half, [(k, a[half:, :half]) for k, a in symbol.coeffs.items()])
-    u, s, vh = np.linalg.svd(assemble(h, side))
-    v = vh.conj().T
     mask = _corner_mask(side, half)
-    zero = s <= zero_tol
+    kernels = None
+    if not participation:
+        t = assemble(h, side)
+        s = np.linalg.svd(t, compute_uv=False)
+        zero = s <= zero_tol
+        k = np.count_nonzero(zero)
+        if k in (0, s.size) or s[-k - 1] > GAP_FACTOR * zero_tol:
+            kernels = _null_basis(t, s, k)
+        del t  # a fallback assembles T afresh: _null_basis perturbed it
+    if kernels is None:
+        u, s, vh = np.linalg.svd(assemble(h, side))
+        v = vh.conj().T
+        zero = s <= zero_tol
+        kernels = v[:, zero], u[:, zero]
     modes = []
-    for chi, block in ((1.0, v[:, zero]), (-1.0, u[:, zero])):
+    for chi, block in zip((1.0, -1.0), kernels):
         basis = _refined_cluster_basis(block, mask)
         modes += [
             ZeroMode(value=0.0, chirality=chi, corner_participation=float(part))
             for part in _participation(basis, mask)
         ]
-    part_v, part_u = _participation(v, mask), _participation(u, mask)
-    pair = 0.5 * (part_v + part_u)
+    parts = None
+    if participation:
+        part_v, part_u = _participation(v, mask), _participation(u, mask)
+        pair = 0.5 * (part_v + part_u)
+        parts = np.concatenate([np.where(zero, part_u, pair), np.where(zero, part_v, pair)[::-1]])
     return (
         np.concatenate([-s, s[::-1]]),
         np.concatenate([np.where(zero, -1.0, 0.0), np.where(zero, 1.0, 0.0)[::-1]]),
-        np.concatenate([np.where(zero, part_u, pair), np.where(zero, part_v, pair)[::-1]]),
+        parts,
         modes,
     )
 
 
-def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5):
+def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5,
+                    participation=False):
     """Spectrum of the hermitian quarter-plane truncation at size ``side``.
 
     Near-zero eigenvectors are listed with their chirality and corner
@@ -370,11 +445,17 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5):
     content (the grading traces to zero on any finite square, so they
     exactly cancel the true corner's contribution in an unfiltered count).
 
-    Chiral input H = [[0, h*], [h, 0]] is solved by one SVD of the section
-    T of h, half the rows of the section of H: the eigenvalues are
-    +-sigma(T), and the zero modes are the null vectors of T (chirality
-    +1) and of T* (chirality -1).  Other input is solved by a dense eigh.
-    The row cap applies to the section of H either way.
+    Chiral input H = [[0, h*], [h, 0]] is solved through the section T of
+    h, half the rows of the section of H: the eigenvalues are +-sigma(T),
+    and the zero modes are the null vectors of T (chirality +1) and of T*
+    (chirality -1).  Other input is solved by a dense eigh.  The row cap
+    applies to the section of H either way.
+
+    Only ``participation`` fills ``eigen_participation``, the corner weight
+    of every eigenvector.  For chiral input it alone takes the full SVD of
+    T; without it the eigenvalues come from a values-only SVD and the zero
+    modes from the null vectors alone (``_null_basis``), which takes a
+    fraction of the memory, with the full SVD as the fallback.
     """
     if symbol.num_vars != 2:
         raise DimensionMismatch("corner spectrum needs a two-variable symbol")
@@ -395,7 +476,7 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5):
             )
     _check_rows(side * side * symbol.band_dim)
     solve = _chiral_corner if chiral else _hermitian_corner
-    vals, chirality, participation, modes = solve(symbol, side, zero_tol)
+    vals, chirality, weights, modes = solve(symbol, side, zero_tol, participation)
     zero_modes = sorted(modes, key=lambda m: -m.corner_participation)
     corner_modes = [m for m in zero_modes if m.corner_participation >= corner_floor]
     rest = np.abs(vals)[np.abs(vals) > zero_tol]
@@ -412,7 +493,7 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5):
         corner_floor=corner_floor,
         separation_ok=gap > GAP_FACTOR * zero_tol,
         eigen_chirality=chirality,
-        eigen_participation=participation,
+        eigen_participation=weights,
     )
 
 

@@ -264,7 +264,9 @@ def toeplitz_kernel_dim(symbol, start=None):
     shrinking by more than a factor of 3 per doubling signals a direction
     heading under the cutoff, so the doubling continues until it crosses
     (the count increments) or levels off.  A section of more than DENSE_CAP
-    rows is refused with SizeOverflow before it is built.
+    rows is refused with SizeOverflow before it is built, and a start past
+    SECTION_CAP / 2, which leaves room for one section only and so can
+    never be accepted, with Unstable before any is built.
     """
     symbol = _as_one_var(symbol)
     if not symbol.coeffs:
@@ -277,6 +279,9 @@ def toeplitz_kernel_dim(symbol, start=None):
     prev = None
     while length <= SECTION_CAP:
         _check_rows((length + reach) * symbol.band_dim)
+        if prev is None and 2 * length > SECTION_CAP:
+            raise Unstable(f"kernel dimension needs two sections of at most {SECTION_CAP} "
+                           f"columns; start {length} leaves room for one")
         count, margin = _kernel_count(symbol.section((length + reach,), (length,)))
         if prev is not None and count == prev[0] and margin >= 0.3 * prev[1]:
             return count

@@ -12,7 +12,7 @@ from conftest import (
     random_canonical_2d,
     sin_mass_family,
 )
-from qtop import wiener_hopf
+from qtop import operators, wiener_hopf
 from qtop.errors import (
     ChiralViolation,
     DimensionMismatch,
@@ -208,6 +208,25 @@ def test_segment_index_refuses_a_tall_section_past_the_row_cap(monkeypatch):
     assert built == []
 
 
+def test_segment_index_refuses_a_start_with_room_for_one_section(monkeypatch):
+    """Kernel scans of z - 0.95 from 100 and 200 escalate within SECTION_CAP
+    (the adjoint's reach 800 on the way), but one from 800 could build only
+    one section: it is refused before that section is built."""
+    sym = scalar_1d([(1, 1.0), (0, -0.95)])
+    own = []
+    real = LaurentSymbol.section
+
+    def section(self, rows, cols):
+        if self is sym:
+            own.append(cols[0])
+        return real(self, rows, cols)
+
+    monkeypatch.setattr(LaurentSymbol, "section", section)
+    with pytest.raises(Unstable, match="start 800 leaves room for one"):
+        numerical_index(sym, sizes=(100, 200, 800))
+    assert own and 800 not in own
+
+
 def test_certify_fredholm_reports_direction():
     sym = LaurentSymbol(2, 2, [
         ((1, 0), np.diag([1.0, 0.0])),
@@ -329,7 +348,7 @@ def test_chiral_corner_spectrum_matches_dense_eigh(golden, case):
         "band3": lambda: _random_chiral(rng, 3),
     }[case]()
     for side in (1, 5, 10):
-        res = corner_spectrum(H, side=side)
+        res = corner_spectrum(H, side=side, participation=True)
         ref = np.linalg.eigvalsh(assemble(H, side))
         assert res.eigenvalues.shape == ref.shape
         assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -352,20 +371,107 @@ def test_chiral_corner_spectrum_keeps_the_full_row_cap(golden_H):
 
 
 def test_chiral_corner_spectrum_runs_no_dense_eigh(golden_H, monkeypatch):
-    eigh = np.linalg.eigh
+    eigh, svd = np.linalg.eigh, np.linalg.svd
 
     def small_eigh_only(a, *args, **kwargs):
         if a.shape[0] > 8:
             raise AssertionError(f"eigh of a {a.shape[0]}-row matrix")
         return eigh(a, *args, **kwargs)
 
+    def narrow_vectors_only(a, *args, compute_uv=True, **kwargs):
+        if compute_uv and a.shape[-1] > 2 + 2:  # k = 2 null vectors of T and of T*
+            raise AssertionError(f"SVD with vectors of a {a.shape[-1]}-column matrix")
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", small_eigh_only)
+    monkeypatch.setattr(np.linalg, "svd", narrow_vectors_only)
     res = corner_spectrum(golden_H, side=14)
     assert res.signed_count == 1
     assert len(res.zero_modes) == 4
     assert len(res.corner_modes) == 1
     assert res.corner_modes[0].chirality == 1.0
     assert res.spectral_gap >= 0.1
+    assert res.eigen_participation is None
+
+
+def _corner_cases(golden):
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return {
+        "golden": assemble_chiral(golden),
+        "adjoint": assemble_chiral(golden.adjoint()),
+        "golden2": assemble_chiral(golden.block_diag(golden)),
+        "conjugated": assemble_chiral(golden.conjugate_by(q)),
+        "band2": _random_chiral(rng, 2),
+        "band3": _random_chiral(rng, 3),
+        "zero": LaurentSymbol(2, 2, []),
+    }
+
+
+@pytest.mark.parametrize("case", ["golden", "adjoint", "golden2", "conjugated", "band2",
+                                  "band3", "zero"])
+def test_corner_spectrum_from_null_vectors_matches_the_full_svd(golden, case):
+    H = _corner_cases(golden)[case]
+    for side in [s for s in range(1, 21) if s * s * H.band_dim // 2 <= 800]:
+        res = corner_spectrum(H, side=side)
+        ref = corner_spectrum(H, side=side, participation=True)
+        assert res.eigen_participation is None
+        assert len(res.zero_modes) == len(ref.zero_modes)
+        assert len(res.corner_modes) == len(ref.corner_modes)
+        assert res.signed_count == ref.signed_count
+        # modes whose participations tie at rounding level may list in either order
+        assert sorted(m.chirality for m in res.zero_modes) == sorted(
+            m.chirality for m in ref.zero_modes)
+        parts = [m.corner_participation for m in res.zero_modes]
+        assert np.allclose(parts, [m.corner_participation for m in ref.zero_modes],
+                           rtol=0, atol=1e-12)
+        top = 1e-12 * max(np.max(np.abs(ref.eigenvalues)), 1e-300)
+        assert np.max(np.abs(res.eigenvalues - ref.eigenvalues)) <= top
+        assert abs(res.spectral_gap - ref.spectral_gap) <= top
+
+
+def test_null_basis_spans_the_kernels_of_t_and_its_adjoint(golden):
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    t = assemble(golden.conjugate_by(q), 8)
+    s = np.linalg.svd(t, compute_uv=False)
+    k = np.count_nonzero(s <= 1e-6)
+    right, left = operators._null_basis(t.copy(), s, k)
+    assert right.shape == left.shape == (t.shape[0], k) and k == 2
+    for basis, mat in ((right, t), (left, t.conj().T)):
+        assert np.allclose(basis.conj().T @ basis, np.eye(k), rtol=0, atol=1e-12)
+        assert np.linalg.norm(mat @ basis) <= 1e-12 * s[0]
+
+
+@pytest.mark.parametrize("failure", ["solve raises", "no basis accepted", "cluster not separated"])
+def test_corner_spectrum_falls_back_to_the_full_svd(golden, golden_H, monkeypatch, failure):
+    zero_tol = 1e-6
+    if failure == "cluster not separated":
+        # the zero pair of T and the next singular value g, with g / 5 as the
+        # zero tolerance: the pair stays the zero cluster, g lies under
+        # GAP_FACTOR * zero_tol, and no null basis is sought
+        g = np.linalg.svd(assemble(golden, 10), compute_uv=False)[-3]
+        zero_tol = g / 5
+    ref = corner_spectrum(golden_H, side=10, zero_tol=zero_tol, participation=True)
+    if failure == "solve raises":
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+    elif failure == "no basis accepted":
+        monkeypatch.setattr(operators, "NULL_RITZ_TOL", -1.0)
+    else:
+        assert len(ref.zero_modes) == 4 and not ref.separation_ok
+
+        def unseparated(*args):
+            raise AssertionError("null basis sought for a cluster that is not separated")
+
+        monkeypatch.setattr(operators, "_null_basis", unseparated)
+    res = corner_spectrum(golden_H, side=10, zero_tol=zero_tol)
+    assert res.eigen_participation is None
+    assert repr(res.to_dict()) == repr(ref.to_dict())
+    assert np.array_equal(res.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(res.eigen_chirality, ref.eigen_chirality)
 
 
 def test_spectral_flow_constant_family(golden_H):
