@@ -51,7 +51,6 @@ from .operators import (
     assemble,
     certify_fredholm,
     corner_spectrum,
-    dump_operator,
     kernel_dim,
     numerical_index,
     spectral_flow,
@@ -92,7 +91,6 @@ __all__ = [
     "assemble",
     "certify_fredholm",
     "corner_spectrum",
-    "dump_operator",
     "kernel_dim",
     "numerical_index",
     "spectral_flow",

@@ -44,7 +44,7 @@ from .extension import (
     check_w3_grid,
 )
 from .invariants import DEFAULT_GRID, gapped_invariant_report, w3
-from .operators import _write_dump, corner_spectrum, numerical_index, spectral_flow
+from .operators import corner_spectrum, numerical_index, spectral_flow
 from .symbols import az_class, check_symmetry, load_symbol, split_chiral
 from .wiener_hopf import canonical_factorize, verify_factorization
 
@@ -176,14 +176,6 @@ def _emit(report, out_path=None):
             fh.write(text)
 
 
-def _matrix_entry(value):
-    return [float(value.real), float(value.imag)]
-
-
-def _matrix_json(mat):
-    return [[_matrix_entry(v) for v in row] for row in np.asarray(mat)]
-
-
 def _matrix_display(mat):
     rows = []
     for row in np.asarray(mat):
@@ -223,7 +215,7 @@ def _cmd_factorize(args):
         "command": "factorize",
         "input": args.file,
         "variable": args.var,
-        "fixed_point": [_matrix_entry(v) for v in fixed],
+        "fixed_point": fixed,
         "partial_indices": list(fact.partial_indices),
         "truncation": fact.truncation,
         "residual": fact.residual,
@@ -351,7 +343,7 @@ def _cmd_extend(args):
             "command": "extend",
             "input": args.file,
             "point": dataclasses.asdict(point),
-            "value": _matrix_json(value),
+            "value": value,
             "value_display": _matrix_display(value),
         }
     if symbol.num_vars != 2:
@@ -380,6 +372,15 @@ def _cmd_extend(args):
         "seam_residual": max(ext.seam_residuals.values()),
         "files": paths,
     }
+
+
+def _write_dump(path, header, values):
+    """Raw binary dump: the int64 ``header``, then ``values`` in C order as
+    interleaved re/im float64 pairs."""
+    values = np.asarray(values, dtype=complex)
+    with open(path, "wb") as fh:
+        np.asarray(header, dtype=np.int64).tofile(fh)
+        np.stack([values.real, values.imag], axis=-1).tofile(fh)
 
 
 def _cmd_symmetry(args):
@@ -451,7 +452,9 @@ def _build_parser():
         metavar="VAR=VALUE",
         help="freeze another variable at a complex value (repeatable)",
     )
-    p.add_argument("--trunc", type=int, default=None, help="initial series truncation")
+    p.add_argument("--trunc", type=int, default=None,
+                   help="series truncation, solved once and kept (default: from 32, "
+                   "doubled until the defect converges)")
     p.set_defaults(func=_cmd_factorize)
 
     p = subs.add_parser("index", help="Fredholm index and/or W3")

@@ -15,7 +15,7 @@ counts across truncation sizes is still required and reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .wiener_hopf import (
 
 __all__ = [
     "assemble",
-    "dump_operator",
     "kernel_dim",
     "numerical_index",
     "IndexReport",
@@ -69,21 +68,6 @@ def assemble(symbol, side):
     box = (side,) * symbol.num_vars
     _check_rows(math.prod(box) * symbol.band_dim)
     return symbol.section(box, box)
-
-
-def _write_dump(path, header, values):
-    """Raw binary dump: the int64 ``header``, then ``values`` in C order as
-    interleaved re/im float64 pairs."""
-    values = np.asarray(values, dtype=complex)
-    with open(path, "wb") as fh:
-        np.asarray(header, dtype=np.int64).tofile(fh)
-        np.stack([values.real, values.imag], axis=-1).tofile(fh)
-
-
-def dump_operator(matrix, band_dim, path):
-    """Raw dense dump: int64 header (rows, cols, band_dim), then the matrix
-    entries row-major as interleaved re/im float64 pairs."""
-    _write_dump(path, [*matrix.shape, band_dim], matrix)
 
 
 def kernel_dim(*blocks):
@@ -154,8 +138,9 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
     while they do not, the side grows by 4 past the last one, at most
     ADDED_SIDES times and as long as both sections stay within DENSE_CAP
     rows, and ``sizes`` in the report lists every side tried.  A two-variable
-    symbol whose coefficients share reducing subspaces W_i (band_dim <= 16)
-    is counted block by block, with the counts of the undivided section:
+    symbol is counted block by block over the reducing subspaces W_i its
+    coefficients share (one, the whole space, when they share none or
+    band_dim > 16), with the counts of the undivided section:
     the blocks W_i* f W_i fall into classes of unitarily equivalent ones,
     found once per symbol (f* has the same), and each class gets one
     section on the rows of the whole symbol's reach, passed to one
@@ -173,18 +158,14 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
         raise InputError(f"truncation sizes must be >= 1, got {tuple(sizes)}")
     if symbol.num_vars == 2:
         certify_fredholm(symbol)
+        classes = [(LaurentSymbol(2, c[0].shape[1], [(k, c[0].conj().T @ a @ c[0])
+                                                     for k, a in symbol.coeffs.items()]),
+                    len(c))
+                   for c in _reducing_subspaces(symbol)]
+        adj_classes = [(part.adjoint(), members) for part, members in classes]
     else:
         wind = certify_invertible(symbol)
     adj = symbol.adjoint()
-    classes = [(symbol, 1)]
-    if symbol.num_vars == 2:
-        found = _reducing_subspaces(symbol)  # the adjoint has the same ones
-        if sum(map(len, found)) > 1:
-            classes = [(LaurentSymbol(2, c[0].shape[1], [(k, c[0].conj().T @ a @ c[0])
-                                                         for k, a in symbol.coeffs.items()]),
-                        len(c))
-                       for c in found]
-    adj_classes = [(part.adjoint(), members) for part, members in classes]
     sizes = [int(s) for s in sizes]
     last = len(sizes) + ADDED_SIDES
     kers, coks, values = [], [], []
@@ -263,23 +244,13 @@ class CornerSpectrumResult:
     eigen_participation: np.ndarray | None = None
 
     def to_dict(self):
-        def rows(modes):
-            return [
-                {
-                    "value": zm.value,
-                    "chirality": zm.chirality,
-                    "corner_participation": zm.corner_participation,
-                }
-                for zm in modes
-            ]
-
         return {
             "side": self.side,
             "zero_tol": self.zero_tol,
             "num_zero_modes": len(self.zero_modes),
-            "zero_modes": rows(self.zero_modes),
+            "zero_modes": [asdict(zm) for zm in self.zero_modes],
             "num_corner_modes": len(self.corner_modes),
-            "corner_modes": rows(self.corner_modes),
+            "corner_modes": [asdict(zm) for zm in self.corner_modes],
             "signed_count": self.signed_count,
             "spectral_gap": self.spectral_gap,
             "corner_floor": self.corner_floor,
@@ -477,7 +448,10 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5,
     _check_rows(side * side * symbol.band_dim)
     solve = _chiral_corner if chiral else _hermitian_corner
     vals, chirality, weights, modes = solve(symbol, side, zero_tol, participation)
-    zero_modes = sorted(modes, key=lambda m: -m.corner_participation)
+    # ties at rounding level list the chirality +1 modes first, so that the
+    # order does not depend on which solver gave the vectors
+    zero_modes = sorted(modes, key=lambda m: (-round(m.corner_participation, 12),
+                                              -m.chirality if chiral else 0.0))
     corner_modes = [m for m in zero_modes if m.corner_participation >= corner_floor]
     rest = np.abs(vals)[np.abs(vals) > zero_tol]
     gap = float(rest.min()) if rest.size else 0.0

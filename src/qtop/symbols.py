@@ -139,10 +139,6 @@ class LaurentSymbol:
         """Read-only view of the coefficient dictionary."""
         return dict(self._coeffs)
 
-    @property
-    def exponents(self):
-        return sorted(self._coeffs)
-
     def coeff(self, exponents):
         """Coefficient at an exponent vector (zero matrix if absent)."""
         key = tuple(int(e) for e in exponents)
@@ -381,11 +377,6 @@ class LaurentSymbol:
             # branch on the sign of zero, so spectra then do not depend on it
             out[(*xs, slice(None), *ys, slice(None))] += a
         return out.reshape(math.prod(rows) * n, math.prod(cols) * n)
-
-    # ------------------------------------------------------------- JSON
-
-    def to_dict(self):
-        return symbol_to_dict(self)
 
 
 COMMUTANT_MAX_BAND = 16  # largest band whose default index sections fit DENSE_CAP

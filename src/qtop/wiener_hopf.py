@@ -57,7 +57,7 @@ from .errors import (
     Unstable,
     WindowTooSmall,
 )
-from .symbols import GRID_CAP, LaurentSymbol, _check_rows
+from .symbols import DENSE_CAP, GRID_CAP, LaurentSymbol, _check_rows
 
 __all__ = [
     "FactorizationResult",
@@ -410,7 +410,8 @@ def _solve_stack(slices, m):
     band storage (``_band_solve``), then, each on its own dense section with
     ``np.linalg.solve``, every slice whose band result the certificate does
     not prove (non-finite, or a bound that fails), so that the unpivoted LU
-    only ever proves a slice canonical.  Per slice h, its ``_factor_coeffs``
+    only ever proves a slice canonical; past DENSE_CAP rows the band result
+    stays, uncertified.  Per slice h, its ``_factor_coeffs``
     factors (c, b, defect) and the certificate's bound on cond(T_f), None
     when it fails; None in place of all three for a singular section."""
     n = slices[0].band_dim
@@ -418,7 +419,7 @@ def _solve_stack(slices, m):
     coeffs = np.stack([_coeff_stack(sl) for sl in slices])
     out = _certified(coeffs, lo, _band_solve(coeffs, lo, m))
     for i, sl in enumerate(slices):
-        if out[i][2] is None:
+        if out[i][2] is None and (m + 1) * n <= DENSE_CAP:
             try:
                 h = np.linalg.solve(sl.section((m + 1,), (m + 1,)), np.eye((m + 1) * n, n))
             except np.linalg.LinAlgError:
@@ -506,7 +507,8 @@ def _section_condition(symbol, m):
     """2-norm condition of the (m+1)-block section, for a solve whose bound
     failed: exact up to EXACT_COND_ROWS rows, beyond that max ||A^{-1} x|| *
     ||A||_F over three seeded unit probes x (a lower bound is enough for the
-    COND_CAP decision)."""
+    COND_CAP decision); SizeOverflow past DENSE_CAP rows before any is built."""
+    _check_rows((m + 1) * symbol.band_dim)
     mat = symbol.section((m + 1,), (m + 1,))
     rows = mat.shape[0]
     if rows <= EXACT_COND_ROWS:
@@ -655,11 +657,6 @@ def _open_stack(slices, m):
     return out
 
 
-def _open(symbol, m):
-    """``_open_stack`` of one slice, raising its error."""
-    return _unwrap(_open_stack([symbol], m)[0])
-
-
 def canonical_factorize(symbol, truncation=None):
     """Compute the canonical factorization of a one-variable symbol.
 
@@ -684,35 +681,26 @@ def canonical_factorize(symbol, truncation=None):
         )
     symbol = _as_one_var(symbol)
     m = truncation if truncation is not None else FIRST_TRUNCATION
-    return _factorize(symbol, _open(symbol, m), truncation)
+    return _factorize(symbol, _unwrap(_open_stack([symbol], m)[0]), truncation)
 
 
 def _factorize(symbol, opened, truncation):
-    """canonical_factorize from the ``_open`` result of ``symbol``: its
-    doubling loop starts from the opening solve."""
+    """canonical_factorize from the ``_open_stack`` result of ``symbol``:
+    its doubling loop starts from the opening solve.  A constant f = a is
+    its own f_+, with f_- = I, no defect and the condition of a."""
     m, solved, indices = opened
     n = symbol.band_dim
-    lo, hi = symbol.exponent_range(0)
-    if lo == hi == 0:
-        a = symbol.coeff((0,))
-        return FactorizationResult(
-            symbol=symbol,
-            partial_indices=tuple([0] * n),
-            minus_coeffs=np.eye(n, dtype=complex)[None, :, :],
-            plus_coeffs=np.asarray(a, dtype=complex)[None, :, :],
-            plus_inv_coeffs=np.linalg.inv(a)[None, :, :],
-            truncation=0,
-            residual=0.0,
-            condition=float(np.linalg.cond(a)),
-            defect=0.0,
-        )
-    if any(indices):
-        raise NotCanonical(indices)
-    if solved is None:  # none kept, or a singular section, which raises Unstable
-        solved = _solve_section(symbol, m)
     scale = symbol.coeff_norm()
+    if symbol.exponent_range(0) == (0, 0):
+        a = symbol.coeff((0,))
+        m, defect, cond = 0, 0.0, float(np.linalg.cond(a))
+        h_stack, c_stack, b_stack = np.linalg.inv(a)[None], np.eye(n, dtype=complex)[None], a[None]
+    elif any(indices):
+        raise NotCanonical(indices)
+    elif solved is None:  # none kept, or a singular section, which raises Unstable
+        solved = _solve_section(symbol, m)
     previous = np.inf
-    while True:
+    while solved is not None:
         h_stack, (c_stack, b_stack, defect), cond = solved
         if cond is None:
             cond = _section_condition(symbol, m)
@@ -869,12 +857,15 @@ class VerificationReport:
 
 def verify_factorization(fact):
     """Independent residual + tail-decay check of a FactorizationResult:
-    sup |f_- f_+ - f| on a VERIFY_GRID-point circle grid, and the size of
-    the last solved f_+^{-1} coefficient relative to the first."""
+    sup |f_- f_+ - f| on a VERIFY_GRID-point circle grid, evaluated in
+    chunks of at most GRID_CAP matrix entries, and the size of the last
+    solved f_+^{-1} coefficient relative to the first."""
     zs = np.exp(2j * np.pi * np.arange(VERIFY_GRID) / VERIFY_GRID)
-    fvals = fact.symbol.eval_grid([zs])
-    recon = fact.minus_values(zs) @ fact.plus_values(zs)
-    residual = float(np.linalg.norm(recon - fvals, axis=(-2, -1)).max())
+    step = max(1, GRID_CAP // fact.band_dim ** 2)
+    residual = float(np.max([
+        np.linalg.norm(fact.minus_values(z) @ fact.plus_values(z) - fact.symbol.eval_grid([z]),
+                       axis=(-2, -1)).max()
+        for z in (zs[i:i + step] for i in range(0, VERIFY_GRID, step))]))
     h = fact.plus_inv_coeffs
     head = float(np.linalg.norm(h[0]))
     tail = float(np.linalg.norm(h[-1])) / max(head, 1e-300) if len(h) > 1 else 0.0

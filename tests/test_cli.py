@@ -16,7 +16,7 @@ from conftest import (
 import qtop
 from qtop import __version__, cli
 from qtop.errors import NonConvergent
-from qtop.extension import check_samples
+from qtop.extension import ExtendedSymbol, check_samples
 from qtop.operators import IndexReport
 from qtop.symbols import LaurentSymbol, assemble_chiral, save_symbol, symbol_to_dict
 
@@ -435,6 +435,7 @@ def test_factorize_golden_slice(capsys, golden_file, tmp_path):
     ])
     assert code == 0
     assert rep["partial_indices"] == [0, 0]
+    assert rep["fixed_point"] == [[0.0, 1.0]]
     assert rep["residual"] <= 1e-8
     assert rep["verification_residual"] <= 1e-8
     assert json.loads("\n".join(out.read_text().splitlines()[1:])) == rep
@@ -444,6 +445,17 @@ def test_factorize_golden_slice(capsys, golden_file, tmp_path):
     ])
     assert code == 0 and rep["truncation"] == 0
     assert rep["residual"] <= 1e-12 and rep["verification_residual"] <= 1e-12
+
+
+def test_json_default_encodes_numpy_scalars_complex_and_arrays():
+    assert cli._json_default(np.int64(3)) == 3 and type(cli._json_default(np.int64(3))) is int
+    assert type(cli._json_default(np.float64(0.5))) is float
+    assert cli._json_default(complex(1.5, -2.0)) == [1.5, -2.0]
+    assert cli._json_default(np.arange(3)) == [0, 1, 2]
+    text = json.dumps({"m": np.array([[1j, 2.0]])}, default=cli._json_default)
+    assert text == '{"m": [[[0.0, 1.0], [2.0, 0.0]]]}'
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        cli._json_default({1})
 
 
 def test_out_duplicates_error_reports(capsys, golden_file, tmp_path):
@@ -763,10 +775,12 @@ def test_extend_eval_matches_closed_form(capsys, golden_file):
     ])
     assert code == 0
     got = np.array([[re + 1j * im for re, im in row] for row in rep["value"]])
-    want = golden_closed_form().value(
-        cli._parse_chart_point("chart=DT;theta=0;rho=0;phi=0.5")
-    )
+    point = cli._parse_chart_point("chart=DT;theta=0;rho=0;phi=0.5")
+    want = golden_closed_form().value(point)
     assert np.max(np.abs(got - want)) <= 1e-8
+    # the value is written entry by entry as an [re, im] pair
+    value = ExtendedSymbol(golden_symbol(), samples_per_circle=8).value(point)
+    assert rep["value"] == [[[v.real, v.imag] for v in row] for row in value.tolist()]
     assert rep["value_display"].startswith("[[0, ")
 
 

@@ -23,25 +23,28 @@ from qtop.errors import (
     NotFredholm,
     QtopError,
     SingularOnTorus,
+    SizeOverflow,
     Unstable,
 )
 from qtop.operators import spectral_flow
-from qtop.symbols import LaurentSymbol, assemble_chiral
+from qtop.symbols import DENSE_CAP, LaurentSymbol, assemble_chiral
 from qtop.wiener_hopf import (
     COND_CAP,
     EXACT_COND_ROWS,
     FIRST_TRUNCATION,
+    MAX_TRUNCATION,
+    VERIFY_GRID,
     _band_solve,
     _coeff_stack,
     _factor_coeffs,
     _factorize,
     _kernel_count,
-    _open,
     _open_stack,
     _section_condition,
     _slice_table,
     _solve_section,
     _solve_stack,
+    _unwrap,
     _wiener_certificate,
     canonical_factorize,
     certify_invertible,
@@ -552,7 +555,7 @@ def test_doubling_that_raises_the_defect_is_nonconvergent(monkeypatch):
 
 def _single_opening(symbol, m):
     try:
-        return _open(symbol, m)
+        return _unwrap(_open_stack([symbol], m)[0])
     except QtopError as exc:
         return exc
 
@@ -713,6 +716,46 @@ def test_slice_whose_bound_fails_is_solved_again_densely(monkeypatch):
     assert built == [twisted]
     assert [s[2] is None for s in solved] == [False, True, False]
     assert np.array_equal(solved[1][0], _dense_h(twisted, FIRST_TRUNCATION))
+
+
+def test_verify_grid_is_evaluated_in_chunks_within_grid_cap(monkeypatch):
+    fact = canonical_factorize(golden_symbol().slice(0, (np.exp(1.1j),)))
+    whole = verify_factorization(fact)
+    sizes = []
+    real = LaurentSymbol.eval_grid
+
+    def recorded(self, axes):
+        out = real(self, axes)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(LaurentSymbol, "eval_grid", recorded)
+    monkeypatch.setattr(qtop.wiener_hopf, "GRID_CAP", 100)
+    assert verify_factorization(fact) == whole
+    assert max(sizes) <= 100 and sum(sizes) == VERIFY_GRID * 4 and len(sizes) == 21
+
+
+def test_slice_sections_stay_within_the_dense_cap(monkeypatch):
+    """At MAX_TRUNCATION a band-2 section has 8194 rows: diag(z, 1/z) skips
+    the dense re-solve and is decided by its partial indices, and the
+    condition of the canonical [[z, 1], [0, 1/z]], whose band result is not
+    certified, is refused before its section is built."""
+    real = LaurentSymbol.section
+
+    def capped(self, rows, cols):
+        if math.prod(rows) * self.band_dim > DENSE_CAP:
+            raise AssertionError(f"section of {math.prod(rows) * self.band_dim} rows")
+        return real(self, rows, cols)
+
+    monkeypatch.setattr(LaurentSymbol, "section", capped)
+    diag = _diag_monomial((1, -1))
+    with pytest.raises(NotCanonical) as err:
+        canonical_factorize(diag, truncation=MAX_TRUNCATION)
+    assert err.value.indices == (1, -1)
+    upper = LaurentSymbol(1, 2, [((1,), np.diag([1.0, 0.0])), ((0,), [[0.0, 1.0], [0.0, 0.0]]),
+                                 ((-1,), np.diag([0.0, 1.0]))])
+    with pytest.raises(SizeOverflow):
+        canonical_factorize(upper, truncation=MAX_TRUNCATION)
 
 
 def test_flow_slices_open_in_few_stacks(monkeypatch):
