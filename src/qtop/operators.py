@@ -58,6 +58,13 @@ FLOW_CORNER_FLOOR = 0.25  # corner participation of a tracked flow state
 ADDED_SIDES = 3           # sides numerical_index may add past a two-variable run's own
 NULL_NOISE = 1e-14        # norm of _null_basis's perturbation, relative to sigma_max
 NULL_RITZ_TOL = 1e-12     # Ritz values accepted within this times sigma_max
+NULL_BLOCK = 4            # first block width of _null_basis, doubled up to NULL_BLOCK_MAX
+NULL_BLOCK_MAX = 64
+LANCZOS_STEPS = 40        # at most this many Lanczos steps for the gap estimate
+LANCZOS_TOL = 1e-12       # Lanczos converged: residual at most this times the Ritz value
+CERT_SHRINK = 1e-10       # the inertia shift sits this fraction below the gap estimate
+ROUNDING_GUARD = 1e4      # the shift squared must exceed this times n eps ||T||^2
+PANEL = 32                # rows or columns per panel of the Gram product and its Cholesky
 
 
 def assemble(symbol, side):
@@ -224,14 +231,16 @@ class CornerSpectrumResult:
     the modes that live there.
 
     ``eigenvalues`` ascend.  ``eigen_participation`` is the corner weight of
-    each eigenvector, None unless asked for.  ``eigen_chirality`` (chiral
+    each eigenvector, None unless asked for; for chiral input
+    ``eigenvalues`` and ``eigen_chirality`` are None then too, since the
+    zero count and the gap come without them.  ``eigen_chirality`` (chiral
     input only) is 0 for the eigenvectors (v, +-u)/sqrt(2) of a pair
     +-sigma above the zero tolerance, and +1 or -1 for the pure-chirality
     states (v, 0) and (0, u) that stand at +sigma and -sigma of a pair
     below it.
     """
 
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray | None
     zero_modes: tuple
     corner_modes: tuple
     signed_count: int | None
@@ -286,59 +295,229 @@ def _refined_cluster_basis(block, corner_mask):
     return block @ rot[:, np.argsort(weights)[::-1]]
 
 
-def _null_basis(mat, sing, k):
-    """Orthonormal bases of the k null vectors of ``mat`` and of ``mat*``
-    by seeded randomized inverse iteration, or None when a basis fails its
-    check (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011).
+def _null_basis(mat, zero_tol, sigma):
+    """Seeded block inverse iteration on ``mat`` and ``mat.T`` (Halko,
+    Martinsson & Tropp, SIAM Rev. 53, 2011): ``(sides, noise)``, or None
+    when a solve raises or the block would pass NULL_BLOCK_MAX columns.
 
-    ``sing`` holds the singular values of ``mat``, descending.  A seeded
-    real Gaussian of norm about NULL_NOISE * sing[0] is added to ``mat`` in
-    place, so that an exactly singular section still solves.  Each side
-    solves against k + 2 seeded columns, orthonormalizes by QR and keeps
-    the k Ritz vectors of the small SVD of ``mat`` times that basis; the
-    adjoint side solves against ``mat.T`` and conjugates, so ``mat*`` is
-    never formed.  A basis is accepted when its k Ritz values lie within
-    delta = NULL_RITZ_TOL * sing[0] of the k smallest of ``sing``; a side
-    solves again from its last basis at most 3 times, since a further step
-    can also lose the null space (golden + golden).  A raising solve or no
-    accepted basis returns None, and the caller decomposes in full.
-
-    The check reads values, not vectors: an accepted basis lies within a
-    subspace angle of about sqrt(2 k sing[-k] delta) / sing[-k-1] of the
-    true one, tight for exact null vectors and looser for a near-zero
-    cluster, so the caller uses it only for a cluster well separated from
-    the rest of the spectrum.
+    A seeded real Gaussian of norm about NULL_NOISE * ``sigma`` (a lower
+    bound on sigma_max) is added to ``mat`` in place, in row panels, so
+    that an exactly singular section still solves; ``noise``, its
+    Frobenius norm, bounds how far any singular value moved.  Each side
+    solves against a block of seeded columns, orthonormalizes it by QR and
+    keeps the block q, the Ritz values of ``mat`` on it ascending and the
+    matching rows of V* (``_kernels`` makes the bases; ``mat*`` is never
+    formed).  The block starts at NULL_BLOCK columns and, on the first
+    side, doubles while fewer than 2 Ritz values lie above ``zero_tol``.
+    A side solves again from its last block, 3 solves in all, until the
+    Ritz values at or below ``zero_tol`` lie within NULL_RITZ_TOL * sigma
+    of zero; a further step can also lose the null space (golden +
+    golden), so the last block is kept and the caller checks it.  By
+    interlacing, the j-th Ritz value bounds the j-th smallest singular
+    value of ``mat`` from above, within ``noise``.
     """
     n = mat.shape[0]
-    if k == 0:
-        return (np.zeros((n, 0), dtype=mat.dtype),) * 2
     rng = np.random.default_rng(0)
-    noise = rng.standard_normal(mat.shape)
-    noise *= NULL_NOISE * sing[0] / (2.0 * math.sqrt(n))  # 2 sqrt(n): norm of a Gaussian square
-    mat += noise
-    del noise
-    start = rng.standard_normal((n, min(k + 2, n)))
-    bases = []
+    panel = np.empty((min(PANEL, n), n))
+    noise = 0.0
+    for j in range(0, n, PANEL):
+        rows = panel[:min(PANEL, n - j)]
+        rng.standard_normal(out=rows)
+        rows *= NULL_NOISE * sigma / (2.0 * math.sqrt(n))  # 2 sqrt(n): norm of a Gaussian square
+        mat[j:j + PANEL] += rows
+        noise += float(np.vdot(rows, rows))
+    del panel, rows
+    width = min(NULL_BLOCK, n)
+    sides = []
     for a in (mat, mat.T):
-        x = start
-        for _ in range(3):
+        x, solves = rng.standard_normal((n, width)), 0
+        while solves < 3:
             try:
                 q = np.linalg.qr(np.linalg.solve(a, x))[0]
                 _, ritz, wh = np.linalg.svd(a @ q, full_matrices=False)
             except np.linalg.LinAlgError:
                 return None
-            if np.all(np.abs(ritz[-k:] - sing[-k:]) <= NULL_RITZ_TOL * sing[0]):
-                bases.append(q @ wh[-k:].conj().T)
+            ritz, wh = ritz[::-1], wh[::-1]
+            k = np.count_nonzero(ritz <= zero_tol)
+            if not sides and width - k < 2:
+                if 2 * width > min(n, NULL_BLOCK_MAX):
+                    return None
+                width *= 2
+                x = rng.standard_normal((n, width))
+                continue
+            solves += 1
+            if np.all(ritz[:k] <= NULL_RITZ_TOL * sigma):
                 break
             x = q
-        else:
+        sides.append((q, ritz, wh))
+    return sides, math.sqrt(noise)
+
+
+def _kernels(sides, k):
+    """Orthonormal bases of the k null vectors of T and of T* from the
+    blocks of ``_null_basis``."""
+    (q, _, wh), (q_adj, _, wh_adj) = sides
+    return q @ wh[:k].conj().T, (q_adj @ wh_adj[:k].conj().T).conj()
+
+
+def _lanczos_floor(mat, basis):
+    """Square root of the smallest Ritz value of G = mat* mat off the
+    orthonormal ``basis``, by seeded Lanczos with full reorthogonalization
+    (G applied, never formed), or None when LANCZOS_STEPS steps do not
+    bring its residual to LANCZOS_TOL times itself."""
+    n, k = basis.shape
+    steps = min(LANCZOS_STEPS, n - k)
+    vecs = np.empty((steps + 1, n), dtype=mat.dtype)  # Lanczos vectors as rows
+    diag, off = np.zeros(steps), np.zeros(steps)
+    x = np.random.default_rng(1).standard_normal(n).astype(mat.dtype)
+    x -= basis @ (basis.conj().T @ x)
+    vecs[0] = x / np.linalg.norm(x)
+    for j in range(steps):
+        w = ((mat @ vecs[j]).conj() @ mat).conj()  # mat* mat v, with no conjugate of mat
+        diag[j] = np.vdot(vecs[j], w).real
+        for _ in range(2):
+            w -= basis @ (basis.conj().T @ w)
+            w -= vecs[:j + 1].T @ (vecs[:j + 1].conj() @ w)
+        off[j] = np.linalg.norm(w)
+        theta, rot = np.linalg.eigh(np.diag(diag[:j + 1]) + np.diag(off[:j], 1)
+                                    + np.diag(off[:j], -1))
+        if theta[0] > 0 and off[j] * abs(rot[j, 0]) <= LANCZOS_TOL * theta[0]:
+            # ||mat y|| for the Ritz vector y: sqrt(theta) without the
+            # rounding of G, which is relative to ||G||, not to theta
+            return float(np.linalg.norm(mat @ (rot[:, 0] @ vecs[:j + 1])))
+        if off[j] == 0.0:
             return None
-    return bases[0], bases[1].conj()
+        vecs[j + 1] = w / off[j]
+    return None
+
+
+def _cholesky_in_place(a):
+    """Overwrite the lower triangle of the hermitian ``a``, the only part
+    read, with its Cholesky factor, PANEL columns at a time (left-looking,
+    so no temporary is wider than a panel); LinAlgError when ``a`` is not
+    positive definite."""
+    n = a.shape[0]
+    for j in range(0, n, PANEL):
+        end = min(j + PANEL, n)
+        if j:
+            a[j:, j:end] -= a[j:, :j] @ a[j:end, :j].conj().T
+        a[j:end, j:end] = np.linalg.cholesky(a[j:end, j:end])
+        if end < n:
+            a[end:, j:end] = np.linalg.solve(a[j:end, j:end], a[end:, j:end].conj().T).conj().T
+
+
+def _inertia_certificate(h, side, zero_tol):
+    """Zero count k, gap and null bases of T, the section of ``h``, proven
+    with no decomposition of T (spectrum slicing by Sylvester's law of
+    inertia; Parlett, The Symmetric Eigenvalue Problem, 1998).
+
+    Returns ``(blocks, found)``: ``blocks`` from ``_null_basis`` (None if
+    it failed) and ``found`` = ``(kernels, gap, low, residual)``, None
+    when a step refuses.  k Ritz values of both blocks at most NULL_RITZ_TOL *
+    sigma, and with ``noise`` at most ``zero_tol``, prove at least k
+    singular values at or below ``zero_tol`` (Courant-Fischer).  ``gap``
+    is r from ``_lanczos_floor`` on G = T*T off the null basis Q of T.
+    With g = r (1 - CERT_SHRINK) and alpha >= ||T||^2 (from the
+    coefficients' Frobenius norms), one successful Cholesky of G + alpha
+    QQ* - g^2 I proves at most k singular values below g, since a rank-k
+    update lifts at most k eigenvalues.  So the count is exactly k, and
+    sigma_{k+1} lies between ``low`` (g less ``noise`` and the rounding
+    the guard admits) and the block's (k+1)-th Ritz value; ``low`` must
+    exceed GAP_FACTOR * zero_tol.  Rounding guard: g^2 must exceed
+    ROUNDING_GUARD * n * eps * alpha, the size of the rounding of G and of
+    its Cholesky; the block's (k+1)-th Ritz value, an upper bound on g,
+    meets it and the separation before Lanczos runs.  ``residual`` bounds
+    ||T Q|| and ||T* P|| for the bases Q and P of T and T*.  T is
+    perturbed in place and dropped once the lower triangle of G is built
+    in row panels; the lift, the shift and the Cholesky work in place on
+    it.
+    """
+    t = assemble(h, side)
+    mid = (side // 2) * (side + 1) * h.band_dim  # the middle site's first column
+    sigma = float(np.linalg.norm(t[:, mid:mid + h.band_dim], axis=0).max())
+    blocks = _null_basis(t, zero_tol, sigma) if sigma > 0 else None
+    if blocks is None:
+        return None, None
+    sides, noise = blocks
+    (_, ritz, _), (_, ritz_adj, _) = sides
+    n = t.shape[0]
+    k = int(np.count_nonzero(ritz <= zero_tol))
+    largest = max(ritz[k - 1], ritz_adj[k - 1]) if k else 0.0
+    residual = largest + noise
+    alpha = (sum(np.linalg.norm(a) for a in h.coeffs.values()) + noise) ** 2
+    guard = ROUNDING_GUARD * n * np.finfo(float).eps * alpha
+    top = ritz[k]
+    if (np.count_nonzero(ritz_adj <= zero_tol) != k or largest > NULL_RITZ_TOL * sigma
+            or (k and residual > zero_tol)
+            or top <= GAP_FACTOR * zero_tol or top * top <= guard):
+        return blocks, None
+    kernels = _kernels(sides, k)
+    right = kernels[0]
+    gap = _lanczos_floor(t, right)
+    if gap is None:
+        return blocks, None
+    g = gap * (1.0 - CERT_SHRINK)
+    low = g * math.sqrt(1.0 - 1.0 / ROUNDING_GUARD) - noise
+    if g > top or g * g <= guard or low <= GAP_FACTOR * zero_tol:
+        return blocks, None
+    gram = np.zeros_like(t)  # the lower triangle of G, which alone the Cholesky reads
+    for j in range(0, n, PANEL):
+        end = min(j + PANEL, n)
+        np.matmul(t[:, j:end].conj().T, t[:, :end], out=gram[j:end, :end])
+    del t
+    for j in range(0, n, PANEL):
+        end = min(j + PANEL, n)
+        gram[j:end, :end] += (alpha * right[j:end]) @ right[:end].conj().T
+    gram.reshape(-1)[::n + 1] -= g * g
+    try:
+        _cholesky_in_place(gram)
+    except np.linalg.LinAlgError:
+        return blocks, None
+    return blocks, (kernels, gap, low, residual)
+
+
+def _values_fallback(h, side, zero_tol, blocks):
+    """``(kernels, gap, gap, residual)`` like ``_inertia_certificate``'s,
+    from the values-only SVD of T and the ``blocks`` it solved, or None.
+    The blocks serve when the k singular values at or below ``zero_tol``
+    lie more than GAP_FACTOR * zero_tol below the gap and match the k
+    smallest Ritz values of each block within NULL_RITZ_TOL * sigma_max;
+    k = 0 needs none."""
+    s = np.linalg.svd(assemble(h, side), compute_uv=False)
+    k, gap = _zero_count(s, zero_tol)
+    if k == 0:
+        return (np.zeros((s.size, 0)),) * 2, gap, gap, 0.0
+    if blocks is None or gap <= GAP_FACTOR * zero_tol:
+        return None
+    sides, noise = blocks
+    if k > sides[0][1].size or any(np.any(np.abs(ritz[:k] - s[::-1][:k]) > NULL_RITZ_TOL * s[0])
+                                   for _, ritz, _ in sides):
+        return None
+    return _kernels(sides, k), gap, gap, max(ritz[k - 1] for _, ritz, _ in sides) + noise
+
+
+def _zero_count(s, zero_tol):
+    """The number k of the singular values ``s`` (descending) at or below
+    ``zero_tol``, and the smallest one above it (0.0 when none is)."""
+    k = int(np.count_nonzero(s <= zero_tol))
+    return k, float(s[-k - 1]) if k < s.size else 0.0
+
+
+def _chiral_modes(kernels, mask):
+    """Zero modes of the null bases of T (chirality +1) and T* (-1)."""
+    modes = []
+    for chi, block in zip((1.0, -1.0), kernels):
+        basis = _refined_cluster_basis(block, mask)
+        modes += [
+            ZeroMode(value=0.0, chirality=chi, corner_participation=float(part))
+            for part in _participation(basis, mask)
+        ]
+    return modes
 
 
 def _hermitian_corner(symbol, side, zero_tol, participation):
-    """Eigenvalues, participations (with ``participation``) and zero modes
-    from one dense eigh."""
+    """Eigenvalues, participations (with ``participation``), zero modes
+    and gap from one dense eigh."""
     mat = assemble(symbol, side)
     vals, vecs = np.linalg.eigh(mat)
     mask = _corner_mask(side, symbol.band_dim)
@@ -351,56 +530,60 @@ def _hermitian_corner(symbol, side, zero_tol, participation):
         )
         for psi, part in zip(basis.T, _participation(basis, mask))
     ]
-    return vals, None, _participation(vecs, mask) if participation else None, modes
+    rest = np.abs(vals)[np.abs(vals) > zero_tol]
+    return (vals, None, _participation(vecs, mask) if participation else None, modes,
+            float(rest.min()) if rest.size else 0.0)
 
 
-def _chiral_corner(symbol, side, zero_tol, participation):
-    """Eigenvalues, chiralities, participations and zero modes of the
-    truncated H = [[0, T*], [T, 0]] from the singular values of T = P h P.
+def _chiral_corner(symbol, side, zero_tol, corner_floor, participation):
+    """Eigenvalues, chiralities, participations, zero modes and gap of the
+    truncated H = [[0, T*], [T, 0]] from T = P h P.
 
     The grading acts site by site, so the spectrum is +-sigma(T); ker T
     carries chirality +1 and ker T* chirality -1, exactly.  With
     ``participation``, one full SVD of T gives every vector and its corner
-    weight.  Without it, a values-only SVD gives sigma and ``_null_basis``
-    the null vectors alone, and the participations are None.  The full SVD
-    is taken instead when the zero cluster is not separated from the rest
-    by more than GAP_FACTOR * zero_tol, or when ``_null_basis`` returns
-    None.
+    weight.  Without it, the eigenvalues, chiralities and participations
+    are None, and the zero count k, the gap sigma_{k+1} and the null bases
+    come from ``_inertia_certificate``; when it refuses, from
+    ``_values_fallback``, which checks the blocks already solved against a
+    values-only SVD; otherwise from the full SVD.
+
+    An accepted pair of bases is then held to Wedin's sin-theta bound
+    (BIT 12, 1972): with ``residual`` >= ||T Q||, ||T* P|| and ``low`` a
+    lower bound on sigma_{k+1}, both lie within an angle of sin = residual
+    / (low - residual) of the null spaces of T and T*.  Each refined
+    participation, an eigenvalue of the compressed corner projector, is
+    then within 2 sin of the full SVD's.  When 2 sin reaches any zero
+    mode's distance to ``corner_floor``, the full SVD is taken instead, so
+    every corner classification is proven at vector level.
     """
     half = symbol.band_dim // 2
     h = LaurentSymbol(2, half, [(k, a[half:, :half]) for k, a in symbol.coeffs.items()])
     mask = _corner_mask(side, half)
-    kernels = None
     if not participation:
-        t = assemble(h, side)
-        s = np.linalg.svd(t, compute_uv=False)
-        zero = s <= zero_tol
-        k = np.count_nonzero(zero)
-        if k in (0, s.size) or s[-k - 1] > GAP_FACTOR * zero_tol:
-            kernels = _null_basis(t, s, k)
-        del t  # a fallback assembles T afresh: _null_basis perturbed it
-    if kernels is None:
-        u, s, vh = np.linalg.svd(assemble(h, side))
-        v = vh.conj().T
-        zero = s <= zero_tol
-        kernels = v[:, zero], u[:, zero]
-    modes = []
-    for chi, block in zip((1.0, -1.0), kernels):
-        basis = _refined_cluster_basis(block, mask)
-        modes += [
-            ZeroMode(value=0.0, chirality=chi, corner_participation=float(part))
-            for part in _participation(basis, mask)
-        ]
-    parts = None
-    if participation:
-        part_v, part_u = _participation(v, mask), _participation(u, mask)
-        pair = 0.5 * (part_v + part_u)
-        parts = np.concatenate([np.where(zero, part_u, pair), np.where(zero, part_v, pair)[::-1]])
+        blocks, found = _inertia_certificate(h, side, zero_tol)
+        found = found or _values_fallback(h, side, zero_tol, blocks)
+        if found is not None:
+            kernels, gap, low, residual = found
+            modes = _chiral_modes(kernels, mask)
+            reach = 2.0 * residual / (low - residual) if low > residual else math.inf
+            if all(abs(m.corner_participation - corner_floor) > reach for m in modes):
+                return None, None, None, modes, gap
+    u, s, vh = np.linalg.svd(assemble(h, side))
+    v = vh.conj().T
+    gap = _zero_count(s, zero_tol)[1]
+    zero = s <= zero_tol
+    modes = _chiral_modes((v[:, zero], u[:, zero]), mask)
+    if not participation:
+        return None, None, None, modes, gap
+    part_v, part_u = _participation(v, mask), _participation(u, mask)
+    pair = 0.5 * (part_v + part_u)
     return (
         np.concatenate([-s, s[::-1]]),
         np.concatenate([np.where(zero, -1.0, 0.0), np.where(zero, 1.0, 0.0)[::-1]]),
-        parts,
+        np.concatenate([np.where(zero, part_u, pair), np.where(zero, part_v, pair)[::-1]]),
         modes,
+        gap,
     )
 
 
@@ -424,9 +607,10 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5,
 
     Only ``participation`` fills ``eigen_participation``, the corner weight
     of every eigenvector.  For chiral input it alone takes the full SVD of
-    T; without it the eigenvalues come from a values-only SVD and the zero
-    modes from the null vectors alone (``_null_basis``), which takes a
-    fraction of the memory, with the full SVD as the fallback.
+    T.  Without it, ``eigenvalues`` and ``eigen_chirality`` are None: the
+    zero count and ``spectral_gap`` come from a Cholesky inertia
+    certificate and the zero modes from the null vectors alone, with a
+    values-only SVD and then the full SVD as fallbacks (``_chiral_corner``).
     """
     if symbol.num_vars != 2:
         raise DimensionMismatch("corner spectrum needs a two-variable symbol")
@@ -446,15 +630,17 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5,
                 f"(violation {worst * max(symbol.coeff_norm(), 1e-300):.3e})"
             )
     _check_rows(side * side * symbol.band_dim)
-    solve = _chiral_corner if chiral else _hermitian_corner
-    vals, chirality, weights, modes = solve(symbol, side, zero_tol, participation)
+    if chiral:
+        vals, chirality, weights, modes, gap = _chiral_corner(symbol, side, zero_tol,
+                                                              corner_floor, participation)
+    else:
+        vals, chirality, weights, modes, gap = _hermitian_corner(symbol, side, zero_tol,
+                                                                 participation)
     # ties at rounding level list the chirality +1 modes first, so that the
     # order does not depend on which solver gave the vectors
     zero_modes = sorted(modes, key=lambda m: (-round(m.corner_participation, 12),
                                               -m.chirality if chiral else 0.0))
     corner_modes = [m for m in zero_modes if m.corner_participation >= corner_floor]
-    rest = np.abs(vals)[np.abs(vals) > zero_tol]
-    gap = float(rest.min()) if rest.size else 0.0
     return CornerSpectrumResult(
         eigenvalues=vals,
         zero_modes=tuple(zero_modes),

@@ -325,7 +325,7 @@ def test_corner_spectrum_validation(golden, golden_H):
 
 
 def test_chiral_spectra_pair_up(golden_H):
-    res = corner_spectrum(golden_H, side=10)
+    res = corner_spectrum(golden_H, side=10, participation=True)
     vals = res.eigenvalues
     assert np.max(np.abs(vals + vals[::-1])) <= 1e-9
 
@@ -370,26 +370,40 @@ def test_chiral_corner_spectrum_keeps_the_full_row_cap(golden_H):
 
 
 def test_chiral_corner_spectrum_runs_no_dense_eigh(golden_H, monkeypatch):
-    eigh, svd = np.linalg.eigh, np.linalg.svd
+    eigh, eigvalsh, svd, cholesky = (np.linalg.eigh, np.linalg.eigvalsh, np.linalg.svd,
+                                     np.linalg.cholesky)
 
-    def small_eigh_only(a, *args, **kwargs):
-        if a.shape[0] > 8:
-            raise AssertionError(f"eigh of a {a.shape[0]}-row matrix")
-        return eigh(a, *args, **kwargs)
+    def small_only(decompose):
+        def small(a, *args, **kwargs):
+            if a.shape[0] > 8:
+                raise AssertionError(f"{decompose.__name__} of a {a.shape[0]}-row matrix")
+            return decompose(a, *args, **kwargs)
+        return small
 
     def narrow_vectors_only(a, *args, compute_uv=True, **kwargs):
         if compute_uv and a.shape[-1] > 2 + 2:  # k = 2 null vectors of T and of T*
             raise AssertionError(f"SVD with vectors of a {a.shape[-1]}-column matrix")
+        if not compute_uv and a.shape[0] > 8:
+            raise AssertionError(f"values-only SVD of a {a.shape[0]}-row matrix")
         return svd(a, *args, compute_uv=compute_uv, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", small_eigh_only)
+    def one_panel_only(a, *args, **kwargs):
+        if a.shape[-1] > operators.PANEL:
+            raise AssertionError(f"Cholesky of a {a.shape[-1]}-column matrix")
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", small_only(eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", small_only(eigvalsh))
     monkeypatch.setattr(np.linalg, "svd", narrow_vectors_only)
+    monkeypatch.setattr(np.linalg, "cholesky", one_panel_only)
     res = corner_spectrum(golden_H, side=14)
     assert res.signed_count == 1
     assert len(res.zero_modes) == 4
     assert len(res.corner_modes) == 1
     assert res.corner_modes[0].chirality == 1.0
     assert res.spectral_gap >= 0.1
+    assert res.separation_ok
+    assert res.eigenvalues is None and res.eigen_chirality is None
     assert res.eigen_participation is None
 
 
@@ -404,31 +418,47 @@ def _corner_cases(golden):
         "band2": _random_chiral(rng, 2),
         "band3": _random_chiral(rng, 3),
         "zero": LaurentSymbol(2, 2, []),
+        "bench1": assemble_chiral(golden.conjugate_by(_bench_unitary(1))),
     }
 
 
+def _bench_unitary(seed):
+    """The unitary that conjugates golden into the benchmark's chiral H
+    for ``seed``: the first draw of its seeded generator."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _assert_same_report(res, ref):
+    """The default path's report against the full SVD's: every count,
+    signed count and chirality sequence equal, participations within 1e-12
+    and the gap within 1e-12 sigma_max."""
+    assert res.eigen_participation is None
+    assert res.eigenvalues is None and res.eigen_chirality is None
+    assert len(res.zero_modes) == len(ref.zero_modes)
+    assert len(res.corner_modes) == len(ref.corner_modes)
+    assert res.signed_count == ref.signed_count
+    assert res.separation_ok == ref.separation_ok
+    # ties at rounding level (every mode at side 2, where the corner patch
+    # covers the square) list in one order on both paths
+    for modes in ("zero_modes", "corner_modes"):
+        assert [m.chirality for m in getattr(res, modes)] == [
+            m.chirality for m in getattr(ref, modes)]
+    parts = [m.corner_participation for m in res.zero_modes]
+    assert np.allclose(parts, [m.corner_participation for m in ref.zero_modes],
+                       rtol=0, atol=1e-12)
+    top = 1e-12 * max(np.max(np.abs(ref.eigenvalues)), 1e-300)
+    assert abs(res.spectral_gap - ref.spectral_gap) <= top
+
+
 @pytest.mark.parametrize("case", ["golden", "adjoint", "golden2", "conjugated", "band2",
-                                  "band3", "zero"])
+                                  "band3", "zero", "bench1"])
 def test_corner_spectrum_from_null_vectors_matches_the_full_svd(golden, case):
     H = _corner_cases(golden)[case]
     for side in [s for s in range(1, 21) if s * s * H.band_dim // 2 <= 800]:
-        res = corner_spectrum(H, side=side)
-        ref = corner_spectrum(H, side=side, participation=True)
-        assert res.eigen_participation is None
-        assert len(res.zero_modes) == len(ref.zero_modes)
-        assert len(res.corner_modes) == len(ref.corner_modes)
-        assert res.signed_count == ref.signed_count
-        # ties at rounding level (every mode at side 2, where the corner patch
-        # covers the square) list in one order on both paths
-        for modes in ("zero_modes", "corner_modes"):
-            assert [m.chirality for m in getattr(res, modes)] == [
-                m.chirality for m in getattr(ref, modes)]
-        parts = [m.corner_participation for m in res.zero_modes]
-        assert np.allclose(parts, [m.corner_participation for m in ref.zero_modes],
-                           rtol=0, atol=1e-12)
-        top = 1e-12 * max(np.max(np.abs(ref.eigenvalues)), 1e-300)
-        assert np.max(np.abs(res.eigenvalues - ref.eigenvalues)) <= top
-        assert abs(res.spectral_gap - ref.spectral_gap) <= top
+        _assert_same_report(corner_spectrum(H, side=side),
+                            corner_spectrum(H, side=side, participation=True))
 
 
 def test_null_basis_spans_the_kernels_of_t_and_its_adjoint(golden):
@@ -436,12 +466,115 @@ def test_null_basis_spans_the_kernels_of_t_and_its_adjoint(golden):
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     t = assemble(golden.conjugate_by(q), 8)
     s = np.linalg.svd(t, compute_uv=False)
-    k = np.count_nonzero(s <= 1e-6)
-    right, left = operators._null_basis(t.copy(), s, k)
+    sides, noise = operators._null_basis(t.copy(), 1e-6, s[0])
+    k = np.count_nonzero(sides[0][1] <= 1e-6)
+    right, left = operators._kernels(sides, k)
     assert right.shape == left.shape == (t.shape[0], k) and k == 2
+    assert 0 < noise <= 1e-13 * s[0]
     for basis, mat in ((right, t), (left, t.conj().T)):
         assert np.allclose(basis.conj().T @ basis, np.eye(k), rtol=0, atol=1e-12)
         assert np.linalg.norm(mat @ basis) <= 1e-12 * s[0]
+
+
+def test_cholesky_in_place_matches_numpy_and_refuses_an_indefinite_matrix(rng):
+    n = 3 * operators.PANEL + 5
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    gram = a.conj().T @ a + np.eye(n)
+    factor = np.tril(gram)  # the upper triangle is not read
+    operators._cholesky_in_place(factor)
+    ref = np.linalg.cholesky(gram)
+    assert np.max(np.abs(np.tril(factor) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    gram[n - 1, n - 1] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        operators._cholesky_in_place(gram)
+
+
+@pytest.mark.parametrize("case", ["golden", "bench1"])
+def test_inertia_certificate_brackets_the_gap(golden, case):
+    H = _corner_cases(golden)[case]
+    h = LaurentSymbol(2, 2, [(k, a[2:, :2]) for k, a in H.coeffs.items()])
+    t = assemble(h, 12)
+    s = np.linalg.svd(t, compute_uv=False)
+    blocks, found = operators._inertia_certificate(h, 12, 1e-6)
+    (right, left), gap, low, residual = found
+    k = right.shape[1]
+    assert k == left.shape[1] == np.count_nonzero(s <= 1e-6) == 2
+    assert low <= s[-k - 1] <= blocks[0][0][1][k]
+    assert abs(gap - s[-k - 1]) <= 1e-12 * s[0]
+    assert residual <= 1e-12 * s[0]
+    assert max(np.linalg.norm(t @ right, 2), np.linalg.norm(t.conj().T @ left, 2)) <= residual
+
+
+def _full_svds(monkeypatch):
+    """Record the row count of every full SVD of a square matrix."""
+    svd, rows = np.linalg.svd, []
+
+    def spy(a, *args, compute_uv=True, **kwargs):
+        if compute_uv and a.shape[0] == a.shape[1]:
+            rows.append(a.shape[0])
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return rows
+
+
+@pytest.mark.parametrize("case", ["golden2", "cholesky raises", "guard", "lanczos under guard",
+                                  "zero"])
+def test_inertia_certificate_refusals_fall_back_exactly(golden, golden_H, monkeypatch, case):
+    H, side, zero_tol = {
+        # k = 4 on each side fills the first block, which doubles
+        "golden2": (assemble_chiral(golden.block_diag(golden)), 10, 1e-6),
+        "cholesky raises": (golden_H, 10, 1e-6),
+        # the next singular value 1e-5 after the zero pair: its square lies
+        # under the rounding guard, 1e4 n eps ||T||^2
+        "guard": (assemble_chiral(golden.block_diag(
+            LaurentSymbol(2, 1, [((0, 0), np.array([[1e-5]]))]))), 10, 1e-9),
+        # a gap estimate whose square lies under the guard, past the block's check
+        "lanczos under guard": (golden_H, 10, 1e-9),
+        "zero": (LaurentSymbol(2, 2, []), 3, 1e-6),
+    }[case]
+    ref = corner_spectrum(H, side=side, zero_tol=zero_tol, participation=True)
+    widths, certificate = [], operators._inertia_certificate
+
+    def spy(*args):
+        blocks, found = certificate(*args)
+        widths.append((blocks and blocks[0][0][0].shape[1], found is not None))
+        return blocks, found
+
+    monkeypatch.setattr(operators, "_inertia_certificate", spy)
+    if case == "cholesky raises":
+        def indefinite(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", indefinite)
+    elif case == "guard":
+        def unguarded(*args):
+            raise AssertionError("Lanczos run for a gap under the rounding guard")
+
+        monkeypatch.setattr(operators, "_lanczos_floor", unguarded)
+    elif case == "lanczos under guard":
+        monkeypatch.setattr(operators, "_lanczos_floor", lambda *args: 1e-7)
+    full = _full_svds(monkeypatch)
+    res = corner_spectrum(H, side=side, zero_tol=zero_tol)
+    _assert_same_report(res, ref)
+    assert widths == [{"golden2": (8, True), "zero": (None, False)}.get(case, (4, False))]
+    # the blocks already solved serve the fallback; only the zero symbol,
+    # which has none, takes the full SVD
+    assert full == ([side * side] if case == "zero" else [])
+    if case == "zero":
+        assert repr(res.to_dict()) == repr(ref.to_dict())
+
+
+def test_wedin_bound_at_the_corner_floor_takes_the_full_svd(golden_H, monkeypatch):
+    ref = corner_spectrum(golden_H, side=10, participation=True)
+    floor = max(m.corner_participation for m in ref.zero_modes
+                if m.corner_participation < 0.5)
+    assert 0 < floor
+    ref = corner_spectrum(golden_H, side=10, corner_floor=floor, participation=True)
+    full = _full_svds(monkeypatch)
+    res = corner_spectrum(golden_H, side=10, corner_floor=floor)
+    assert full == [200]
+    assert repr(res.to_dict()) == repr(ref.to_dict())
 
 
 @pytest.mark.parametrize("failure", ["solve raises", "no basis accepted", "cluster not separated"])
@@ -450,7 +583,8 @@ def test_corner_spectrum_falls_back_to_the_full_svd(golden, golden_H, monkeypatc
     if failure == "cluster not separated":
         # the zero pair of T and the next singular value g, with g / 5 as the
         # zero tolerance: the pair stays the zero cluster, g lies under
-        # GAP_FACTOR * zero_tol, and no null basis is sought
+        # GAP_FACTOR * zero_tol, so the certificate refuses and the solved
+        # bases are not used
         g = np.linalg.svd(assemble(golden, 10), compute_uv=False)[-3]
         zero_tol = g / 5
     ref = corner_spectrum(golden_H, side=10, zero_tol=zero_tol, participation=True)
@@ -463,16 +597,12 @@ def test_corner_spectrum_falls_back_to_the_full_svd(golden, golden_H, monkeypatc
         monkeypatch.setattr(operators, "NULL_RITZ_TOL", -1.0)
     else:
         assert len(ref.zero_modes) == 4 and not ref.separation_ok
-
-        def unseparated(*args):
-            raise AssertionError("null basis sought for a cluster that is not separated")
-
-        monkeypatch.setattr(operators, "_null_basis", unseparated)
+    full = _full_svds(monkeypatch)
     res = corner_spectrum(golden_H, side=10, zero_tol=zero_tol)
+    assert full == [200]
     assert res.eigen_participation is None
     assert repr(res.to_dict()) == repr(ref.to_dict())
-    assert np.array_equal(res.eigenvalues, ref.eigenvalues)
-    assert np.array_equal(res.eigen_chirality, ref.eigen_chirality)
+    assert res.eigenvalues is None and res.eigen_chirality is None
 
 
 def test_spectral_flow_constant_family(golden_H):
