@@ -31,6 +31,7 @@ from .symbols import (DENSE_CAP, GRID_CAP, LaurentSymbol, _check_rows, _reducing
                       _relation_violation, _split_mass)
 from .wiener_hopf import (
     FIRST_TRUNCATION,
+    KERNEL_RELTOL,
     _kernel_count,
     _slice_table,
     certify_invertible,
@@ -58,13 +59,14 @@ FLOW_CORNER_FLOOR = 0.25  # corner participation of a tracked flow state
 ADDED_SIDES = 3           # sides numerical_index may add past a two-variable run's own
 NULL_NOISE = 1e-14        # norm of _null_basis's perturbation, relative to sigma_max
 NULL_RITZ_TOL = 1e-12     # Ritz values accepted within this times sigma_max
-NULL_BLOCK = 4            # first block width of _null_basis, doubled up to NULL_BLOCK_MAX
-NULL_BLOCK_MAX = 64
+NULL_BLOCK = 4            # block width of _certified_count, and the first of _null_basis
+NULL_BLOCK_MAX = 64       # _null_basis doubles its block up to this width
 LANCZOS_STEPS = 40        # at most this many Lanczos steps for the gap estimate
 LANCZOS_TOL = 1e-12       # Lanczos converged: residual at most this times the Ritz value
 CERT_SHRINK = 1e-10       # the inertia shift sits this fraction below the gap estimate
 ROUNDING_GUARD = 1e4      # the shift squared must exceed this times n eps ||T||^2
 PANEL = 32                # rows or columns per panel of the Gram product and its Cholesky
+LIFT_FLOOR = 1e-3         # _certified_count's lift drops null-vector entries below this
 
 
 def assemble(symbol, side):
@@ -81,8 +83,141 @@ def kernel_dim(*blocks):
     """Numerical kernel count of diag(blocks): singular values of the
     matrices ``blocks`` below KERNEL_RELTOL * sigma_max (see wiener_hopf),
     sigma_max the largest over all of them; one block is the plain count.
-    An array passed more than once is decomposed once."""
-    return _kernel_count(*blocks)[0]
+    An array passed more than once is counted once, by ``_certified_count``
+    with sigma_max bracketed by ``_norm_bracket``; when one refuses or is
+    empty, or every column is zero, by the SVDs of ``_kernel_count``."""
+    distinct = {id(b): b for b in blocks}
+    lo, hi = (max(v) for v in zip(*map(_norm_bracket, distinct.values())))
+    counts = {}
+    for key, b in distinct.items():
+        counts[key] = _certified_count(b, lo, hi) if lo > 0 and b.size else None
+        if counts[key] is None:
+            return _kernel_count(*blocks)[0]
+    return sum(counts[id(b)] for b in blocks)
+
+
+def _norm_bracket(t):
+    """The largest column norm and sqrt(||t||_1 ||t||_inf), which bracket
+    sigma_max, from PANEL row panels."""
+    sums, squares, rows = np.zeros(t.shape[1]), np.zeros(t.shape[1]), 0.0
+    for j in range(0, t.shape[0], PANEL):
+        a = np.abs(t[j:j + PANEL])
+        sums += a.sum(axis=0)
+        rows = max(rows, float(a.sum(axis=1).max()))
+        squares += (a * a).sum(axis=0)
+    return math.sqrt(squares.max(initial=0.0)), math.sqrt(sums.max(initial=0.0) * rows)
+
+
+def _certified_count(t, lo, hi):
+    """The number k of the n singular values of ``t`` (zeros pad a wide one)
+    below KERNEL_RELTOL * sigma_max, proven for all sigma_max in [lo, hi]
+    without an SVD of ``t`` by spectrum slicing of G = T*T, or None.
+
+    g^2 exceeds ROUNDING_GUARD max(m, n) eps hi^2, the rounding of G and of
+    its Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 10), and g sqrt(1 - 1/ROUNDING_GUARD) exceeds KERNEL_RELTOL *
+    hi.  A Cholesky of G - g^2 I proves k = 0.  Else two steps of inverse
+    iteration on G + g^2 I from a fixed block of NULL_BLOCK columns give Q,
+    whose Ritz values, from the small SVD of T Q, bound the singular values
+    from above: k of them below KERNEL_RELTOL * lo prove at least k.  With
+    the (k+1)-th above g, a Cholesky of G + hi^2 Q_k Q_k* - g^2 I for the k
+    Ritz vectors Q_k proves at most k: a rank-k lift moves k eigenvalues.
+    That holds for any Q_k, so its entries below LIFT_FLOOR are dropped,
+    which keeps the lifted G banded where the null vectors vanish."""
+    m, n = t.shape
+    eps = np.finfo(float).eps
+    g = (1.0 + 4.0 * eps) * hi * max(math.sqrt(ROUNDING_GUARD * max(m, n) * eps),
+                                      KERNEL_RELTOL / math.sqrt(1.0 - 1.0 / ROUNDING_GUARD))
+    if _gram_cholesky(t, -g * g) is not None:
+        return 0
+    factor = _gram_cholesky(t, g * g)
+    if factor is None:
+        return None
+    # sin(1), sin(2), ... spread like noise; importing numpy.random would add 5 MB of RSS
+    q = np.sin(np.arange(1.0, n * min(NULL_BLOCK, n) + 1.0)).reshape(n, -1)
+    for _ in range(2):
+        q = np.linalg.qr(_cholesky_solve(factor, q))[0]
+    del factor
+    # the full V* when T Q is wide, so that its null rows come too
+    _, s, vh = np.linalg.svd(t @ q, full_matrices=m < q.shape[1])
+    ritz = np.concatenate([np.zeros(q.shape[1] - s.size), s[::-1]])
+    k = int(np.count_nonzero(ritz < KERNEL_RELTOL * lo))
+    if k < n and (k == ritz.size or ritz[k] <= g):
+        return None
+    lift = q @ vh[::-1][:k].conj().T
+    lift[np.abs(lift) < LIFT_FLOOR] = 0.0
+    return k if _gram_cholesky(t, -g * g, lift, hi * hi) is not None else None
+
+
+def _gram_cholesky(t, shift, lift=None, alpha=0.0):
+    """The Cholesky factor of G + alpha QQ* + ``shift`` I, G = T*T of the
+    m x n ``t`` and Q the n x k ``lift``, in the lower triangle of an n x n
+    array, or None when it is not positive definite.  Each column panel of
+    G is built when the Cholesky first reads it, from the rows of ``t``
+    its columns reach, so a banded ``t`` costs its band."""
+    m, n = t.shape
+    first, last = np.full(n, m), np.full(n, -1)  # the first and last nonzero row of each column
+    for j in range(0, n, PANEL):
+        hit = t[:, j:j + PANEL] != 0
+        live = hit.any(axis=0)
+        first[j:j + PANEL][live] = hit.argmax(axis=0)[live]
+        last[j:j + PANEL][live] = m - 1 - hit[::-1].argmax(axis=0)[live]
+    gram = np.zeros((n, n), dtype=np.result_type(t, 1.0))
+
+    def fill(j, end):
+        r0, r1 = first[j:end].min(), last[j:end].max() + 1
+        reach = j + _extent(first[j:] < r1)  # later columns start below these rows
+        np.conjugate((t[r0:r1, j:end].conj().T @ t[r0:r1, j:reach]).T, out=gram[j:reach, j:end])
+        if lift is not None:
+            gram[j:, j:end] += (alpha * lift[j:]) @ lift[j:end].conj().T
+        gram[range(j, end), range(j, end)] += shift
+
+    try:
+        _cholesky_in_place(gram, fill)
+    except np.linalg.LinAlgError:
+        return None
+    return gram
+
+
+def _extent(mask):
+    """One past the last True of ``mask``, 0 when none is."""
+    hits = np.flatnonzero(mask)
+    return int(hits[-1]) + 1 if hits.size else 0
+
+
+def _cholesky_in_place(a, fill=None):
+    """Overwrite the lower triangle of the hermitian ``a``, the only part
+    read, with its Cholesky factor, PANEL columns at a time (left-looking,
+    so no temporary is wider than a panel); LinAlgError when ``a`` is not
+    positive definite.  ``fill(j, end)`` writes columns j:end first.  The
+    factor keeps the envelope of ``a`` (George & Liu, Computer Solution of
+    Large Sparse Positive Definite Systems, 1981); each step touches only
+    the rows and columns inside it, so a banded ``a`` costs its band."""
+    n = a.shape[0]
+    below = []  # one past the last nonzero row of each finished column panel
+    for j in range(0, n, PANEL):
+        end = min(j + PANEL, n)
+        if fill is not None:
+            fill(j, end)
+        if j:
+            c0 = int(np.argmax(a[j:end, :j].any(axis=0)))  # the panel's rows are zero before c0
+            reach = max([end] + below[c0 // PANEL:])
+            a[j:reach, j:end] -= a[j:reach, c0:j] @ a[j:end, c0:j].conj().T
+        a[j:end, j:end] = np.linalg.cholesky(a[j:end, j:end])
+        below.append(end + _extent(a[end:, j:end].any(axis=1)))
+        rows = slice(end, below[-1])  # B L^-* as (conj(L)^-1 B^T)^T, with no conjugated copy
+        a[rows, j:end] = np.linalg.solve(a[j:end, j:end].conj(), a[rows, j:end].T).T
+
+
+def _cholesky_solve(low, b):
+    """(LL*)^-1 ``b`` for the factor L in the lower triangle of ``low``, by
+    substitution over its PANEL-wide diagonal blocks."""
+    x, panels = b.astype(low.dtype), [slice(j, j + PANEL) for j in range(0, len(low), PANEL)]
+    for p in panels:
+        x[p] = np.linalg.solve(low[p, p], x[p] - low[p, :p.start] @ x[:p.start])
+    for p in panels[::-1]:
+        x[p] = np.linalg.solve(low[p, p].conj().T, x[p] - low[p.stop:, p].conj().T @ x[p.stop:])
+    return x
 
 
 # ---------------------------------------------------------------- index
@@ -151,7 +286,9 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
     the blocks W_i* f W_i fall into classes of unitarily equivalent ones,
     found once per symbol (f* has the same), and each class gets one
     section on the rows of the whole symbol's reach, passed to one
-    kernel_dim once per member.  A one-variable symbol is
+    kernel_dim once per member, which proves the counts by a Cholesky
+    inertia certificate and takes the SVDs only when it refuses (an
+    escalated product's side-10 section).  A one-variable symbol is
     counted with the escalating section criterion: a kernel vector decaying
     like r^x keeps its section residual above any fixed cutoff until the
     section outruns the decay, so a fixed size list can undercount.  Its
@@ -391,21 +528,6 @@ def _lanczos_floor(mat, basis):
     return None
 
 
-def _cholesky_in_place(a):
-    """Overwrite the lower triangle of the hermitian ``a``, the only part
-    read, with its Cholesky factor, PANEL columns at a time (left-looking,
-    so no temporary is wider than a panel); LinAlgError when ``a`` is not
-    positive definite."""
-    n = a.shape[0]
-    for j in range(0, n, PANEL):
-        end = min(j + PANEL, n)
-        if j:
-            a[j:, j:end] -= a[j:, :j] @ a[j:end, :j].conj().T
-        a[j:end, j:end] = np.linalg.cholesky(a[j:end, j:end])
-        if end < n:
-            a[end:, j:end] = np.linalg.solve(a[j:end, j:end], a[end:, j:end].conj().T).conj().T
-
-
 def _inertia_certificate(h, side, zero_tol):
     """Zero count k, gap and null bases of T, the section of ``h``, proven
     with no decomposition of T (spectrum slicing by Sylvester's law of
@@ -428,9 +550,8 @@ def _inertia_certificate(h, side, zero_tol):
     its Cholesky; the block's (k+1)-th Ritz value, an upper bound on g,
     meets it and the separation before Lanczos runs.  ``residual`` bounds
     ||T Q|| and ||T* P|| for the bases Q and P of T and T*.  T is
-    perturbed in place and dropped once the lower triangle of G is built
-    in row panels; the lift, the shift and the Cholesky work in place on
-    it.
+    perturbed in place; the lifted and shifted G and its Cholesky are
+    ``_gram_cholesky``'s.
     """
     t = assemble(h, side)
     mid = (side // 2) * (side + 1) * h.band_dim  # the middle site's first column
@@ -460,18 +581,7 @@ def _inertia_certificate(h, side, zero_tol):
     low = g * math.sqrt(1.0 - 1.0 / ROUNDING_GUARD) - noise
     if g > top or g * g <= guard or low <= GAP_FACTOR * zero_tol:
         return blocks, None
-    gram = np.zeros_like(t)  # the lower triangle of G, which alone the Cholesky reads
-    for j in range(0, n, PANEL):
-        end = min(j + PANEL, n)
-        np.matmul(t[:, j:end].conj().T, t[:, :end], out=gram[j:end, :end])
-    del t
-    for j in range(0, n, PANEL):
-        end = min(j + PANEL, n)
-        gram[j:end, :end] += (alpha * right[j:end]) @ right[:end].conj().T
-    gram.reshape(-1)[::n + 1] -= g * g
-    try:
-        _cholesky_in_place(gram)
-    except np.linalg.LinAlgError:
+    if _gram_cholesky(t, -g * g, right, alpha) is None:
         return blocks, None
     return blocks, (kernels, gap, low, residual)
 
@@ -535,9 +645,9 @@ def _hermitian_corner(symbol, side, zero_tol, participation):
             float(rest.min()) if rest.size else 0.0)
 
 
-def _chiral_corner(symbol, side, zero_tol, corner_floor, participation):
+def _chiral_corner(h, side, zero_tol, corner_floor, participation):
     """Eigenvalues, chiralities, participations, zero modes and gap of the
-    truncated H = [[0, T*], [T, 0]] from T = P h P.
+    truncated H = [[0, T*], [T, 0]] from T = P ``h`` P.
 
     The grading acts site by site, so the spectrum is +-sigma(T); ker T
     carries chirality +1 and ker T* chirality -1, exactly.  With
@@ -557,9 +667,7 @@ def _chiral_corner(symbol, side, zero_tol, corner_floor, participation):
     mode's distance to ``corner_floor``, the full SVD is taken instead, so
     every corner classification is proven at vector level.
     """
-    half = symbol.band_dim // 2
-    h = LaurentSymbol(2, half, [(k, a[half:, :half]) for k, a in symbol.coeffs.items()])
-    mask = _corner_mask(side, half)
+    mask = _corner_mask(side, h.band_dim)
     if not participation:
         blocks, found = _inertia_certificate(h, side, zero_tol)
         found = found or _values_fallback(h, side, zero_tol, blocks)
@@ -611,6 +719,9 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5,
     zero count and ``spectral_gap`` come from a Cholesky inertia
     certificate and the zero modes from the null vectors alone, with a
     values-only SVD and then the full SVD as fallbacks (``_chiral_corner``).
+    A ``zero_tol`` at or below n eps sum_k ||a_k||_F, the rounding floor of
+    the n-row section decomposed, is an InputError: below it the count
+    would depend on which decomposition rounds the null values.
     """
     if symbol.num_vars != 2:
         raise DimensionMismatch("corner spectrum needs a two-variable symbol")
@@ -630,8 +741,16 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5,
                 f"(violation {worst * max(symbol.coeff_norm(), 1e-300):.3e})"
             )
     _check_rows(side * side * symbol.band_dim)
+    half = symbol.band_dim // 2
+    # the section decomposed: T of h for chiral input, else the section of H
+    part = (LaurentSymbol(2, half, [(k, a[half:, :half]) for k, a in symbol.coeffs.items()])
+            if chiral else symbol)
+    floor = (side * side * part.band_dim * np.finfo(float).eps
+             * sum(np.linalg.norm(a) for a in part.coeffs.values()))
+    if zero_tol <= floor:
+        raise InputError(f"zero_tol {zero_tol:g} is at or below the rounding floor {floor:.3e}")
     if chiral:
-        vals, chirality, weights, modes, gap = _chiral_corner(symbol, side, zero_tol,
+        vals, chirality, weights, modes, gap = _chiral_corner(part, side, zero_tol,
                                                               corner_floor, participation)
     else:
         vals, chirality, weights, modes, gap = _hermitian_corner(symbol, side, zero_tol,

@@ -597,6 +597,20 @@ def test_corner_with_class_and_csv(capsys, golden_H_file, tmp_path):
     assert len(lines) == 1 + 12 * 12 * 4
 
 
+def test_corner_zero_tol_at_the_rounding_floor_exits_4(capsys, tmp_path):
+    """Golden x 1e8 at side 5: below the rounding floor n eps sum ||a_k||
+    (4.4e-6 here) the values-only and the full SVD round the null pair to
+    different sides of 1e-12, so the count would depend on --csv."""
+    path = tmp_path / "H.json"
+    scaled = LaurentSymbol(2, 2, [(k, 1e8 * a) for k, a in golden_symbol().coeffs.items()])
+    save_symbol(assemble_chiral(scaled), path)
+    for csv in ([], ["--csv", str(tmp_path / "spectrum.csv")]):
+        code, rep = run(capsys, ["corner", str(path), "--size", "5", "--zero-tol", "1e-12"] + csv)
+        assert code == 4
+        assert rep["error"] == "InputError"
+        assert "rounding floor 4.441e-06" in rep["detail"]
+
+
 def test_corner_class_is_case_insensitive(capsys, golden_H_file):
     code, rep = run(capsys, [
         "corner", golden_H_file, "--class", "aiii", "--size", "8",

@@ -222,3 +222,24 @@ def test_every_trace_target_resolves():
         if owner is None:
             missing.append(f"{module_name}.{attribute}")
     assert missing == [], missing
+
+
+def test_every_module_constant_is_read():
+    """An UPPER_CASE module constant that no code of the package reads,
+    outside its own assignment, is a setting nobody consults: delete it."""
+    trees = list(_package_trees())
+    constants = {
+        target.id
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)
+    }
+    read = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+    assert sorted(constants - read) == []

@@ -107,6 +107,83 @@ def test_kernel_dim_of_blocks_cuts_at_the_largest_singular_value(rng):
     assert kernel_dim(b) == 0
 
 
+def _index_cases():
+    golden = golden_symbol()
+    cases = {"golden": golden, "golden2": golden.block_diag(golden),
+             "adjoint": golden.adjoint(), "canonical": random_canonical_2d(np.random.default_rng(3))}
+    for seed in range(5):
+        g = random_canonical_2d(np.random.default_rng(seed))
+        cases[f"golden*g{seed}"], cases[f"g{seed}*golden"] = golden * g, g * golden
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_index_cases()))
+def test_kernel_certificate_gives_the_counts_of_its_svd_fallback(case, monkeypatch):
+    """The same report with the certificate and with every block refused.
+    An escalated product's side-10 section has a singular value between the
+    cut and the certificate's shift, where the certificate refuses."""
+    sym = _index_cases()[case]
+    verdicts, certify = [], operators._certified_count
+    monkeypatch.setattr(operators, "_certified_count",
+                        lambda *args: verdicts.append(certify(*args)) or verdicts[-1])
+    report = numerical_index(sym)
+    monkeypatch.setattr(operators, "_certified_count", lambda *args: None)
+    assert report.to_dict() == numerical_index(sym).to_dict()
+    if len(report.sizes) > 3:
+        assert None in verdicts
+    elif case in ("golden", "golden2", "adjoint", "canonical"):
+        assert None not in verdicts
+
+
+def test_golden_index_decomposes_no_section(golden, monkeypatch):
+    """At the default sizes every kernel_dim block of golden is certified:
+    the only SVDs inside kernel_dim are those of T Q, NULL_BLOCK columns."""
+    inside, shapes = [], []
+    svd, count = np.linalg.svd, operators.kernel_dim
+
+    def spy(a, *args, **kwargs):
+        if inside:
+            shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def traced(*blocks):
+        inside.append(True)
+        try:
+            return count(*blocks)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(operators, "kernel_dim", traced)
+    assert numerical_index(golden).value == 1
+    assert shapes and all(cols == operators.NULL_BLOCK for _, cols in shapes)
+
+
+def test_kernel_dim_falls_back_when_cholesky_raises(golden, monkeypatch):
+    sections = [f.section([11, 11], [10, 10]) for f in (golden, golden.adjoint())]
+    expected = [wiener_hopf._kernel_count(t)[0] for t in sections]
+    assert expected == [1, 0]
+
+    def indefinite(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", indefinite)
+    svds, count = [], wiener_hopf._kernel_count
+    monkeypatch.setattr(operators, "_kernel_count",
+                        lambda *blocks: svds.append(len(blocks)) or count(*blocks))
+    assert [kernel_dim(t) for t in sections] == expected
+    assert svds == [1, 1]
+
+
+def test_kernel_certificate_refuses_a_block_that_missed_the_null_vector(golden, monkeypatch):
+    """Without inverse iteration the block is Gaussian, every Ritz value
+    lies above the cut, and the lifted Cholesky refuses the count 0."""
+    t = golden.section([11, 11], [10, 10])
+    monkeypatch.setattr(operators, "_cholesky_solve", lambda low, b: b)
+    assert operators._certified_count(t, *operators._norm_bracket(t)) is None
+    assert kernel_dim(t) == 1
+
+
 def _direct_sum(parts):
     out = parts[0]
     for part in parts[1:]:
@@ -488,6 +565,27 @@ def test_cholesky_in_place_matches_numpy_and_refuses_an_indefinite_matrix(rng):
     with pytest.raises(np.linalg.LinAlgError):
         operators._cholesky_in_place(gram)
 
+
+@pytest.mark.parametrize("lifted", [False, True])
+def test_gram_cholesky_of_a_banded_section_matches_numpy(rng, lifted):
+    """A tall banded T with a zero column: the panel-built, lifted and
+    shifted Gram factor equals numpy's, keeps the band when not lifted,
+    and solves like numpy."""
+    m, n, band = 5 * operators.PANEL + 7, 4 * operators.PANEL + 3, 9
+    t = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    t[np.abs(np.subtract.outer(np.arange(m), np.arange(n) * m / n)) > band] = 0.0
+    t[:, 1] = 0.0
+    lift = np.linalg.qr(rng.standard_normal((n, 2)))[0] if lifted else None
+    factor = operators._gram_cholesky(t, 0.5, lift, 3.0)
+    gram = t.conj().T @ t + 0.5 * np.eye(n) + (3.0 * lift @ lift.T if lifted else 0.0)
+    ref = np.linalg.cholesky(gram)
+    assert np.max(np.abs(np.tril(factor) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if not lifted:
+        assert np.all(np.tril(factor)[gram == 0.0] == 0.0)
+    b = rng.standard_normal((n, 3))
+    assert np.allclose(operators._cholesky_solve(factor, b), np.linalg.solve(gram, b),
+                       rtol=0, atol=1e-12 * np.max(np.abs(np.linalg.solve(gram, b))))
+    assert operators._gram_cholesky(t, -0.5) is None  # the zero column
 
 @pytest.mark.parametrize("case", ["golden", "bench1"])
 def test_inertia_certificate_brackets_the_gap(golden, case):
