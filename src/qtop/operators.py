@@ -57,16 +57,15 @@ OVERLAP_FLOOR = 0.7       # smallest eigenvector overlap that continues a flow t
 FLOW_ZERO_FLOOR = 1e-9    # flow track values at or below this count as zero
 FLOW_CORNER_FLOOR = 0.25  # corner participation of a tracked flow state
 ADDED_SIDES = 3           # sides numerical_index may add past a two-variable run's own
-NULL_NOISE = 1e-14        # norm of _null_basis's perturbation, relative to sigma_max
 NULL_RITZ_TOL = 1e-12     # Ritz values accepted within this times sigma_max
-NULL_BLOCK = 4            # block width of _certified_count, and the first of _null_basis
-NULL_BLOCK_MAX = 64       # _null_basis doubles its block up to this width
+NULL_BLOCK = 4            # first block width of _null_block
+NULL_BLOCK_MAX = 64       # _null_block doubles its block up to this width
 LANCZOS_STEPS = 40        # at most this many Lanczos steps for the gap estimate
 LANCZOS_TOL = 1e-12       # Lanczos converged: residual at most this times the Ritz value
 CERT_SHRINK = 1e-10       # the inertia shift sits this fraction below the gap estimate
 ROUNDING_GUARD = 1e4      # the shift squared must exceed this times n eps ||T||^2
 PANEL = 32                # rows or columns per panel of the Gram product and its Cholesky
-LIFT_FLOOR = 1e-3         # _certified_count's lift drops null-vector entries below this
+LIFT_FLOOR = 1e-3         # _lift_proves drops null-vector entries below this
 
 
 def assemble(symbol, side):
@@ -84,6 +83,7 @@ def kernel_dim(*blocks):
     matrices ``blocks`` below KERNEL_RELTOL * sigma_max (see wiener_hopf),
     sigma_max the largest over all of them; one block is the plain count.
     An array passed more than once is counted once, by ``_certified_count``
+    (the null block and lifted Cholesky of the corner's certificate too)
     with sigma_max bracketed by ``_norm_bracket``; when one refuses or is
     empty, or every column is zero, by the SVDs of ``_kernel_count``."""
     distinct = {id(b): b for b in blocks}
@@ -116,37 +116,62 @@ def _certified_count(t, lo, hi):
     g^2 exceeds ROUNDING_GUARD max(m, n) eps hi^2, the rounding of G and of
     its Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, ch. 10), and g sqrt(1 - 1/ROUNDING_GUARD) exceeds KERNEL_RELTOL *
-    hi.  A Cholesky of G - g^2 I proves k = 0.  Else two steps of inverse
-    iteration on G + g^2 I from a fixed block of NULL_BLOCK columns give Q,
-    whose Ritz values, from the small SVD of T Q, bound the singular values
-    from above: k of them below KERNEL_RELTOL * lo prove at least k.  With
-    the (k+1)-th above g, a Cholesky of G + hi^2 Q_k Q_k* - g^2 I for the k
-    Ritz vectors Q_k proves at most k: a rank-k lift moves k eigenvalues.
-    That holds for any Q_k, so its entries below LIFT_FLOOR are dropped,
-    which keeps the lifted G banded where the null vectors vanish."""
+    hi.  A Cholesky of G - g^2 I proves k = 0.  Else the Ritz values of the
+    block of ``_null_block`` bound the singular values from above: k of
+    them below KERNEL_RELTOL * lo prove at least k.  With the (k+1)-th
+    above g, ``_lift_proves`` with alpha = hi^2 proves at most k."""
     m, n = t.shape
     eps = np.finfo(float).eps
     g = (1.0 + 4.0 * eps) * hi * max(math.sqrt(ROUNDING_GUARD * max(m, n) * eps),
                                       KERNEL_RELTOL / math.sqrt(1.0 - 1.0 / ROUNDING_GUARD))
     if _gram_cholesky(t, -g * g) is not None:
         return 0
+    block = _null_block(t, g, KERNEL_RELTOL * lo)
+    if block is None:
+        return None
+    q, ritz, wh = block
+    k = int(np.count_nonzero(ritz < KERNEL_RELTOL * lo))
+    if ritz[k] <= g:
+        return None
+    return k if _lift_proves(t, g, q @ wh[:k].conj().T, hi * hi) else None
+
+
+def _null_block(t, g, cut):
+    """Two steps of block inverse iteration on G + g^2 I, G = T*T of the
+    m x n ``t`` (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011), from the
+    block sin(i j): ``(q, ritz, wh)``, the orthonormal block, the Ritz
+    values of T on it ascending (zeros pad a wide T q) and the matching
+    rows of V*, or None when the Cholesky fails.  The j-th Ritz value
+    bounds the j-th smallest singular value from above.  The block starts
+    at NULL_BLOCK columns and doubles while fewer than 2 Ritz values lie
+    above ``cut``; None when that would pass NULL_BLOCK_MAX or n."""
+    m, n = t.shape
     factor = _gram_cholesky(t, g * g)
     if factor is None:
         return None
-    # sin(1), sin(2), ... spread like noise; importing numpy.random would add 5 MB of RSS
-    q = np.sin(np.arange(1.0, n * min(NULL_BLOCK, n) + 1.0)).reshape(n, -1)
-    for _ in range(2):
-        q = np.linalg.qr(_cholesky_solve(factor, q))[0]
-    del factor
-    # the full V* when T Q is wide, so that its null rows come too
-    _, s, vh = np.linalg.svd(t @ q, full_matrices=m < q.shape[1])
-    ritz = np.concatenate([np.zeros(q.shape[1] - s.size), s[::-1]])
-    k = int(np.count_nonzero(ritz < KERNEL_RELTOL * lo))
-    if k < n and (k == ritz.size or ritz[k] <= g):
-        return None
-    lift = q @ vh[::-1][:k].conj().T
-    lift[np.abs(lift) < LIFT_FLOOR] = 0.0
-    return k if _gram_cholesky(t, -g * g, lift, hi * hi) is not None else None
+    width = min(NULL_BLOCK, n)
+    while True:
+        # sin(i j) has full rank at every width and needs no numpy.random
+        q = np.sin(np.outer(np.arange(1.0, n + 1.0), np.arange(1.0, width + 1.0)))
+        for _ in range(2):
+            q = np.linalg.qr(_cholesky_solve(factor, q))[0]
+        # the full V* when T q is wide, so that its null rows come too
+        _, s, vh = np.linalg.svd(t @ q, full_matrices=m < width)
+        ritz = np.concatenate([np.zeros(width - s.size), s[::-1]])
+        if np.count_nonzero(ritz > cut) >= 2:
+            return q, ritz, vh[::-1]
+        if 2 * width > min(n, NULL_BLOCK_MAX):
+            return None
+        width *= 2
+
+
+def _lift_proves(t, g, basis, alpha):
+    """Whether a Cholesky of G + alpha LL* - g^2 I, G = T*T of ``t`` and L
+    the n x k ``basis`` less its entries below LIFT_FLOOR, proves at most k
+    singular values below g: a rank-k lift moves at most k eigenvalues, for
+    any L, and the dropped entries keep G banded where the vectors vanish."""
+    lift = np.where(np.abs(basis) < LIFT_FLOOR, 0.0, basis)
+    return _gram_cholesky(t, -g * g, lift, alpha) is not None
 
 
 def _gram_cholesky(t, shift, lift=None, alpha=0.0):
@@ -432,81 +457,23 @@ def _refined_cluster_basis(block, corner_mask):
     return block @ rot[:, np.argsort(weights)[::-1]]
 
 
-def _null_basis(mat, zero_tol, sigma):
-    """Seeded block inverse iteration on ``mat`` and ``mat.T`` (Halko,
-    Martinsson & Tropp, SIAM Rev. 53, 2011): ``(sides, noise)``, or None
-    when a solve raises or the block would pass NULL_BLOCK_MAX columns.
-
-    A seeded real Gaussian of norm about NULL_NOISE * ``sigma`` (a lower
-    bound on sigma_max) is added to ``mat`` in place, in row panels, so
-    that an exactly singular section still solves; ``noise``, its
-    Frobenius norm, bounds how far any singular value moved.  Each side
-    solves against a block of seeded columns, orthonormalizes it by QR and
-    keeps the block q, the Ritz values of ``mat`` on it ascending and the
-    matching rows of V* (``_kernels`` makes the bases; ``mat*`` is never
-    formed).  The block starts at NULL_BLOCK columns and, on the first
-    side, doubles while fewer than 2 Ritz values lie above ``zero_tol``.
-    A side solves again from its last block, 3 solves in all, until the
-    Ritz values at or below ``zero_tol`` lie within NULL_RITZ_TOL * sigma
-    of zero; a further step can also lose the null space (golden +
-    golden), so the last block is kept and the caller checks it.  By
-    interlacing, the j-th Ritz value bounds the j-th smallest singular
-    value of ``mat`` from above, within ``noise``.
-    """
-    n = mat.shape[0]
-    rng = np.random.default_rng(0)
-    panel = np.empty((min(PANEL, n), n))
-    noise = 0.0
-    for j in range(0, n, PANEL):
-        rows = panel[:min(PANEL, n - j)]
-        rng.standard_normal(out=rows)
-        rows *= NULL_NOISE * sigma / (2.0 * math.sqrt(n))  # 2 sqrt(n): norm of a Gaussian square
-        mat[j:j + PANEL] += rows
-        noise += float(np.vdot(rows, rows))
-    del panel, rows
-    width = min(NULL_BLOCK, n)
-    sides = []
-    for a in (mat, mat.T):
-        x, solves = rng.standard_normal((n, width)), 0
-        while solves < 3:
-            try:
-                q = np.linalg.qr(np.linalg.solve(a, x))[0]
-                _, ritz, wh = np.linalg.svd(a @ q, full_matrices=False)
-            except np.linalg.LinAlgError:
-                return None
-            ritz, wh = ritz[::-1], wh[::-1]
-            k = np.count_nonzero(ritz <= zero_tol)
-            if not sides and width - k < 2:
-                if 2 * width > min(n, NULL_BLOCK_MAX):
-                    return None
-                width *= 2
-                x = rng.standard_normal((n, width))
-                continue
-            solves += 1
-            if np.all(ritz[:k] <= NULL_RITZ_TOL * sigma):
-                break
-            x = q
-        sides.append((q, ritz, wh))
-    return sides, math.sqrt(noise)
-
-
 def _kernels(sides, k):
     """Orthonormal bases of the k null vectors of T and of T* from the
-    blocks of ``_null_basis``."""
+    ``_null_block`` blocks of T and of its transpose."""
     (q, _, wh), (q_adj, _, wh_adj) = sides
     return q @ wh[:k].conj().T, (q_adj @ wh_adj[:k].conj().T).conj()
 
 
 def _lanczos_floor(mat, basis):
     """Square root of the smallest Ritz value of G = mat* mat off the
-    orthonormal ``basis``, by seeded Lanczos with full reorthogonalization
-    (G applied, never formed), or None when LANCZOS_STEPS steps do not
-    bring its residual to LANCZOS_TOL times itself."""
+    orthonormal ``basis``, by Lanczos from sin(1), sin(2), ... with full
+    reorthogonalization (G never formed), or None when LANCZOS_STEPS steps
+    do not bring its residual to LANCZOS_TOL times itself."""
     n, k = basis.shape
     steps = min(LANCZOS_STEPS, n - k)
     vecs = np.empty((steps + 1, n), dtype=mat.dtype)  # Lanczos vectors as rows
     diag, off = np.zeros(steps), np.zeros(steps)
-    x = np.random.default_rng(1).standard_normal(n).astype(mat.dtype)
+    x = np.sin(np.arange(1.0, n + 1.0)).astype(mat.dtype)
     x -= basis @ (basis.conj().T @ x)
     vecs[0] = x / np.linalg.norm(x)
     for j in range(steps):
@@ -533,55 +500,50 @@ def _inertia_certificate(h, side, zero_tol):
     with no decomposition of T (spectrum slicing by Sylvester's law of
     inertia; Parlett, The Symmetric Eigenvalue Problem, 1998).
 
-    Returns ``(blocks, found)``: ``blocks`` from ``_null_basis`` (None if
-    it failed) and ``found`` = ``(kernels, gap, low, residual)``, None
-    when a step refuses.  k Ritz values of both blocks at most NULL_RITZ_TOL *
-    sigma, and with ``noise`` at most ``zero_tol``, prove at least k
-    singular values at or below ``zero_tol`` (Courant-Fischer).  ``gap``
-    is r from ``_lanczos_floor`` on G = T*T off the null basis Q of T.
-    With g = r (1 - CERT_SHRINK) and alpha >= ||T||^2 (from the
-    coefficients' Frobenius norms), one successful Cholesky of G + alpha
-    QQ* - g^2 I proves at most k singular values below g, since a rank-k
-    update lifts at most k eigenvalues.  So the count is exactly k, and
-    sigma_{k+1} lies between ``low`` (g less ``noise`` and the rounding
-    the guard admits) and the block's (k+1)-th Ritz value; ``low`` must
-    exceed GAP_FACTOR * zero_tol.  Rounding guard: g^2 must exceed
-    ROUNDING_GUARD * n * eps * alpha, the size of the rounding of G and of
-    its Cholesky; the block's (k+1)-th Ritz value, an upper bound on g,
-    meets it and the separation before Lanczos runs.  ``residual`` bounds
-    ||T Q|| and ||T* P|| for the bases Q and P of T and T*.  T is
-    perturbed in place; the lifted and shifted G and its Cholesky are
-    ``_gram_cholesky``'s.
+    Returns ``(blocks, found)``: the ``_null_block`` blocks of T and of
+    T^T (None if either failed) and ``found`` = ``(kernels, gap, low,
+    residual)``, None when a step refuses.  Rounding guard: g^2 must exceed
+    ROUNDING_GUARD * n * eps * alpha, the rounding of G = T*T and of its
+    Cholesky, with alpha >= ||T||^2 from the coefficients' Frobenius norms;
+    the blocks iterate at a shift just above it.  k Ritz values of both
+    blocks at most NULL_RITZ_TOL * sigma, and with ``_rounding_floor`` at
+    most ``zero_tol``, prove at least k singular values at or below
+    ``zero_tol`` (Courant-Fischer).  ``gap`` is r from ``_lanczos_floor``
+    off the null basis of T, and ``_lift_proves`` at g = r (1 -
+    CERT_SHRINK) proves at most k below g.  So sigma_{k+1} lies between
+    ``low`` (g less the rounding the guard admits) and the block's (k+1)-th
+    Ritz value, which must meet the guard and the separation GAP_FACTOR *
+    zero_tol before Lanczos runs, as ``low`` must after.  ``residual``
+    bounds ||T Q|| and ||T* P|| for the bases Q and P of T and T*.
     """
     t = assemble(h, side)
     mid = (side // 2) * (side + 1) * h.band_dim  # the middle site's first column
     sigma = float(np.linalg.norm(t[:, mid:mid + h.band_dim], axis=0).max())
-    blocks = _null_basis(t, zero_tol, sigma) if sigma > 0 else None
-    if blocks is None:
+    eps = np.finfo(float).eps
+    alpha = sum(np.linalg.norm(a) for a in h.coeffs.values()) ** 2
+    guard = ROUNDING_GUARD * t.shape[0] * eps * alpha
+    shift = (1.0 + 4.0 * eps) * math.sqrt(guard)
+    blocks = [_null_block(a, shift, zero_tol) for a in (t, t.T)] if sigma > 0 else [None]
+    if None in blocks:
         return None, None
-    sides, noise = blocks
-    (_, ritz, _), (_, ritz_adj, _) = sides
-    n = t.shape[0]
+    (_, ritz, _), (_, ritz_adj, _) = blocks
     k = int(np.count_nonzero(ritz <= zero_tol))
-    largest = max(ritz[k - 1], ritz_adj[k - 1]) if k else 0.0
-    residual = largest + noise
-    alpha = (sum(np.linalg.norm(a) for a in h.coeffs.values()) + noise) ** 2
-    guard = ROUNDING_GUARD * n * np.finfo(float).eps * alpha
+    largest = max(ritz[:k].max(initial=0.0), ritz_adj[:k].max(initial=0.0))  # widths may differ
+    residual = largest + _rounding_floor(h, side)
     top = ritz[k]
     if (np.count_nonzero(ritz_adj <= zero_tol) != k or largest > NULL_RITZ_TOL * sigma
             or (k and residual > zero_tol)
             or top <= GAP_FACTOR * zero_tol or top * top <= guard):
         return blocks, None
-    kernels = _kernels(sides, k)
-    right = kernels[0]
-    gap = _lanczos_floor(t, right)
+    kernels = _kernels(blocks, k)
+    gap = _lanczos_floor(t, kernels[0])
     if gap is None:
         return blocks, None
     g = gap * (1.0 - CERT_SHRINK)
-    low = g * math.sqrt(1.0 - 1.0 / ROUNDING_GUARD) - noise
+    low = g * math.sqrt(1.0 - 1.0 / ROUNDING_GUARD)
     if g > top or g * g <= guard or low <= GAP_FACTOR * zero_tol:
         return blocks, None
-    if _gram_cholesky(t, -g * g, right, alpha) is None:
+    if not _lift_proves(t, g, kernels[0], alpha):
         return blocks, None
     return blocks, (kernels, gap, low, residual)
 
@@ -599,11 +561,18 @@ def _values_fallback(h, side, zero_tol, blocks):
         return (np.zeros((s.size, 0)),) * 2, gap, gap, 0.0
     if blocks is None or gap <= GAP_FACTOR * zero_tol:
         return None
-    sides, noise = blocks
-    if k > sides[0][1].size or any(np.any(np.abs(ritz[:k] - s[::-1][:k]) > NULL_RITZ_TOL * s[0])
-                                   for _, ritz, _ in sides):
+    if any(ritz.size < k or np.any(np.abs(ritz[:k] - s[::-1][:k]) > NULL_RITZ_TOL * s[0])
+           for _, ritz, _ in blocks):
         return None
-    return _kernels(sides, k), gap, gap, max(ritz[k - 1] for _, ritz, _ in sides) + noise
+    return (_kernels(blocks, k), gap, gap,
+            max(ritz[k - 1] for _, ritz, _ in blocks) + _rounding_floor(h, side))
+
+
+def _rounding_floor(h, side):
+    """n eps sum_k ||a_k||_F for the n-row section of ``h`` at ``side``:
+    the rounding of its computed singular values and of T q."""
+    return (side * side * h.band_dim * np.finfo(float).eps
+            * sum(np.linalg.norm(a) for a in h.coeffs.values()))
 
 
 def _zero_count(s, zero_tol):
@@ -659,9 +628,10 @@ def _chiral_corner(h, side, zero_tol, corner_floor, participation):
     values-only SVD; otherwise from the full SVD.
 
     An accepted pair of bases is then held to Wedin's sin-theta bound
-    (BIT 12, 1972): with ``residual`` >= ||T Q||, ||T* P|| and ``low`` a
-    lower bound on sigma_{k+1}, both lie within an angle of sin = residual
-    / (low - residual) of the null spaces of T and T*.  Each refined
+    (BIT 12, 1972): with ``residual`` >= ||T Q||, ||T* P|| (the largest
+    accepted Ritz value plus ``_rounding_floor``) and ``low`` a lower bound
+    on sigma_{k+1}, both lie within an angle of sin = residual / (low -
+    residual) of the null spaces of T and T*.  Each refined
     participation, an eigenvalue of the compressed corner projector, is
     then within 2 sin of the full SVD's.  When 2 sin reaches any zero
     mode's distance to ``corner_floor``, the full SVD is taken instead, so
@@ -745,8 +715,7 @@ def corner_spectrum(symbol, side, chiral=True, zero_tol=1e-6, corner_floor=0.5,
     # the section decomposed: T of h for chiral input, else the section of H
     part = (LaurentSymbol(2, half, [(k, a[half:, :half]) for k, a in symbol.coeffs.items()])
             if chiral else symbol)
-    floor = (side * side * part.band_dim * np.finfo(float).eps
-             * sum(np.linalg.norm(a) for a in part.coeffs.values()))
+    floor = _rounding_floor(part, side)
     if zero_tol <= floor:
         raise InputError(f"zero_tol {zero_tol:g} is at or below the rounding floor {floor:.3e}")
     if chiral:

@@ -59,15 +59,31 @@ def test_version_flag(capsys):
     assert __version__ in capsys.readouterr().out
 
 
-def test_cli_import_loads_no_scipy():
+def _probe(code):
+    """The stdout of ``code`` run by a fresh interpreter, with the package
+    and the tests' conftest importable."""
     src = os.path.dirname(os.path.dirname(qtop.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
+        p for p in (src, tests, os.environ.get("PYTHONPATH")) if p
     ))
-    probe = "import sys, qtop.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _probe("import sys, qtop.cli; "
+                  "print([m for m in sys.modules if m.startswith('scipy')])") == "[]"
+
+
+def test_corner_spectrum_loads_no_numpy_random():
+    """Importing numpy.random would add about 5 MB to a corner run's memory."""
+    assert _probe("import sys, qtop.cli\n"
+                  "from conftest import golden_symbol\n"
+                  "from qtop.operators import corner_spectrum\n"
+                  "from qtop.symbols import assemble_chiral\n"
+                  "corner_spectrum(assemble_chiral(golden_symbol()), side=12)\n"
+                  "print('numpy.random' in sys.modules)") == "False"
 
 
 def test_nan_coefficient_is_input_error(capsys, tmp_path):

@@ -538,19 +538,71 @@ def test_corner_spectrum_from_null_vectors_matches_the_full_svd(golden, case):
                             corner_spectrum(H, side=side, participation=True))
 
 
-def test_null_basis_spans_the_kernels_of_t_and_its_adjoint(golden):
+def _certificate_shift(t, h):
+    """The shift ``_inertia_certificate`` iterates at for the section t of h."""
+    alpha = sum(np.linalg.norm(a) for a in h.coeffs.values()) ** 2
+    return (1.0 + 4.0 * np.finfo(float).eps) * math.sqrt(
+        operators.ROUNDING_GUARD * t.shape[0] * np.finfo(float).eps * alpha)
+
+
+def test_null_block_spans_the_kernels_of_t_and_its_adjoint(golden):
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    t = assemble(golden.conjugate_by(q), 8)
+    h = golden.conjugate_by(q)
+    t = assemble(h, 8)
     s = np.linalg.svd(t, compute_uv=False)
-    sides, noise = operators._null_basis(t.copy(), 1e-6, s[0])
-    k = np.count_nonzero(sides[0][1] <= 1e-6)
-    right, left = operators._kernels(sides, k)
+    blocks = [operators._null_block(a, _certificate_shift(t, h), 1e-6) for a in (t, t.T)]
+    k = np.count_nonzero(blocks[0][1] <= 1e-6)
+    right, left = operators._kernels(blocks, k)
     assert right.shape == left.shape == (t.shape[0], k) and k == 2
-    assert 0 < noise <= 1e-13 * s[0]
     for basis, mat in ((right, t), (left, t.conj().T)):
         assert np.allclose(basis.conj().T @ basis, np.eye(k), rtol=0, atol=1e-12)
         assert np.linalg.norm(mat @ basis) <= 1e-12 * s[0]
+
+
+def test_null_block_starts_from_a_full_rank_block(golden):
+    """Golden+golden has four null vectors on each side.  A start block of
+    rank 2 (sin(w i + j) is one) leaves two of them to amplified rounding,
+    at Ritz values up to 1e-5; the full-rank sin(i j) finds all four."""
+    h = golden.block_diag(golden)
+    t = assemble(h, 10)
+    s = np.linalg.svd(t, compute_uv=False)
+    for a in (t, t.T):
+        _, ritz, _ = operators._null_block(a, _certificate_shift(t, h), 1e-9)
+        assert np.count_nonzero(ritz <= 1e-12 * s[0]) == 4
+    found = operators._inertia_certificate(h, 10, 1e-9)[1]
+    assert found is not None and found[0][0].shape[1] == 4
+
+
+@pytest.mark.parametrize("zero_tol", [1e-6, 1e-9])
+@pytest.mark.parametrize("case, path", [
+    ("golden", "certificate"), ("adjoint", "certificate"), ("golden2", "certificate"),
+    ("conjugated", "certificate"), ("bench1", "certificate"),
+    ("band2", "values-only"), ("band3", "values-only"), ("zero", "full")])
+def test_corner_path_at_side_10(golden, monkeypatch, case, path, zero_tol):
+    """Which of the certificate, the values-only SVD and the full SVD gives
+    each default corner report."""
+    H = _corner_cases(golden)[case]
+    rows = 100 * H.band_dim // 2
+    certified, certificate = [], operators._inertia_certificate
+    svd, decompositions = np.linalg.svd, []
+
+    def spy(*args):
+        blocks, found = certificate(*args)
+        certified.append(found is not None)
+        return blocks, found
+
+    def svd_spy(a, *args, compute_uv=True, **kwargs):
+        if a.shape == (rows, rows):
+            decompositions.append("full" if compute_uv else "values-only")
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(operators, "_inertia_certificate", spy)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    corner_spectrum(H, side=10, zero_tol=zero_tol)
+    assert certified == [path == "certificate"]
+    assert decompositions == {"certificate": [], "values-only": ["values-only"],
+                              "full": ["values-only", "full"]}[path]
 
 
 def test_cholesky_in_place_matches_numpy_and_refuses_an_indefinite_matrix(rng):
@@ -597,7 +649,7 @@ def test_inertia_certificate_brackets_the_gap(golden, case):
     (right, left), gap, low, residual = found
     k = right.shape[1]
     assert k == left.shape[1] == np.count_nonzero(s <= 1e-6) == 2
-    assert low <= s[-k - 1] <= blocks[0][0][1][k]
+    assert low <= s[-k - 1] <= blocks[0][1][k]
     assert abs(gap - s[-k - 1]) <= 1e-12 * s[0]
     assert residual <= 1e-12 * s[0]
     assert max(np.linalg.norm(t @ right, 2), np.linalg.norm(t.conj().T @ left, 2)) <= residual
@@ -636,7 +688,7 @@ def test_inertia_certificate_refusals_fall_back_exactly(golden, golden_H, monkey
 
     def spy(*args):
         blocks, found = certificate(*args)
-        widths.append((blocks and blocks[0][0][0].shape[1], found is not None))
+        widths.append((blocks and blocks[0][0].shape[1], found is not None))
         return blocks, found
 
     monkeypatch.setattr(operators, "_inertia_certificate", spy)
@@ -655,10 +707,13 @@ def test_inertia_certificate_refusals_fall_back_exactly(golden, golden_H, monkey
     full = _full_svds(monkeypatch)
     res = corner_spectrum(H, side=side, zero_tol=zero_tol)
     _assert_same_report(res, ref)
-    assert widths == [{"golden2": (8, True), "zero": (None, False)}.get(case, (4, False))]
-    # the blocks already solved serve the fallback; only the zero symbol,
-    # which has none, takes the full SVD
-    assert full == ([side * side] if case == "zero" else [])
+    assert widths == [{"golden2": (8, True), "zero": (None, False),
+                       "cholesky raises": (None, False)}.get(case, (4, False))]
+    # the blocks already solved serve the fallback.  With a failed Cholesky
+    # there are none, and neither the zero symbol's, nor blocks iterated at
+    # a shift above the 1e-5 cluster of "guard", match the values-only SVD
+    full_svd = case in ("zero", "cholesky raises", "guard")
+    assert full == ([side * side * H.band_dim // 2] if full_svd else [])
     if case == "zero":
         assert repr(res.to_dict()) == repr(ref.to_dict())
 
