@@ -84,34 +84,23 @@ def kernel_dim(*blocks):
     sigma_max the largest over all of them; one block is the plain count.
     An array passed more than once is counted once, by ``_certified_count``
     (the null block and lifted Cholesky of the corner's certificate too)
-    with sigma_max bracketed by ``_norm_bracket``; when one refuses or is
+    with sigma_max bracketed by ``_envelope``; when one refuses or is
     empty, or every column is zero, by the SVDs of ``_kernel_count``."""
-    distinct = {id(b): b for b in blocks}
-    lo, hi = (max(v) for v in zip(*map(_norm_bracket, distinct.values())))
+    distinct = {id(b): (b, _envelope(b)) for b in blocks}
+    lo, hi = (max(v) for v in zip(*(scan[2] for _, scan in distinct.values())))
     counts = {}
-    for key, b in distinct.items():
-        counts[key] = _certified_count(b, lo, hi) if lo > 0 and b.size else None
+    for key, (b, scan) in distinct.items():
+        counts[key] = _certified_count(b, lo, hi, scan[0]) if lo > 0 and b.size else None
         if counts[key] is None:
             return _kernel_count(*blocks)[0]
     return sum(counts[id(b)] for b in blocks)
 
 
-def _norm_bracket(t):
-    """The largest column norm and sqrt(||t||_1 ||t||_inf), which bracket
-    sigma_max, from PANEL row panels."""
-    sums, squares, rows = np.zeros(t.shape[1]), np.zeros(t.shape[1]), 0.0
-    for j in range(0, t.shape[0], PANEL):
-        a = np.abs(t[j:j + PANEL])
-        sums += a.sum(axis=0)
-        rows = max(rows, float(a.sum(axis=1).max()))
-        squares += (a * a).sum(axis=0)
-    return math.sqrt(squares.max(initial=0.0)), math.sqrt(sums.max(initial=0.0) * rows)
-
-
-def _certified_count(t, lo, hi):
+def _certified_count(t, lo, hi, env):
     """The number k of the n singular values of ``t`` (zeros pad a wide one)
     below KERNEL_RELTOL * sigma_max, proven for all sigma_max in [lo, hi]
-    without an SVD of ``t`` by spectrum slicing of G = T*T, or None.
+    without an SVD of ``t`` (column envelope ``env``) by spectrum slicing
+    of G = T*T, or None.
 
     g^2 exceeds ROUNDING_GUARD max(m, n) eps hi^2, the rounding of G and of
     its Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -124,19 +113,19 @@ def _certified_count(t, lo, hi):
     eps = np.finfo(float).eps
     g = (1.0 + 4.0 * eps) * hi * max(math.sqrt(ROUNDING_GUARD * max(m, n) * eps),
                                       KERNEL_RELTOL / math.sqrt(1.0 - 1.0 / ROUNDING_GUARD))
-    if _gram_cholesky(t, -g * g) is not None:
+    if _gram_cholesky(t, -g * g, env) is not None:
         return 0
-    block = _null_block(t, g, KERNEL_RELTOL * lo)
+    block = _null_block(t, g, KERNEL_RELTOL * lo, env)
     if block is None:
         return None
     q, ritz, wh = block
     k = int(np.count_nonzero(ritz < KERNEL_RELTOL * lo))
     if ritz[k] <= g:
         return None
-    return k if _lift_proves(t, g, q @ wh[:k].conj().T, hi * hi) else None
+    return k if _lift_proves(t, g, q @ wh[:k].conj().T, hi * hi, env) else None
 
 
-def _null_block(t, g, cut):
+def _null_block(t, g, cut, env):
     """Two steps of block inverse iteration on G + g^2 I, G = T*T of the
     m x n ``t`` (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011), from the
     block sin(i j): ``(q, ritz, wh)``, the orthonormal block, the Ritz
@@ -146,7 +135,7 @@ def _null_block(t, g, cut):
     at NULL_BLOCK columns and doubles while fewer than 2 Ritz values lie
     above ``cut``; None when that would pass NULL_BLOCK_MAX or n."""
     m, n = t.shape
-    factor = _gram_cholesky(t, g * g)
+    factor = _gram_cholesky(t, g * g, env)
     if factor is None:
         return None
     width = min(NULL_BLOCK, n)
@@ -165,83 +154,130 @@ def _null_block(t, g, cut):
         width *= 2
 
 
-def _lift_proves(t, g, basis, alpha):
-    """Whether a Cholesky of G + alpha LL* - g^2 I, G = T*T of ``t`` and L
-    the n x k ``basis`` less its entries below LIFT_FLOOR, proves at most k
-    singular values below g: a rank-k lift moves at most k eigenvalues, for
-    any L, and the dropped entries keep G banded where the vectors vanish."""
+def _lift_proves(t, g, basis, alpha, env):
+    """Whether G + alpha LL* - g^2 I, G = T*T of ``t`` and L the n x k
+    ``basis`` less its entries below LIFT_FLOOR, is positive definite,
+    which proves at most k singular values below g: a rank-k lift moves at
+    most k eigenvalues, for any L.  The s rows S where L is nonzero go
+    last, a permutation that keeps the inertia: ``_gram_cholesky`` factors
+    the band G - g^2 I off S, and one s x s Cholesky the Schur complement
+    on S, with L21* = L11^-1 G[~S, S] by forward substitution."""
     lift = np.where(np.abs(basis) < LIFT_FLOOR, 0.0, basis)
-    return _gram_cholesky(t, -g * g, lift, alpha) is not None
+    rows = np.flatnonzero(lift.any(axis=1))
+    factor = _gram_cholesky(t, -g * g, env, rows)
+    if factor is None:
+        return False
+    first, last = env  # G[S, :] from each column's support
+    border = np.array([t[first[c]:last[c] + 1, c].conj() @ t[first[c]:last[c] + 1]
+                       for c in rows]).reshape(rows.size, t.shape[1])
+    schur = border[:, rows] + alpha * lift[rows] @ lift[rows].conj().T - g * g * np.eye(rows.size)
+    border[:, rows] = 0.0
+    l21 = _forward_solve(factor, border.conj().T)
+    try:
+        np.linalg.cholesky(schur - l21.conj().T @ l21)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
-def _gram_cholesky(t, shift, lift=None, alpha=0.0):
-    """The Cholesky factor of G + alpha QQ* + ``shift`` I, G = T*T of the
-    m x n ``t`` and Q the n x k ``lift``, in the lower triangle of an n x n
-    array, or None when it is not positive definite.  Each column panel of
-    G is built when the Cholesky first reads it, from the rows of ``t``
-    its columns reach, so a banded ``t`` costs its band."""
+def _envelope(t):
+    """The first and last nonzero row of each column of the m x n ``t``
+    and of ``t.T`` (m or n and -1 when none is), and the largest column
+    norm and sqrt(||t||_1 ||t||_inf), which bracket sigma_max, in one
+    pass over PANEL column panels."""
     m, n = t.shape
-    first, last = np.full(n, m), np.full(n, -1)  # the first and last nonzero row of each column
+    first, last, row_first, row_last = np.full(n, m), np.full(n, -1), np.full(m, n), np.full(m, -1)
+    sums, squares, row_sums = np.zeros(n), np.zeros(n), np.zeros(m)
     for j in range(0, n, PANEL):
-        hit = t[:, j:j + PANEL] != 0
-        live = hit.any(axis=0)
-        first[j:j + PANEL][live] = hit.argmax(axis=0)[live]
-        last[j:j + PANEL][live] = m - 1 - hit[::-1].argmax(axis=0)[live]
-    gram = np.zeros((n, n), dtype=np.result_type(t, 1.0))
+        a = np.abs(t[:, j:j + PANEL])
+        rows = np.flatnonzero(a.any(axis=1))
+        if not rows.size:
+            continue
+        i0, i1 = rows[0], rows[-1] + 1  # the rows the panel reaches
+        a = a[i0:i1]
+        sums[j:j + PANEL], squares[j:j + PANEL] = a.sum(axis=0), (a * a).sum(axis=0)
+        row_sums[i0:i1] += a.sum(axis=1)
+        hit = a > 0
+        cols, live = hit.any(axis=0), hit.any(axis=1)
+        first[j:j + PANEL][cols] = i0 + hit.argmax(axis=0)[cols]
+        last[j:j + PANEL][cols] = i1 - 1 - hit[::-1].argmax(axis=0)[cols]
+        row_first[i0:i1][live] = np.minimum(row_first[i0:i1][live], j + hit.argmax(axis=1)[live])
+        row_last[i0:i1][live] = j + a.shape[1] - 1 - hit[:, ::-1].argmax(axis=1)[live]
+    bracket = math.sqrt(squares.max(initial=0.0)), math.sqrt(sums.max(initial=0.0)
+                                                             * row_sums.max(initial=0.0))
+    return (first, last), (row_first, row_last), bracket
 
-    def fill(j, end):
-        r0, r1 = first[j:end].min(), last[j:end].max() + 1
-        reach = j + _extent(first[j:] < r1)  # later columns start below these rows
-        np.conjugate((t[r0:r1, j:end].conj().T @ t[r0:r1, j:reach]).T, out=gram[j:reach, j:end])
-        if lift is not None:
-            gram[j:, j:end] += (alpha * lift[j:]) @ lift[j:end].conj().T
-        gram[range(j, end), range(j, end)] += shift
+
+def _gram_cholesky(t, shift, env, border=()):
+    """The ``_cholesky_in_place`` panels of the Cholesky factor of G +
+    ``shift`` I, G = T*T of the m x n ``t`` with the column envelope
+    ``env``, or None when it is not positive definite; the rows and
+    columns ``border`` hold the identity instead.  Each panel of G is
+    built when the Cholesky reaches it, from the rows of ``t`` its
+    columns reach, so a G of lower bandwidth b costs O(n (b + PANEL))
+    entries."""
+    m, n = t.shape
+    first, last = env
+    keep = ~np.isin(np.arange(n), border)
+
+    def panels():
+        reach = 0
+        for j in range(0, n, PANEL):
+            end = min(j + PANEL, n)
+            r0, r1 = first[j:end].min(), last[j:end].max() + 1
+            # rows down to the last column that starts above r1, or that earlier panels fill
+            reach = max(reach, end, j + 1 + int(np.flatnonzero(first[j:] < r1).max(initial=-1)))
+            a = t[r0:r1, j:reach].conj().T @ t[r0:r1, j:end] * np.outer(keep[j:reach], keep[j:end])
+            a[range(end - j), range(end - j)] += np.where(keep[j:end], shift, 1.0)
+            # the first column whose rows reach the panel's: G's rows here are zero before it
+            yield int(np.argmax(np.append(last[:j], m) >= r0)), a
 
     try:
-        _cholesky_in_place(gram, fill)
+        return _cholesky_in_place(panels())
     except np.linalg.LinAlgError:
         return None
-    return gram
 
 
-def _extent(mask):
-    """One past the last True of ``mask``, 0 when none is."""
-    hits = np.flatnonzero(mask)
-    return int(hits[-1]) + 1 if hits.size else 0
+def _cholesky_in_place(panels):
+    """The Cholesky factor L of the hermitian A as the list of its PANEL
+    column panels, left-looking, so that a refusal (LinAlgError: A is not
+    positive definite) costs only the panels read.  ``panels`` yields
+    (c0, a): a holds rows j:j + len(a) of A's next columns j:j + PANEL,
+    at least as many as the panel before (A is zero below; the upper
+    triangle is not read), and A's rows j:j + PANEL are zero before
+    column c0.  Each a is overwritten with L's panel; L keeps the
+    envelope of A (George & Liu, Computer Solution of Large Sparse
+    Positive Definite Systems, 1981), so a banded A costs its band."""
+    factor = []
+    for c0, a in panels:
+        j, w = len(factor) * PANEL, a.shape[1]
+        for q in range(c0 // PANEL, len(factor)):  # the earlier panels reaching these rows
+            low = factor[q][j - q * PANEL:, max(c0 - q * PANEL, 0):]
+            a[:len(low), :len(low[:w])] -= low @ low[:w].conj().T
+        a[:w] = np.linalg.cholesky(a[:w])
+        a[w:] = np.linalg.solve(a[:w].conj(), a[w:].T).T  # B L^-* as (conj(L)^-1 B^T)^T
+        factor.append(a)
+    return factor
 
 
-def _cholesky_in_place(a, fill=None):
-    """Overwrite the lower triangle of the hermitian ``a``, the only part
-    read, with its Cholesky factor, PANEL columns at a time (left-looking,
-    so no temporary is wider than a panel); LinAlgError when ``a`` is not
-    positive definite.  ``fill(j, end)`` writes columns j:end first.  The
-    factor keeps the envelope of ``a`` (George & Liu, Computer Solution of
-    Large Sparse Positive Definite Systems, 1981); each step touches only
-    the rows and columns inside it, so a banded ``a`` costs its band."""
-    n = a.shape[0]
-    below = []  # one past the last nonzero row of each finished column panel
-    for j in range(0, n, PANEL):
-        end = min(j + PANEL, n)
-        if fill is not None:
-            fill(j, end)
-        if j:
-            c0 = int(np.argmax(a[j:end, :j].any(axis=0)))  # the panel's rows are zero before c0
-            reach = max([end] + below[c0 // PANEL:])
-            a[j:reach, j:end] -= a[j:reach, c0:j] @ a[j:end, c0:j].conj().T
-        a[j:end, j:end] = np.linalg.cholesky(a[j:end, j:end])
-        below.append(end + _extent(a[end:, j:end].any(axis=1)))
-        rows = slice(end, below[-1])  # B L^-* as (conj(L)^-1 B^T)^T, with no conjugated copy
-        a[rows, j:end] = np.linalg.solve(a[j:end, j:end].conj(), a[rows, j:end].T).T
+def _forward_solve(factor, b):
+    """L^-1 ``b`` for the panels of L from ``_cholesky_in_place``."""
+    x = b.astype(np.result_type(factor[0], b))
+    for p, low in enumerate(factor):
+        j, w = p * PANEL, low.shape[1]
+        x[j:j + w] = np.linalg.solve(low[:w], x[j:j + w])
+        x[j + w:j + len(low)] -= low[w:] @ x[j:j + w]
+    return x
 
 
-def _cholesky_solve(low, b):
-    """(LL*)^-1 ``b`` for the factor L in the lower triangle of ``low``, by
-    substitution over its PANEL-wide diagonal blocks."""
-    x, panels = b.astype(low.dtype), [slice(j, j + PANEL) for j in range(0, len(low), PANEL)]
-    for p in panels:
-        x[p] = np.linalg.solve(low[p, p], x[p] - low[p, :p.start] @ x[:p.start])
-    for p in panels[::-1]:
-        x[p] = np.linalg.solve(low[p, p].conj().T, x[p] - low[p.stop:, p].conj().T @ x[p.stop:])
+def _cholesky_solve(factor, b):
+    """(LL*)^-1 ``b`` for the panels of L from ``_cholesky_in_place``, by
+    substitution over its diagonal blocks, reading only the panels' rows."""
+    x = _forward_solve(factor, b)
+    for p, low in reversed(list(enumerate(factor))):
+        j, w = p * PANEL, low.shape[1]
+        x[j:j + w] = np.linalg.solve(low[:w].conj().T,
+                                     x[j:j + w] - low[w:].conj().T @ x[j + w:j + len(low)])
     return x
 
 
@@ -523,7 +559,9 @@ def _inertia_certificate(h, side, zero_tol):
     alpha = sum(np.linalg.norm(a) for a in h.coeffs.values()) ** 2
     guard = ROUNDING_GUARD * t.shape[0] * eps * alpha
     shift = (1.0 + 4.0 * eps) * math.sqrt(guard)
-    blocks = [_null_block(a, shift, zero_tol) for a in (t, t.T)] if sigma > 0 else [None]
+    envs = _envelope(t)[:2]
+    blocks = ([_null_block(a, shift, zero_tol, env) for a, env in zip((t, t.T), envs)]
+              if sigma > 0 else [None])
     if None in blocks:
         return None, None
     (_, ritz, _), (_, ritz_adj, _) = blocks
@@ -543,7 +581,7 @@ def _inertia_certificate(h, side, zero_tol):
     low = g * math.sqrt(1.0 - 1.0 / ROUNDING_GUARD)
     if g > top or g * g <= guard or low <= GAP_FACTOR * zero_tol:
         return blocks, None
-    if not _lift_proves(t, g, kernels[0], alpha):
+    if not _lift_proves(t, g, kernels[0], alpha, envs[0]):
         return blocks, None
     return blocks, (kernels, gap, low, residual)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,7 +181,8 @@ def test_kernel_certificate_refuses_a_block_that_missed_the_null_vector(golden, 
     lies above the cut, and the lifted Cholesky refuses the count 0."""
     t = golden.section([11, 11], [10, 10])
     monkeypatch.setattr(operators, "_cholesky_solve", lambda low, b: b)
-    assert operators._certified_count(t, *operators._norm_bracket(t)) is None
+    env, _, bracket = operators._envelope(t)
+    assert operators._certified_count(t, *bracket, env) is None
     assert kernel_dim(t) == 1
 
 
@@ -551,7 +553,8 @@ def test_null_block_spans_the_kernels_of_t_and_its_adjoint(golden):
     h = golden.conjugate_by(q)
     t = assemble(h, 8)
     s = np.linalg.svd(t, compute_uv=False)
-    blocks = [operators._null_block(a, _certificate_shift(t, h), 1e-6) for a in (t, t.T)]
+    blocks = [operators._null_block(a, _certificate_shift(t, h), 1e-6, env)
+              for a, env in zip((t, t.T), operators._envelope(t)[:2])]
     k = np.count_nonzero(blocks[0][1] <= 1e-6)
     right, left = operators._kernels(blocks, k)
     assert right.shape == left.shape == (t.shape[0], k) and k == 2
@@ -567,8 +570,8 @@ def test_null_block_starts_from_a_full_rank_block(golden):
     h = golden.block_diag(golden)
     t = assemble(h, 10)
     s = np.linalg.svd(t, compute_uv=False)
-    for a in (t, t.T):
-        _, ritz, _ = operators._null_block(a, _certificate_shift(t, h), 1e-9)
+    for a, env in zip((t, t.T), operators._envelope(t)[:2]):
+        _, ritz, _ = operators._null_block(a, _certificate_shift(t, h), 1e-9, env)
         assert np.count_nonzero(ritz <= 1e-12 * s[0]) == 4
     found = operators._inertia_certificate(h, 10, 1e-9)[1]
     assert found is not None and found[0][0].shape[1] == 4
@@ -605,39 +608,115 @@ def test_corner_path_at_side_10(golden, monkeypatch, case, path, zero_tol):
                               "full": ["values-only", "full"]}[path]
 
 
+def _expand(factor, n):
+    """The dense lower triangle of the panels of ``_cholesky_in_place``."""
+    out = np.zeros((n, n), dtype=factor[0].dtype)
+    for p, low in enumerate(factor):
+        j = p * operators.PANEL
+        out[j:j + len(low), j:j + low.shape[1]] = low
+    return out
+
+
 def test_cholesky_in_place_matches_numpy_and_refuses_an_indefinite_matrix(rng):
-    n = 3 * operators.PANEL + 5
+    n, width = 3 * operators.PANEL + 5, operators.PANEL
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     gram = a.conj().T @ a + np.eye(n)
-    factor = np.tril(gram)  # the upper triangle is not read
-    operators._cholesky_in_place(factor)
+
+    def panels(mat):  # the upper triangle is not read
+        return ((0, np.tril(mat)[j:, j:j + width]) for j in range(0, n, width))
+
+    factor = operators._cholesky_in_place(panels(gram))
     ref = np.linalg.cholesky(gram)
-    assert np.max(np.abs(np.tril(factor) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(_expand(factor, n) - ref)) <= 1e-12 * np.max(np.abs(ref))
     gram[n - 1, n - 1] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
-        operators._cholesky_in_place(gram)
+        operators._cholesky_in_place(panels(gram))
 
 
-@pytest.mark.parametrize("lifted", [False, True])
-def test_gram_cholesky_of_a_banded_section_matches_numpy(rng, lifted):
-    """A tall banded T with a zero column: the panel-built, lifted and
-    shifted Gram factor equals numpy's, keeps the band when not lifted,
-    and solves like numpy."""
+def _banded_section(rng):
+    """A tall banded T with a zero column, and its envelopes."""
     m, n, band = 5 * operators.PANEL + 7, 4 * operators.PANEL + 3, 9
     t = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     t[np.abs(np.subtract.outer(np.arange(m), np.arange(n) * m / n)) > band] = 0.0
     t[:, 1] = 0.0
-    lift = np.linalg.qr(rng.standard_normal((n, 2)))[0] if lifted else None
-    factor = operators._gram_cholesky(t, 0.5, lift, 3.0)
-    gram = t.conj().T @ t + 0.5 * np.eye(n) + (3.0 * lift @ lift.T if lifted else 0.0)
+    return t, operators._envelope(t)[:2]
+
+
+def test_envelope_of_a_section_and_its_transpose(rng):
+    t, envelopes = _banded_section(rng)
+    for mat, (first, last) in zip((t, t.T), envelopes):
+        for col, lo, hi in zip(mat.T, first, last):
+            rows = np.flatnonzero(col)
+            assert (lo, hi) == ((rows[0], rows[-1]) if rows.size else (mat.shape[0], -1))
+
+
+@pytest.mark.parametrize("border", [False, True])
+def test_gram_cholesky_of_a_banded_section_matches_numpy(rng, border):
+    """The panel-built, shifted Gram factor of a tall banded T, with the
+    rows of a lift at both ends taken out as a border or not, equals
+    numpy's, keeps the band in its entries and its storage, and solves
+    like numpy."""
+    t, (env, _) = _banded_section(rng)
+    n = t.shape[1]
+    rows = [0, 2, n - 2, n - 1] if border else []
+    factor = operators._gram_cholesky(t, 0.5, env, rows)
+    gram = t.conj().T @ t + 0.5 * np.eye(n)
+    gram[rows] = gram[:, rows] = 0.0
+    gram[rows, rows] = 1.0
     ref = np.linalg.cholesky(gram)
-    assert np.max(np.abs(np.tril(factor) - ref)) <= 1e-12 * np.max(np.abs(ref))
-    if not lifted:
-        assert np.all(np.tril(factor)[gram == 0.0] == 0.0)
+    assert np.max(np.abs(_expand(factor, n) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if not border:
+        assert np.all(_expand(factor, n)[gram == 0.0] == 0.0)
+    band = max(np.flatnonzero(col).max() - c for c, col in enumerate(gram.T))
+    assert all(len(low) <= band + 2 * operators.PANEL for low in factor)
     b = rng.standard_normal((n, 3))
     assert np.allclose(operators._cholesky_solve(factor, b), np.linalg.solve(gram, b),
                        rtol=0, atol=1e-12 * np.max(np.abs(np.linalg.solve(gram, b))))
-    assert operators._gram_cholesky(t, -0.5) is None  # the zero column
+    assert operators._gram_cholesky(t, -0.5, env, rows) is None  # the zero column
+
+
+@pytest.mark.parametrize("rows", ["ends", "middle"])
+def test_lift_proves_what_numpy_proves_on_the_dense_lifted_matrix(rng, rows):
+    """The band factor with the lift's rows as a dense border gives numpy's
+    verdict on G + alpha LL* - g^2 I, with g^2 just below and just above
+    its smallest eigenvalue, for a lift at both ends of the band (the
+    corner's shape) and one in the middle."""
+    t = _banded_section(rng)[0]
+    t[1, 1] = 1.0  # no zero column, so that G + alpha LL* is definite
+    env, n = operators._envelope(t)[0], t.shape[1]
+    support = [0, 1, n - 2, n - 1] if rows == "ends" else [n // 2, n // 2 + 1]
+    lift = np.zeros((n, 2), dtype=complex)
+    lift[support] = rng.standard_normal((len(support), 2)) + 1j
+    lift[n // 3] = 0.5 * operators.LIFT_FLOOR  # dropped by the floor
+    kept = np.where(np.abs(lift) < operators.LIFT_FLOOR, 0.0, lift)
+    lifted = t.conj().T @ t + 3.0 * kept @ kept.conj().T
+    low = np.linalg.eigvalsh(lifted)[0]
+    for scale, definite in ((0.99, True), (1.01, False)):
+        g = math.sqrt(scale * low)
+        try:
+            np.linalg.cholesky(lifted - g * g * np.eye(n))
+        except np.linalg.LinAlgError:
+            assert not definite
+        else:
+            assert definite
+        assert operators._lift_proves(t, g, lift, 3.0, env) is definite
+
+
+def test_inertia_certificate_allocates_no_second_square_array(golden):
+    """Inside the corner's certificate, the section T is the one array of
+    n^2 entries: the Gram factors are banded, and the lift is a border."""
+    H = _corner_cases(golden)["golden"]
+    h = LaurentSymbol(2, 2, [(k, a[2:, :2]) for k, a in H.coeffs.items()])
+    n = 16 * 16 * h.band_dim
+    tracemalloc.start()
+    try:
+        found = operators._inertia_certificate(h, 16, 1e-6)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is not None and found[0][0].shape[1] == 2
+    assert peak < 16 * n * n + 8 * n * n  # T, and less than one real n x n array
+
 
 @pytest.mark.parametrize("case", ["golden", "bench1"])
 def test_inertia_certificate_brackets_the_gap(golden, case):
