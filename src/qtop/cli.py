@@ -44,7 +44,7 @@ from .extension import (
     check_w3_grid,
 )
 from .invariants import DEFAULT_GRID, gapped_invariant_report, w3
-from .operators import corner_spectrum, numerical_index, spectral_flow
+from .operators import certify_fredholm, corner_spectrum, numerical_index, spectral_flow
 from .symbols import az_class, check_symmetry, load_symbol, split_chiral
 from .wiener_hopf import canonical_factorize, verify_factorization
 
@@ -282,10 +282,14 @@ def _cmd_corner(args):
 
 def _run_w3(args, report, key, symbol, grid, other, mismatch):
     """Store W3 of the extension of ``symbol`` (--samples slices per circle)
-    on ``grid`` as ``report[key]``.  With an integer ``other``, also store
+    on ``grid`` as ``report[key]``, after ``certify_fredholm`` has checked
+    the slices at its eight angles per direction (at the default 16 samples
+    the build has opened them).  With an integer ``other``, also store
     ``report["agreement"]``; on disagreement emit the report and raise
     CrossCheckFailed with ``mismatch`` formatted with fields w3 and other."""
-    result = w3(build_extended(symbol, samples_per_circle=args.samples), grid=grid)
+    ext = build_extended(symbol, samples_per_circle=args.samples)
+    certify_fredholm(symbol)
+    result = w3(ext, grid=grid)
     report[key] = result.to_dict()
     if other is not None:
         report["agreement"] = bool(result.rounded == other)

@@ -1,8 +1,10 @@
 """Finite truncations of Toeplitz-type lattice operators and their spectra.
 
-Every dense truncation is a LaurentSymbol.section on a Dirichlet box at the
+Every truncation is a LaurentSymbol.section on a Dirichlet box at the
 origin, which fixes the site-block layout; ``assemble`` is the square one,
-(side,) * num_vars, as a plain array.
+(side,) * num_vars, as a plain array.  The two inertia certificates read
+theirs as ``Panels``, PANEL column panels over the rows each reaches, and
+only a fallback densifies.
 
 The numerical Fredholm index of the quarter-plane operator compares kernel
 counts of f and its adjoint on sections whose rows are the full hopping
@@ -27,8 +29,8 @@ from .errors import (
     TrackingAmbiguous,
     Unstable,
 )
-from .symbols import (DENSE_CAP, GRID_CAP, LaurentSymbol, _check_rows, _reducing_subspaces,
-                      _relation_violation, _split_mass)
+from .symbols import (DENSE_CAP, GRID_CAP, LaurentSymbol, Panels, _check_rows,
+                      _reducing_subspaces, _relation_violation, _split_mass)
 from .wiener_hopf import (
     FIRST_TRUNCATION,
     KERNEL_RELTOL,
@@ -82,25 +84,32 @@ def kernel_dim(*blocks):
     """Numerical kernel count of diag(blocks): singular values of the
     matrices ``blocks`` below KERNEL_RELTOL * sigma_max (see wiener_hopf),
     sigma_max the largest over all of them; one block is the plain count.
-    An array passed more than once is counted once, by ``_certified_count``
-    (the null block and lifted Cholesky of the corner's certificate too)
-    with sigma_max bracketed by ``_envelope``; when one refuses or is
-    empty, or every column is zero, by the SVDs of ``_kernel_count``."""
-    distinct = {id(b): (b, _envelope(b)) for b in blocks}
-    lo, hi = (max(v) for v in zip(*(scan[2] for _, scan in distinct.values())))
+    A block is an array, cut into its PANEL column ``Panels`` in one pass,
+    or those panels.  A block passed more than once is counted once, by
+    ``_certified_count`` (the null block and lifted Cholesky of the
+    corner's certificate too) with sigma_max bracketed by ``_envelope``;
+    when one refuses or is empty, or every column is zero, by the SVDs of
+    ``_kernel_count``, the only step that densifies panels."""
+    distinct = {id(b): b for b in blocks}
+    panels = {key: b if isinstance(b, Panels) else Panels.from_dense(b, PANEL)
+              for key, b in distinct.items()}
+    scans = {key: _envelope(t) for key, t in panels.items()}
+    lo, hi = (max(v) for v in zip(*(scan[2] for scan in scans.values())))
     counts = {}
-    for key, (b, scan) in distinct.items():
-        counts[key] = _certified_count(b, lo, hi, scan[0]) if lo > 0 and b.size else None
+    for key, t in panels.items():
+        counts[key] = (_certified_count(t, lo, hi, scans[key][0]) if lo > 0 and min(t.shape)
+                       else None)
         if counts[key] is None:
-            return _kernel_count(*blocks)[0]
+            dense = {key: b[:, :] for key, b in distinct.items()}
+            return _kernel_count(*(dense[id(b)] for b in blocks))[0]
     return sum(counts[id(b)] for b in blocks)
 
 
 def _certified_count(t, lo, hi, env):
-    """The number k of the n singular values of ``t`` (zeros pad a wide one)
-    below KERNEL_RELTOL * sigma_max, proven for all sigma_max in [lo, hi]
-    without an SVD of ``t`` (column envelope ``env``) by spectrum slicing
-    of G = T*T, or None.
+    """The number k of the n singular values of the panels ``t`` (zeros pad
+    a wide one) below KERNEL_RELTOL * sigma_max, proven for all sigma_max
+    in [lo, hi] without an SVD of ``t`` (column envelope ``env``) by
+    spectrum slicing of G = T*T, or None.
 
     g^2 exceeds ROUNDING_GUARD max(m, n) eps hi^2, the rounding of G and of
     its Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -127,10 +136,10 @@ def _certified_count(t, lo, hi, env):
 
 def _null_block(t, g, cut, env):
     """Two steps of block inverse iteration on G + g^2 I, G = T*T of the
-    m x n ``t`` (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011), from the
-    block sin(i j): ``(q, ritz, wh)``, the orthonormal block, the Ritz
-    values of T on it ascending (zeros pad a wide T q) and the matching
-    rows of V*, or None when the Cholesky fails.  The j-th Ritz value
+    m x n panels ``t`` (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011),
+    from the block sin(i j): ``(q, ritz, wh)``, the orthonormal block, the
+    Ritz values of T on it ascending (zeros pad a wide T q) and the
+    matching rows of V*, or None when the Cholesky fails.  The j-th Ritz value
     bounds the j-th smallest singular value from above.  The block starts
     at NULL_BLOCK columns and doubles while fewer than 2 Ritz values lie
     above ``cut``; None when that would pass NULL_BLOCK_MAX or n."""
@@ -155,21 +164,22 @@ def _null_block(t, g, cut, env):
 
 
 def _lift_proves(t, g, basis, alpha, env):
-    """Whether G + alpha LL* - g^2 I, G = T*T of ``t`` and L the n x k
-    ``basis`` less its entries below LIFT_FLOOR, is positive definite,
-    which proves at most k singular values below g: a rank-k lift moves at
-    most k eigenvalues, for any L.  The s rows S where L is nonzero go
+    """Whether G + alpha LL* - g^2 I, G = T*T of the panels ``t`` and L
+    the n x k ``basis`` less its entries below LIFT_FLOOR, is positive
+    definite, which proves at most k singular values below g: a rank-k
+    lift moves at most k eigenvalues, for any L.  The s rows S where L is nonzero go
     last, a permutation that keeps the inertia: ``_gram_cholesky`` factors
     the band G - g^2 I off S, and one s x s Cholesky the Schur complement
-    on S, with L21* = L11^-1 G[~S, S] by forward substitution."""
+    on S, with L21* = L11^-1 G[~S, S] by forward substitution and G[S, :]
+    = T[:, S]* T from two panel products."""
     lift = np.where(np.abs(basis) < LIFT_FLOOR, 0.0, basis)
     rows = np.flatnonzero(lift.any(axis=1))
     factor = _gram_cholesky(t, -g * g, env, rows)
     if factor is None:
         return False
-    first, last = env  # G[S, :] from each column's support
-    border = np.array([t[first[c]:last[c] + 1, c].conj() @ t[first[c]:last[c] + 1]
-                       for c in rows]).reshape(rows.size, t.shape[1])
+    pick = np.zeros((t.shape[1], rows.size))
+    pick[rows, range(rows.size)] = 1.0
+    border = (t.T @ (t @ pick).conj()).T
     schur = border[:, rows] + alpha * lift[rows] @ lift[rows].conj().T - g * g * np.eye(rows.size)
     border[:, rows] = 0.0
     l21 = _forward_solve(factor, border.conj().T)
@@ -181,20 +191,20 @@ def _lift_proves(t, g, basis, alpha, env):
 
 
 def _envelope(t):
-    """The first and last nonzero row of each column of the m x n ``t``
-    and of ``t.T`` (m or n and -1 when none is), and the largest column
-    norm and sqrt(||t||_1 ||t||_inf), which bracket sigma_max, in one
-    pass over PANEL column panels."""
+    """The first and last nonzero row of each column of the m x n panels
+    ``t`` and of ``t.T`` (m or n and -1 when none is), and the largest
+    column norm and sqrt(||t||_1 ||t||_inf), which bracket sigma_max, in
+    one pass over its panels."""
     m, n = t.shape
     first, last, row_first, row_last = np.full(n, m), np.full(n, -1), np.full(m, n), np.full(m, -1)
     sums, squares, row_sums = np.zeros(n), np.zeros(n), np.zeros(m)
-    for j in range(0, n, PANEL):
-        a = np.abs(t[:, j:j + PANEL])
+    for p, (start, a) in enumerate(zip(t.starts, t.blocks)):
+        j, a = p * PANEL, np.abs(a)
         rows = np.flatnonzero(a.any(axis=1))
         if not rows.size:
             continue
-        i0, i1 = rows[0], rows[-1] + 1  # the rows the panel reaches
-        a = a[i0:i1]
+        i0, i1 = start + rows[0], start + rows[-1] + 1  # the rows the panel reaches
+        a = a[rows[0]:rows[-1] + 1]
         sums[j:j + PANEL], squares[j:j + PANEL] = a.sum(axis=0), (a * a).sum(axis=0)
         row_sums[i0:i1] += a.sum(axis=1)
         hit = a > 0
@@ -210,9 +220,9 @@ def _envelope(t):
 
 def _gram_cholesky(t, shift, env, border=()):
     """The ``_cholesky_in_place`` panels of the Cholesky factor of G +
-    ``shift`` I, G = T*T of the m x n ``t`` with the column envelope
-    ``env``, or None when it is not positive definite; the rows and
-    columns ``border`` hold the identity instead.  Each panel of G is
+    ``shift`` I, G = T*T of the m x n panels ``t`` with the column
+    envelope ``env``, or None when it is not positive definite; the rows
+    and columns ``border`` hold the identity instead.  Each panel of G is
     built when the Cholesky reaches it, from the rows of ``t`` its
     columns reach, so a G of lower bandwidth b costs O(n (b + PANEL))
     entries."""
@@ -227,7 +237,8 @@ def _gram_cholesky(t, shift, env, border=()):
             r0, r1 = first[j:end].min(), last[j:end].max() + 1
             # rows down to the last column that starts above r1, or that earlier panels fill
             reach = max(reach, end, j + 1 + int(np.flatnonzero(first[j:] < r1).max(initial=-1)))
-            a = t[r0:r1, j:reach].conj().T @ t[r0:r1, j:end] * np.outer(keep[j:reach], keep[j:end])
+            b = t[r0:r1, j:reach]
+            a = b.conj().T @ b[:, :end - j] * np.outer(keep[j:reach], keep[j:end])
             a[range(end - j), range(end - j)] += np.where(keep[j:end], shift, 1.0)
             # the first column whose rows reach the panel's: G's rows here are zero before it
             yield int(np.argmax(np.append(last[:j], m) >= r0)), a
@@ -294,10 +305,11 @@ def _reach_compression(symbol, classes, box):
     reach of ``symbol``, refused at the full band_dim before any section is
     allocated.  ``classes`` pairs the symbol of each class of unitarily
     equivalent reducing blocks with its number of members; each class gets
-    one section, listed once per member as the same array."""
+    one section, as its PANEL column ``Panels``, listed once per member as
+    the same object."""
     rows = _reach_rows(symbol, box)
     _check_rows(math.prod(rows) * symbol.band_dim)
-    return [s for part, members in classes for s in [part.section(rows, box)] * members]
+    return [s for part, members in classes for s in [part.section(rows, box, PANEL)] * members]
 
 
 def certify_fredholm(symbol):
@@ -346,10 +358,11 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
     band_dim > 16), with the counts of the undivided section:
     the blocks W_i* f W_i fall into classes of unitarily equivalent ones,
     found once per symbol (f* has the same), and each class gets one
-    section on the rows of the whole symbol's reach, passed to one
-    kernel_dim once per member, which proves the counts by a Cholesky
-    inertia certificate and takes the SVDs only when it refuses (an
-    escalated product's side-10 section).  A one-variable symbol is
+    section on the rows of the whole symbol's reach, built as its
+    ``Panels`` and passed to one kernel_dim once per member, which proves
+    the counts by a Cholesky inertia certificate and densifies the
+    sections for their SVDs only when it refuses (an escalated product's
+    side-10 section).  A one-variable symbol is
     counted with the escalating section criterion: a kernel vector decaying
     like r^x keeps its section residual above any fixed cutoff until the
     section outruns the decay, so a fixed size list can undercount.  Its
@@ -501,10 +514,11 @@ def _kernels(sides, k):
 
 
 def _lanczos_floor(mat, basis):
-    """Square root of the smallest Ritz value of G = mat* mat off the
-    orthonormal ``basis``, by Lanczos from sin(1), sin(2), ... with full
-    reorthogonalization (G never formed), or None when LANCZOS_STEPS steps
-    do not bring its residual to LANCZOS_TOL times itself."""
+    """Square root of the smallest Ritz value of G = mat* mat, ``mat``
+    panels, off the orthonormal ``basis``, by Lanczos from sin(1), sin(2),
+    ... with full reorthogonalization (G never formed: two panel products
+    per step), or None when LANCZOS_STEPS steps do not bring its residual
+    to LANCZOS_TOL times itself."""
     n, k = basis.shape
     steps = min(LANCZOS_STEPS, n - k)
     vecs = np.empty((steps + 1, n), dtype=mat.dtype)  # Lanczos vectors as rows
@@ -513,7 +527,7 @@ def _lanczos_floor(mat, basis):
     x -= basis @ (basis.conj().T @ x)
     vecs[0] = x / np.linalg.norm(x)
     for j in range(steps):
-        w = ((mat @ vecs[j]).conj() @ mat).conj()  # mat* mat v, with no conjugate of mat
+        w = (mat.T @ (mat @ vecs[j]).conj()).conj()  # mat* mat v, with no conjugate of mat
         diag[j] = np.vdot(vecs[j], w).real
         for _ in range(2):
             w -= basis @ (basis.conj().T @ w)
@@ -534,7 +548,9 @@ def _lanczos_floor(mat, basis):
 def _inertia_certificate(h, side, zero_tol):
     """Zero count k, gap and null bases of T, the section of ``h``, proven
     with no decomposition of T (spectrum slicing by Sylvester's law of
-    inertia; Parlett, The Symmetric Eigenvalue Problem, 1998).
+    inertia; Parlett, The Symmetric Eigenvalue Problem, 1998).  T is built
+    as its ``Panels`` and T^T is their transposed view, so no dense
+    section is made; sigma is the largest column norm of the middle site.
 
     Returns ``(blocks, found)``: the ``_null_block`` blocks of T and of
     T^T (None if either failed) and ``found`` = ``(kernels, gap, low,
@@ -552,7 +568,7 @@ def _inertia_certificate(h, side, zero_tol):
     zero_tol before Lanczos runs, as ``low`` must after.  ``residual``
     bounds ||T Q|| and ||T* P|| for the bases Q and P of T and T*.
     """
-    t = assemble(h, side)
+    t = h.section((side, side), (side, side), PANEL)
     mid = (side // 2) * (side + 1) * h.band_dim  # the middle site's first column
     sigma = float(np.linalg.norm(t[:, mid:mid + h.band_dim], axis=0).max())
     eps = np.finfo(float).eps

@@ -348,8 +348,10 @@ class LaurentSymbol:
 
     # ---------------------------------------------------------- sections
 
-    def section(self, rows, cols):
-        """Dense compression of the Toeplitz operator of f to a finite box.
+    def section(self, rows, cols, width=None):
+        """Dense compression of the Toeplitz operator of f to a finite box,
+        or with ``width`` the same compression as its ``Panels`` of that
+        many columns.
 
         ``rows`` and ``cols`` give per-variable box sizes; both boxes start
         at the origin.  Sites run in lexicographic order with the band index
@@ -358,6 +360,8 @@ class LaurentSymbol:
         With ``rows`` the column box extended by the positive hopping reach,
         every row a column vector can excite is present, so a kernel vector
         of the section extends by zero to one of the infinite operator.
+        Each panel holds the row sites its columns reach; the dense section
+        is the one panel of every column, over every row.
         """
         rows = tuple(int(r) for r in rows)
         cols = tuple(int(c) for c in cols)
@@ -365,18 +369,89 @@ class LaurentSymbol:
             raise DimensionMismatch(f"box sizes need {self.num_vars} entries each")
         if min(rows + cols) < 0:
             raise InputError(f"negative box size in rows {rows} / cols {cols}")
-        n = self.band_dim
-        out = np.zeros((*rows, n, *cols, n), dtype=complex)
+        n, total = self.band_dim, math.prod(cols) * self.band_dim
+        pairs = []  # each coefficient's row and column sites, flat and ascending
         for key, a in self._coeffs.items():
             ys = [np.arange(max(0, -k), min(c, r - k)) for k, r, c in zip(key, rows, cols)]
-            if min(y.size for y in ys) == 0:
-                continue
-            ys = np.ix_(*ys)
-            xs = tuple(y + k for y, k in zip(ys, key))
-            # += onto zeros stores a -0.0 entry as +0.0; LAPACK reflectors
-            # branch on the sign of zero, so spectra then do not depend on it
-            out[(*xs, slice(None), *ys, slice(None))] += a
-        return out.reshape(math.prod(rows) * n, math.prod(cols) * n)
+            if min(y.size for y in ys):
+                ys = np.ix_(*ys)
+                pairs.append((np.ravel_multi_index(tuple(y + k for y, k in zip(ys, key)),
+                                                   rows).ravel(),
+                              np.ravel_multi_index(ys, cols).ravel(), a))
+        starts, blocks = [], []
+        for j in range(0, total, width) if width else [0]:
+            w = min(width or total, total - j)
+            s0, s1 = j // n, -(-(j + w) // n)  # the column sites of the panel
+            cut = [(x[i0:i1], y[i0:i1] - s0, a) for x, y, a in pairs
+                   for i0, i1 in [np.searchsorted(y, (s0, s1))]]
+            lo, hi = 0, math.prod(rows)
+            if width:  # the row sites the panel reaches
+                lo = min((x[0] for x, _, _ in cut if x.size), default=0)
+                hi = max((x[-1] + 1 for x, _, _ in cut if x.size), default=lo)
+            block = np.zeros((hi - lo, n, s1 - s0, n), dtype=complex)
+            for x, y, a in cut:
+                # += onto zeros stores a -0.0 entry as +0.0; LAPACK reflectors
+                # branch on the sign of zero, so spectra then do not depend on it
+                block[x - lo, :, y, :] += a
+            starts.append(lo * n)
+            block = block.reshape((hi - lo) * n, (s1 - s0) * n)
+            blocks.append(block[:, j - s0 * n:j - s0 * n + w])
+        if not width:
+            return blocks[0]
+        return Panels((math.prod(rows) * n, total), width, starts, blocks)
+
+
+class Panels:
+    """A section held as its column panels: panel p has the columns p *
+    ``width`` on and, of their rows, only ``starts[p]`` to ``starts[p] +
+    len(blocks[p])``; every other entry is zero.  It reads like the dense
+    array: ``shape``, ``dtype``, ``T`` (a view), ``t[r0:r1, c0:c1]`` (a
+    dense copy) and ``t @ q``, panel by panel."""
+
+    dtype = np.dtype(complex)
+
+    def __init__(self, shape, width, starts, blocks, transposed=False):
+        self.shape, self.width, self.starts, self.blocks = tuple(shape), width, starts, blocks
+        self.transposed = transposed
+
+    @classmethod
+    def from_dense(cls, t, width):
+        """The panels of the dense ``t``, views cut to the rows they reach."""
+        starts, blocks = [], []
+        for j in range(0, t.shape[1], width):
+            rows = np.flatnonzero(t[:, j:j + width].any(axis=1))
+            r0, r1 = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
+            starts.append(r0)
+            blocks.append(t[r0:r1, j:j + width])
+        return cls(t.shape, width, starts, blocks)
+
+    @property
+    def T(self):
+        return Panels(self.shape[::-1], self.width, self.starts, self.blocks, not self.transposed)
+
+    def __getitem__(self, key):
+        """The rows and columns of two slices, as a dense array."""
+        if self.transposed:
+            return self.T[key[::-1]].T
+        (r0, r1, _), (c0, c1, _) = (k.indices(m) for k, m in zip(key, self.shape))
+        out = np.zeros((r1 - r0, c1 - c0), dtype=complex)
+        for p in range(c0 // self.width, -(-c1 // self.width)):
+            s, a, j = self.starts[p], self.blocks[p], p * self.width
+            lo, hi = max(r0, s), min(r1, s + len(a))
+            left, right = max(c0, j), min(c1, j + a.shape[1])
+            if lo < hi:
+                out[lo - r0:hi - r0, left - c0:right - c0] = a[lo - s:hi - s, left - j:right - j]
+        return out
+
+    def __matmul__(self, q):
+        out = np.zeros(self.shape[:1] + q.shape[1:], dtype=np.result_type(q, complex))
+        for p, (s, a) in enumerate(zip(self.starts, self.blocks)):
+            j = p * self.width
+            if self.transposed:
+                out[j:j + a.shape[1]] += a.T @ q[s:s + len(a)]
+            else:
+                out[s:s + len(a)] += a @ q[j:j + a.shape[1]]
+        return out
 
 
 COMMUTANT_MAX_BAND = 16  # largest band whose default index sections fit DENSE_CAP

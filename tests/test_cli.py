@@ -308,14 +308,30 @@ def test_symmetry_report_certifies_its_four_angles(capsys, tmp_path):
 
 
 def test_not_fredholm_detail_prints_plain_angles(capsys, tmp_path):
-    """A failing slice met at a W3 chart-grid angle names it as a plain float."""
+    """A failing slice met at one of the Fredholm certificate's eight angles,
+    which W3 checks after the build, names it as a plain float."""
     path = tmp_path / "h.json"
     save_symbol(_skew_h(), path)
     code, rep = run(capsys, ["index", str(path), "--mode", "w3", "--samples", "3"])
     assert code == 2
     assert rep["detail"] == (
         "slice in variable 0 at (1.5707963267948966,) is not canonically factorable: "
-        "partial indices [1] (partial indices [1] are not all zero)")
+        "partial indices [1] (half-plane compression is not invertible)")
+
+
+def test_w3_certifies_the_slices_its_samples_miss(capsys, tmp_path):
+    """h's bad slice at pi / 2 lies off the 3 samples per circle and off the
+    6-angle grid, so the extension builds and W3 integrates; the Fredholm
+    certificate's eight angles meet it first, for the index and for the
+    corner's W3 of h."""
+    h, H = tmp_path / "h.json", tmp_path / "H.json"
+    save_symbol(_skew_h(), h)
+    save_symbol(assemble_chiral(_skew_h()), H)
+    for argv in (["index", str(h), "--mode", "w3"],
+                 ["corner", str(H), "--class", "AIII", "--size", "12"]):
+        code, rep = run(capsys, argv + ["--samples", "3", "--grid", "6,5,6"])
+        assert (code, rep["error"], rep["direction"], rep["where"], rep["indices"]) == (
+            2, "NotFredholm", 0, [np.pi / 2], [1]), argv
 
 
 def test_each_reader_names_its_own_failing_slice(capsys, tmp_path):

@@ -12,6 +12,7 @@ from conftest import (
     pump_family,
     random_canonical_2d,
     sin_mass_family,
+    small_term,
 )
 from qtop import operators, wiener_hopf
 from qtop.errors import (
@@ -36,7 +37,7 @@ from qtop.operators import (
     numerical_index,
     spectral_flow,
 )
-from qtop.symbols import (DENSE_CAP, LaurentSymbol, _reducing_subspaces, _split_mass,
+from qtop.symbols import (DENSE_CAP, LaurentSymbol, Panels, _reducing_subspaces, _split_mass,
                           assemble_chiral)
 
 
@@ -179,11 +180,11 @@ def test_kernel_dim_falls_back_when_cholesky_raises(golden, monkeypatch):
 def test_kernel_certificate_refuses_a_block_that_missed_the_null_vector(golden, monkeypatch):
     """Without inverse iteration the block is Gaussian, every Ritz value
     lies above the cut, and the lifted Cholesky refuses the count 0."""
-    t = golden.section([11, 11], [10, 10])
+    t = golden.section([11, 11], [10, 10], operators.PANEL)
     monkeypatch.setattr(operators, "_cholesky_solve", lambda low, b: b)
     env, _, bracket = operators._envelope(t)
     assert operators._certified_count(t, *bracket, env) is None
-    assert kernel_dim(t) == 1
+    assert kernel_dim(t) == kernel_dim(t[:, :]) == 1
 
 
 def _direct_sum(parts):
@@ -553,8 +554,9 @@ def test_null_block_spans_the_kernels_of_t_and_its_adjoint(golden):
     h = golden.conjugate_by(q)
     t = assemble(h, 8)
     s = np.linalg.svd(t, compute_uv=False)
+    panels = h.section((8, 8), (8, 8), operators.PANEL)
     blocks = [operators._null_block(a, _certificate_shift(t, h), 1e-6, env)
-              for a, env in zip((t, t.T), operators._envelope(t)[:2])]
+              for a, env in zip((panels, panels.T), operators._envelope(panels)[:2])]
     k = np.count_nonzero(blocks[0][1] <= 1e-6)
     right, left = operators._kernels(blocks, k)
     assert right.shape == left.shape == (t.shape[0], k) and k == 2
@@ -570,7 +572,8 @@ def test_null_block_starts_from_a_full_rank_block(golden):
     h = golden.block_diag(golden)
     t = assemble(h, 10)
     s = np.linalg.svd(t, compute_uv=False)
-    for a, env in zip((t, t.T), operators._envelope(t)[:2]):
+    panels = h.section((10, 10), (10, 10), operators.PANEL)
+    for a, env in zip((panels, panels.T), operators._envelope(panels)[:2]):
         _, ritz, _ = operators._null_block(a, _certificate_shift(t, h), 1e-9, env)
         assert np.count_nonzero(ritz <= 1e-12 * s[0]) == 4
     found = operators._inertia_certificate(h, 10, 1e-9)[1]
@@ -634,20 +637,60 @@ def test_cholesky_in_place_matches_numpy_and_refuses_an_indefinite_matrix(rng):
 
 
 def _banded_section(rng):
-    """A tall banded T with a zero column, and its envelopes."""
+    """A tall banded T with a zero column, its panels and their envelopes."""
     m, n, band = 5 * operators.PANEL + 7, 4 * operators.PANEL + 3, 9
     t = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     t[np.abs(np.subtract.outer(np.arange(m), np.arange(n) * m / n)) > band] = 0.0
     t[:, 1] = 0.0
-    return t, operators._envelope(t)[:2]
+    panels = Panels.from_dense(t, operators.PANEL)
+    return t, panels, operators._envelope(panels)[:2]
 
 
 def test_envelope_of_a_section_and_its_transpose(rng):
-    t, envelopes = _banded_section(rng)
+    t, _, envelopes = _banded_section(rng)
     for mat, (first, last) in zip((t, t.T), envelopes):
         for col, lo, hi in zip(mat.T, first, last):
             rows = np.flatnonzero(col)
             assert (lo, hi) == ((rows[0], rows[-1]) if rows.size else (mat.shape[0], -1))
+
+
+def _panel_cases(golden):
+    """Symbols and (rows, cols) boxes for the panel form: square boxes, tall
+    reach boxes, and bands 2, 3 and 4, so that panel edges fall inside a
+    site line (side 7) and inside a site (band 3)."""
+    rng = np.random.default_rng(13)
+    terms = [(e, small_term(rng, 3, 1.0)) for e in [(0, 0), (1, -1), (-2, 1), (0, 2)]]
+    terms[0][1][0, 0] = -0.0  # stored as +0.0 by both forms
+    band3 = LaurentSymbol(2, 3, terms)
+    band4 = LaurentSymbol(2, 4, [(e, small_term(rng, 4, 1.0)) for e in
+                                 [(0, 0), (1, 0), (0, -1), (2, 1)]])
+    h = golden.conjugate_by(_bench_unitary(0))  # the benchmark's chiral h
+    cases = [(h, (s, s), (s, s)) for s in (1, 2, 7, 16, 24)]
+    cases += [(golden, (10, 10), (10, 10)), (golden.block_diag(golden), (9, 9), (9, 9)),
+              (band3, (9, 8), (9, 8)), (band4, (6, 6), (6, 6))]
+    return cases + [(f, (s + 1, s + 2), (s, s)) for f in (golden, band3, band4) for s in (5, 9)]
+
+
+def test_panels_densify_to_the_section_and_multiply_like_it(golden):
+    """The panel form densifies to exactly the dense section, signed zeros
+    included, exposes its shape, and its products with T, T* and T^T match
+    the dense ones to 1e-14 relative."""
+    rng = np.random.default_rng(17)
+    for f, rows, cols in _panel_cases(golden):
+        dense, panels = f.section(rows, cols), f.section(rows, cols, operators.PANEL)
+        assert panels.shape == dense.shape and panels.T.shape == dense.T.shape
+        for mine, ref in ((panels[:, :], dense), (panels.T[:, :], dense.T)):
+            assert np.array_equal(mine, ref)
+            assert np.array_equal(np.signbit(mine.real), np.signbit(ref.real))
+            assert np.array_equal(np.signbit(mine.imag), np.signbit(ref.imag))
+        m, n = dense.shape
+        q = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        y = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+        for mine, ref in ((panels @ q, dense @ q), (panels @ q[:, 0], dense @ q[:, 0]),
+                          ((panels.T @ y.conj()).conj(), dense.conj().T @ y),
+                          (panels.T @ y, dense.T @ y), (panels.T @ y[:, 0], dense.T @ y[:, 0])):
+            assert mine.shape == ref.shape
+            assert np.max(np.abs(mine - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("border", [False, True])
@@ -656,10 +699,10 @@ def test_gram_cholesky_of_a_banded_section_matches_numpy(rng, border):
     rows of a lift at both ends taken out as a border or not, equals
     numpy's, keeps the band in its entries and its storage, and solves
     like numpy."""
-    t, (env, _) = _banded_section(rng)
+    t, panels, (env, _) = _banded_section(rng)
     n = t.shape[1]
     rows = [0, 2, n - 2, n - 1] if border else []
-    factor = operators._gram_cholesky(t, 0.5, env, rows)
+    factor = operators._gram_cholesky(panels, 0.5, env, rows)
     gram = t.conj().T @ t + 0.5 * np.eye(n)
     gram[rows] = gram[:, rows] = 0.0
     gram[rows, rows] = 1.0
@@ -672,7 +715,7 @@ def test_gram_cholesky_of_a_banded_section_matches_numpy(rng, border):
     b = rng.standard_normal((n, 3))
     assert np.allclose(operators._cholesky_solve(factor, b), np.linalg.solve(gram, b),
                        rtol=0, atol=1e-12 * np.max(np.abs(np.linalg.solve(gram, b))))
-    assert operators._gram_cholesky(t, -0.5, env, rows) is None  # the zero column
+    assert operators._gram_cholesky(panels, -0.5, env, rows) is None  # the zero column
 
 
 @pytest.mark.parametrize("rows", ["ends", "middle"])
@@ -683,7 +726,8 @@ def test_lift_proves_what_numpy_proves_on_the_dense_lifted_matrix(rng, rows):
     corner's shape) and one in the middle."""
     t = _banded_section(rng)[0]
     t[1, 1] = 1.0  # no zero column, so that G + alpha LL* is definite
-    env, n = operators._envelope(t)[0], t.shape[1]
+    panels = Panels.from_dense(t, operators.PANEL)
+    env, n = operators._envelope(panels)[0], t.shape[1]
     support = [0, 1, n - 2, n - 1] if rows == "ends" else [n // 2, n // 2 + 1]
     lift = np.zeros((n, 2), dtype=complex)
     lift[support] = rng.standard_normal((len(support), 2)) + 1j
@@ -699,12 +743,14 @@ def test_lift_proves_what_numpy_proves_on_the_dense_lifted_matrix(rng, rows):
             assert not definite
         else:
             assert definite
-        assert operators._lift_proves(t, g, lift, 3.0, env) is definite
+        assert operators._lift_proves(panels, g, lift, 3.0, env) is definite
 
 
 def test_inertia_certificate_allocates_no_second_square_array(golden):
-    """Inside the corner's certificate, the section T is the one array of
-    n^2 entries: the Gram factors are banded, and the lift is a border."""
+    """Inside the corner's certificate no array of n^2 entries is made: T
+    and the Gram factors are banded, T^T is a view, and the lift is a
+    border.  At side 16 the band is a large share of T: its panels take 2.9
+    n^2 bytes and a Gram factor 2.8 n^2."""
     H = _corner_cases(golden)["golden"]
     h = LaurentSymbol(2, 2, [(k, a[2:, :2]) for k, a in H.coeffs.items()])
     n = 16 * 16 * h.band_dim
@@ -715,7 +761,43 @@ def test_inertia_certificate_allocates_no_second_square_array(golden):
     finally:
         tracemalloc.stop()
     assert found is not None and found[0][0].shape[1] == 2
-    assert peak < 16 * n * n + 8 * n * n  # T, and less than one real n x n array
+    assert peak < 8 * n * n  # half a complex n x n array
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_corner_spectrum_at_side_36_stays_below_a_quarter_of_t(golden_H):
+    res, peak = _traced_peak(lambda: corner_spectrum(golden_H, side=36))
+    n = 36 * 36 * golden_H.band_dim // 2
+    assert res.signed_count == 1
+    assert peak < 4 * n * n
+
+
+def test_index_kernel_counts_stay_below_one_dense_section(golden):
+    """numerical_index at the default sizes peaks below one dense side-18
+    reach section of golden, 722 x 648 complex entries."""
+    report, peak = _traced_peak(lambda: numerical_index(golden))
+    assert report.value == 1 and report.sizes == (10, 14, 18)
+    assert peak < 722 * 648 * 16
+
+
+def test_certified_corner_and_index_assemble_no_section(golden, monkeypatch):
+    """The benchmark's side-24 corner and the golden index take the
+    certificates, which read panels only: ``assemble`` is never called."""
+    calls = []
+    real = operators.assemble
+    monkeypatch.setattr(operators, "assemble", lambda *args: calls.append(args) or real(*args))
+    H = assemble_chiral(golden.conjugate_by(_bench_unitary(0)))
+    assert corner_spectrum(H, side=24).signed_count == 1
+    assert numerical_index(golden).value == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", ["golden", "bench1"])
