@@ -30,7 +30,7 @@ from .errors import (
     Unstable,
 )
 from .symbols import (DENSE_CAP, GRID_CAP, LaurentSymbol, Panels, _check_rows,
-                      _reducing_subspaces, _relation_violation, _split_mass)
+                      _generic_block, _reducing_subspaces, _relation_violation, _split_mass)
 from .wiener_hopf import (
     FIRST_TRUNCATION,
     KERNEL_RELTOL,
@@ -137,7 +137,7 @@ def _certified_count(t, lo, hi, env):
 def _null_block(t, g, cut, env):
     """Two steps of block inverse iteration on G + g^2 I, G = T*T of the
     m x n panels ``t`` (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011),
-    from the block sin(i j): ``(q, ritz, wh)``, the orthonormal block, the
+    from ``_generic_block``: ``(q, ritz, wh)``, the orthonormal block, the
     Ritz values of T on it ascending (zeros pad a wide T q) and the
     matching rows of V*, or None when the Cholesky fails.  The j-th Ritz value
     bounds the j-th smallest singular value from above.  The block starts
@@ -149,8 +149,7 @@ def _null_block(t, g, cut, env):
         return None
     width = min(NULL_BLOCK, n)
     while True:
-        # sin(i j) has full rank at every width and needs no numpy.random
-        q = np.sin(np.outer(np.arange(1.0, n + 1.0), np.arange(1.0, width + 1.0)))
+        q = _generic_block(n, width)
         for _ in range(2):
             q = np.linalg.qr(_cholesky_solve(factor, q))[0]
         # the full V* when T q is wide, so that its null rows come too
@@ -199,18 +198,18 @@ def _envelope(t):
     first, last, row_first, row_last = np.full(n, m), np.full(n, -1), np.full(m, n), np.full(m, -1)
     sums, squares, row_sums = np.zeros(n), np.zeros(n), np.zeros(m)
     for p, (start, a) in enumerate(zip(t.starts, t.blocks)):
-        j, a = p * PANEL, np.abs(a)
+        j, a = p * t.width, np.abs(a)
         rows = np.flatnonzero(a.any(axis=1))
         if not rows.size:
             continue
         i0, i1 = start + rows[0], start + rows[-1] + 1  # the rows the panel reaches
         a = a[rows[0]:rows[-1] + 1]
-        sums[j:j + PANEL], squares[j:j + PANEL] = a.sum(axis=0), (a * a).sum(axis=0)
+        sums[j:j + t.width], squares[j:j + t.width] = a.sum(axis=0), (a * a).sum(axis=0)
         row_sums[i0:i1] += a.sum(axis=1)
         hit = a > 0
         cols, live = hit.any(axis=0), hit.any(axis=1)
-        first[j:j + PANEL][cols] = i0 + hit.argmax(axis=0)[cols]
-        last[j:j + PANEL][cols] = i1 - 1 - hit[::-1].argmax(axis=0)[cols]
+        first[j:j + t.width][cols] = i0 + hit.argmax(axis=0)[cols]
+        last[j:j + t.width][cols] = i1 - 1 - hit[::-1].argmax(axis=0)[cols]
         row_first[i0:i1][live] = np.minimum(row_first[i0:i1][live], j + hit.argmax(axis=1)[live])
         row_last[i0:i1][live] = j + a.shape[1] - 1 - hit[:, ::-1].argmax(axis=1)[live]
     bracket = math.sqrt(squares.max(initial=0.0)), math.sqrt(sums.max(initial=0.0)
@@ -410,12 +409,8 @@ def numerical_index(symbol, sizes=(10, 14, 18)):
     if symbol.num_vars == 1 and values[-1] != -wind:
         raise Unstable(f"truncation index {values[-1]} is not minus the winding {wind} of det f: "
                        "the kernel counts missed a slowly decaying vector")
-    return IndexReport(
-        value=values[-1],
-        sizes=tuple(sizes),
-        kernel_counts=tuple(kers),
-        cokernel_counts=tuple(coks),
-    )
+    return IndexReport(value=values[-1], sizes=tuple(sizes), kernel_counts=tuple(kers),
+                       cokernel_counts=tuple(coks))
 
 
 # ------------------------------------------------------- corner spectra
@@ -515,15 +510,15 @@ def _kernels(sides, k):
 
 def _lanczos_floor(mat, basis):
     """Square root of the smallest Ritz value of G = mat* mat, ``mat``
-    panels, off the orthonormal ``basis``, by Lanczos from sin(1), sin(2),
-    ... with full reorthogonalization (G never formed: two panel products
-    per step), or None when LANCZOS_STEPS steps do not bring its residual
-    to LANCZOS_TOL times itself."""
+    panels, off the orthonormal ``basis``, by Lanczos from the first column
+    of ``_generic_block`` with full reorthogonalization (G never formed:
+    two panel products per step), or None when LANCZOS_STEPS steps do not
+    bring its residual to LANCZOS_TOL times itself."""
     n, k = basis.shape
     steps = min(LANCZOS_STEPS, n - k)
     vecs = np.empty((steps + 1, n), dtype=mat.dtype)  # Lanczos vectors as rows
     diag, off = np.zeros(steps), np.zeros(steps)
-    x = np.sin(np.arange(1.0, n + 1.0)).astype(mat.dtype)
+    x = _generic_block(n, 1)[:, 0].astype(mat.dtype)
     x -= basis @ (basis.conj().T @ x)
     vecs[0] = x / np.linalg.norm(x)
     for j in range(steps):
@@ -602,14 +597,14 @@ def _inertia_certificate(h, side, zero_tol):
     return blocks, (kernels, gap, low, residual)
 
 
-def _values_fallback(h, side, zero_tol, blocks):
-    """``(kernels, gap, gap, residual)`` like ``_inertia_certificate``'s,
-    from the values-only SVD of T and the ``blocks`` it solved, or None.
+def _values_fallback(t, h, side, zero_tol, blocks):
+    """``(kernels, gap, gap, residual)`` like ``_inertia_certificate``'s, from
+    the values-only SVD of ``t``, h's dense section, and its ``blocks``, or None.
     The blocks serve when the k singular values at or below ``zero_tol``
     lie more than GAP_FACTOR * zero_tol below the gap and match the k
     smallest Ritz values of each block within NULL_RITZ_TOL * sigma_max;
     k = 0 needs none."""
-    s = np.linalg.svd(assemble(h, side), compute_uv=False)
+    s = np.linalg.svd(t, compute_uv=False)
     k, gap = _zero_count(s, zero_tol)
     if k == 0:
         return (np.zeros((s.size, 0)),) * 2, gap, gap, 0.0
@@ -691,17 +686,19 @@ def _chiral_corner(h, side, zero_tol, corner_floor, participation):
     mode's distance to ``corner_floor``, the full SVD is taken instead, so
     every corner classification is proven at vector level.
     """
-    mask = _corner_mask(side, h.band_dim)
+    mask, t = _corner_mask(side, h.band_dim), None
     if not participation:
         blocks, found = _inertia_certificate(h, side, zero_tol)
-        found = found or _values_fallback(h, side, zero_tol, blocks)
+        if found is None:
+            t = assemble(h, side)  # one dense T for both SVDs
+            found = _values_fallback(t, h, side, zero_tol, blocks)
         if found is not None:
             kernels, gap, low, residual = found
             modes = _chiral_modes(kernels, mask)
             reach = 2.0 * residual / (low - residual) if low > residual else math.inf
             if all(abs(m.corner_participation - corner_floor) > reach for m in modes):
                 return None, None, None, modes, gap
-    u, s, vh = np.linalg.svd(assemble(h, side))
+    u, s, vh = np.linalg.svd(assemble(h, side) if t is None else t)
     v = vh.conj().T
     gap = _zero_count(s, zero_tol)[1]
     zero = s <= zero_tol

@@ -454,6 +454,11 @@ class Panels:
         return out
 
 
+def _generic_block(rows, cols):
+    """sin(i j), 1 <= i <= rows, 1 <= j <= cols: full rank, and every generic vector's start."""
+    return np.sin(np.outer(np.arange(1.0, rows + 1.0), np.arange(1.0, cols + 1.0)))
+
+
 COMMUTANT_MAX_BAND = 16  # largest band whose default index sections fit DENSE_CAP
 
 
@@ -464,7 +469,7 @@ def _reducing_subspaces(symbol):
     W_i* a_k W_j = 0 for i != j, so f is unitarily the direct sum of the
     W_i* f W_i, and so is each of its sections.  The X with X b = b X for
     every b in {a_k, a_k*} are the null space of the Gram matrix of the
-    maps X -> X b - b X; the eigenspaces of one seeded generic hermitian
+    maps X -> X b - b X; the eigenspaces of one fixed generic hermitian
     X there are the blocks (Murota, Kanno, Kojima & Kojima, Japan J.
     Indust. Appl. Math. 27, 2010).  One block, and no Gram, above
     COMMUTANT_MAX_BAND; one block too unless every ||W_i* a_k W_j|| is at
@@ -495,9 +500,8 @@ def _reducing_subspaces(symbol):
     null = vecs[:, lam <= 1e-10 * lam[-1]]
     if null.shape[1] <= 1:
         return whole
-    rng = np.random.default_rng(0)
     d = null.shape[1]
-    x = (null @ (rng.standard_normal(d) + 1j * rng.standard_normal(d))).reshape(n, n)
+    x = (null @ (_generic_block(d, 2) @ [1.0, 1j])).reshape(n, n)
     vals, basis = np.linalg.eigh(x + x.conj().T)
     cuts = np.flatnonzero(np.diff(vals) > 1e-8 * (vals[-1] - vals[0])) + 1
     blocks = np.split(basis, cuts, axis=1)

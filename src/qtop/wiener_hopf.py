@@ -57,7 +57,7 @@ from .errors import (
     Unstable,
     WindowTooSmall,
 )
-from .symbols import DENSE_CAP, GRID_CAP, LaurentSymbol, _check_rows
+from .symbols import DENSE_CAP, GRID_CAP, LaurentSymbol, _check_rows, _generic_block
 
 __all__ = [
     "FactorizationResult",
@@ -506,15 +506,14 @@ def _solve_section(symbol, m):
 def _section_condition(symbol, m):
     """2-norm condition of the (m+1)-block section, for a solve whose bound
     failed: exact up to EXACT_COND_ROWS rows, beyond that max ||A^{-1} x|| *
-    ||A||_F over three seeded unit probes x (a lower bound is enough for the
+    ||A||_F over three fixed unit probes x (a lower bound is enough for the
     COND_CAP decision); SizeOverflow past DENSE_CAP rows before any is built."""
     _check_rows((m + 1) * symbol.band_dim)
     mat = symbol.section((m + 1,), (m + 1,))
     rows = mat.shape[0]
     if rows <= EXACT_COND_ROWS:
         return float(np.linalg.cond(mat))
-    rng = np.random.default_rng(7)
-    probes = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+    probes = _generic_block(rows, 3)
     probes /= np.linalg.norm(probes, axis=0)
     est = float(np.linalg.norm(np.linalg.solve(mat, probes), axis=0).max())
     return est * float(np.linalg.norm(mat))

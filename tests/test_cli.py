@@ -86,6 +86,20 @@ def test_corner_spectrum_loads_no_numpy_random():
                   "print('numpy.random' in sys.modules)") == "False"
 
 
+def test_index_and_large_condition_load_no_numpy_random():
+    """The reducing subspaces of golden+golden and the condition estimate
+    above EXACT_COND_ROWS start from fixed vectors, not random draws."""
+    assert _probe("import sys, numpy as np\n"
+                  "from conftest import golden_symbol\n"
+                  "from qtop.operators import numerical_index\n"
+                  "from qtop.wiener_hopf import EXACT_COND_ROWS, _section_condition\n"
+                  "golden = golden_symbol()\n"
+                  "assert numerical_index(golden.block_diag(golden)).value == 2\n"
+                  "assert 1101 * 2 > EXACT_COND_ROWS\n"
+                  "_section_condition(golden.slice(0, (np.exp(1.1j),)), 1100)\n"
+                  "print('numpy.random' in sys.modules)") == "False"
+
+
 def test_nan_coefficient_is_input_error(capsys, tmp_path):
     doc = symbol_to_dict(golden_symbol())
     doc["terms"][0]["matrix"][0][0][0] = float("nan")

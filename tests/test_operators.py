@@ -37,8 +37,8 @@ from qtop.operators import (
     numerical_index,
     spectral_flow,
 )
-from qtop.symbols import (DENSE_CAP, LaurentSymbol, Panels, _reducing_subspaces, _split_mass,
-                          assemble_chiral)
+from qtop.symbols import (DENSE_CAP, LaurentSymbol, Panels, _generic_block, _reducing_subspaces,
+                          _split_mass, assemble_chiral)
 
 
 def scalar_1d(terms):
@@ -187,6 +187,16 @@ def test_kernel_certificate_refuses_a_block_that_missed_the_null_vector(golden, 
     assert kernel_dim(t) == kernel_dim(t[:, :]) == 1
 
 
+@pytest.mark.parametrize("side", [6, 10, 18])
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_kernel_dim_of_panels_of_any_width(golden, side, width):
+    """The counts of the reach sections of f and f* cut in panels of any
+    width are those of the dense sections."""
+    for f, count in ((golden, 1), (golden.adjoint(), 0)):
+        box = ((side + 1, side + 1), (side, side))
+        assert kernel_dim(f.section(*box, width)) == kernel_dim(f.section(*box)) == count
+
+
 def _direct_sum(parts):
     out = parts[0]
     for part in parts[1:]:
@@ -194,7 +204,8 @@ def _direct_sum(parts):
     return out
 
 
-@pytest.mark.parametrize("k, l", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2)])
+@pytest.mark.parametrize("k, l", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2),
+                                  (3, 1), (2, 2), (4, 0)])
 def test_numerical_index_of_hidden_direct_sums(golden, k, l, monkeypatch):
     """golden^k + adjoint^l, conjugated by a seeded unitary, is counted block
     by block; index and per-size counts are the sums over the summands."""
@@ -548,6 +559,16 @@ def _certificate_shift(t, h):
         operators.ROUNDING_GUARD * t.shape[0] * np.finfo(float).eps * alpha)
 
 
+def test_generic_block_is_the_start_of_null_block_and_lanczos():
+    """``_generic_block`` is the sin(i j) start block of ``_null_block``
+    and, in its first column, the sin(1), sin(2), ... start vector of
+    ``_lanczos_floor``, bit for bit."""
+    for n, width in ((1, 1), (7, 4), (200, 64)):
+        assert np.array_equal(_generic_block(n, width),
+                              np.sin(np.outer(np.arange(1.0, n + 1.0), np.arange(1.0, width + 1.0))))
+        assert np.array_equal(_generic_block(n, 1)[:, 0], np.sin(np.arange(1.0, n + 1.0)))
+
+
 def test_null_block_spans_the_kernels_of_t_and_its_adjoint(golden):
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
@@ -798,6 +819,16 @@ def test_certified_corner_and_index_assemble_no_section(golden, monkeypatch):
     assert corner_spectrum(H, side=24).signed_count == 1
     assert numerical_index(golden).value == 1
     assert calls == []
+
+
+def test_corner_fallbacks_share_one_dense_section(monkeypatch):
+    """The zero symbol refuses the certificate and the values-only
+    fallback; the full SVD reads the same dense T."""
+    calls = []
+    real = operators.assemble
+    monkeypatch.setattr(operators, "assemble", lambda *args: calls.append(args) or real(*args))
+    assert corner_spectrum(LaurentSymbol(2, 2, []), side=20).spectral_gap == 0.0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("case", ["golden", "bench1"])
